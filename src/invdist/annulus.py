@@ -2,17 +2,15 @@
 
 Two independent routes live here.  The Kobayashi (= Lempert) distance comes
 from the universal cover by a strip: minimize the strip hyperbolic distance
-over deck translates.  The Caratheodory distance comes from boundary
-unimodular holomorphic competitors built out of q-theta products: degree-2
-inner functions of the annulus with one zero pinned at the source point and
-the second zero's angle optimized.  Each competitor gives a certified lower
-bound; the family contains the extremal one, which the self-tests
-(boundary unimodularity, symmetry, c <= k) monitor.
+over deck translates.  The Caratheodory distance comes from the extremal
+boundary unimodular function, a degree-2 inner function of the annulus
+built out of q-theta products: one zero at the source point, the second
+on the circle |zeta| = q / |zeta_z| opposite the target point.  The
+build-time self-tests (boundary unimodularity) monitor it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,30 +27,30 @@ __all__ = [
     "deck_distances",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 
 def theta_product(x, p: float, tol: float = 1e-16):
     """q-theta function theta(x; p) = prod_{k>=0} (1 - p^k x)(1 - p^{k+1} / x).
 
     Satisfies theta(p x) = theta(1/x) = -theta(x) / x.  Zeros at x in p^Z.
+    The product runs over the nome powers p^1 .. p^n, n the first power
+    below tol, in one numpy product per point.
     """
     x = np.asarray(x, dtype=complex)
-    out = 1.0 - x
-    pk = p
-    for _ in range(100000):
-        out = out * (1.0 - pk * x) * (1.0 - pk / x)
-        if pk < tol:
-            break
-        pk *= p
+    if p < tol:
+        n = 1
+    elif p < 1.0:
+        # p^n < tol with room to spare, at most 100000 factors
+        n = min(int(math.log(tol) / math.log(p)) + 2, 100000)
     else:
+        n = 0
+    pk = np.cumprod(np.full(n, p))
+    below = np.flatnonzero(pk < tol)
+    if below.size == 0:
         raise NonConvergence("theta product did not truncate")
+    pk = pk[:below[0] + 1]
+    xk = x[..., None]
+    out = (1.0 - x) * np.prod((1.0 - pk * xk) * (1.0 - pk / xk), axis=-1)
     return out if out.shape else complex(out)
-
-
-def _log_capacity_terms(p):
-    # number of factors needed for ~1e-16 tails
-    return max(int(math.log(1e-18) / math.log(p)) + 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +117,13 @@ class AnnulusCaratheodory:
 
         F(zeta) = zeta^{-1} B(zeta, a1) B(zeta, a2),   |a1 a2| = q,
 
-    and the distance value is tanh^{-1} max_phi |F(zeta_w)| over the free
-    angle of the second zero, with the first zero at zeta_z.
+    and the distance value is tanh^{-1} |F(zeta_w)| for the extremal one:
+    first zero a1 = zeta_z, second zero on |zeta| = rho2 = q / |zeta_z|
+    opposite zeta_w, a2 = -rho2 zeta_w / |zeta_w|, which maximizes |F(zeta_w)|
+    over the angle of a2 (the explicit annulus formula, Jarnicki-Pflug,
+    Invariant Distances and Metrics in Complex Analysis, 2nd ed. 2013,
+    annulus section).  Then |B(zeta_w, a2)| = rho2 |theta(-|zeta_w|/rho2; p)
+    / theta(-|zeta_w| rho2; p)|, and a value costs four theta products.
 
     series_mode reports whether the build-time unimodularity self-tests
     passed; when they fail the engine refuses point values and callers fall
@@ -154,30 +157,13 @@ class AnnulusCaratheodory:
     def _inner2(self, zeta, a1, a2):
         return self._blaschke(zeta, a1) * self._blaschke(zeta, a2) / zeta
 
-    def _best_second_zero(self, z1, zw):
-        """Maximize |F(zeta_w)| over the angle of the second zero."""
+    def _second_zero(self, z1, zw):
+        """The extremal second zero, opposite zw, and |B(zw, a2)| there."""
         rho2 = self.q / abs(z1)
-        c = zw / rho2
-        d = zw * rho2
-
-        def val(phi):
-            e = np.exp(-1j * phi)
-            return np.abs(theta_product(c * e, self.p) /
-                          theta_product(d * e, self.p))
-
-        phis = np.linspace(0.0, TWO_PI, 97)[:-1]
-        vals = np.asarray(val(phis))
-        i = int(np.argmax(vals))
-        lo, hi = phis[i] - TWO_PI / 96, phis[i] + TWO_PI / 96
-        for _ in range(48):
-            m1 = lo + (hi - lo) * 0.381966
-            m2 = hi - (hi - lo) * 0.381966
-            if val(m1) < val(m2):
-                lo = m1
-            else:
-                hi = m2
-        phi = 0.5 * (lo + hi)
-        return rho2 * cmath.exp(1j * phi), float(val(phi)) * rho2
+        s = abs(zw)
+        factor = rho2 * abs(theta_product(-s / rho2, self.p) /
+                            theta_product(-s * rho2, self.p))
+        return -rho2 * zw / s, factor
 
     # -- public values -------------------------------------------------------
 
@@ -190,7 +176,7 @@ class AnnulusCaratheodory:
         if z == w:
             return 0.0
         zz, zw = z / self.r, w / self.r
-        _, factor2 = self._best_second_zero(zz, zw)
+        _, factor2 = self._second_zero(zz, zw)
         b1 = abs(self._blaschke(zw, zz))
         return min(b1 * factor2 / abs(zw), 1.0 - 1e-16)
 
@@ -207,7 +193,7 @@ class AnnulusCaratheodory:
         worst_outer = worst_inner = 0.0
         for z, w in probes:
             zz, zw = z / self.r, w / self.r
-            a2, _ = self._best_second_zero(zz, zw)
+            a2, _ = self._second_zero(zz, zw)
             outer = np.abs(self._inner2(angles, zz, a2))
             inner = np.abs(self._inner2(self.q * angles, zz, a2))
             worst_outer = max(worst_outer, float(np.max(np.abs(outer - 1.0))))

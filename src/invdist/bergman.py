@@ -89,9 +89,6 @@ class AnnulusKernel:
         n = min(max(n_hi, n_lo, 8), self.nmax_cap)
         return np.arange(-n - 1, n + 1)
 
-    def norms_sq(self, ns):
-        return np.array([annulus_monomial_norm_sq(self.r, int(n)) for n in ns])
-
     def _weighted_powers(self, a, ns):
         """exp(2 n log a - log ||n||^2), stable against norm overflow."""
         log_terms = 2.0 * np.log(a)[..., None] * ns - _log_norm_sq(self.r, ns)
@@ -111,17 +108,27 @@ class AnnulusKernel:
         return complex(np.sum(vals))
 
     def log_diag_hessian(self, z):
-        """d^2/dz dzbar of log K at z, from the series in s = |z|^2."""
+        """d^2/dz dzbar of log K at z, from the series in s = |z|^2.
+
+        The (points x terms) sums run in row chunks of about 256k cells
+        (2 MB), so a large batch never holds its whole table; the term range
+        comes from the largest modulus of the batch.
+        """
         z = np.asarray(z, dtype=complex)
-        a = np.abs(z)
-        s = a * a
+        a = np.abs(z).ravel()
         ns = self._terms(float(a.max()))
-        terms = self._weighted_powers(a, ns)
-        k0 = np.sum(terms, axis=-1)
-        k1 = np.sum(ns * terms, axis=-1) / s
-        k2 = np.sum(ns * (ns - 1.0) * terms, axis=-1) / (s * s)
-        g = k1 / k0
-        out = g + s * (k2 / k0 - g * g)
+        rows = max(1, 262144 // ns.size)
+        out = np.empty(a.shape)
+        for i in range(0, a.size, rows):
+            ac = a[i:i + rows]
+            s = ac * ac
+            terms = self._weighted_powers(ac, ns)
+            k0 = np.sum(terms, axis=-1)
+            k1 = np.sum(ns * terms, axis=-1) / s
+            k2 = np.sum(ns * (ns - 1.0) * terms, axis=-1) / (s * s)
+            g = k1 / k0
+            out[i:i + rows] = g + s * (k2 / k0 - g * g)
+        out = out.reshape(z.shape)
         return out if out.shape else float(out)
 
 
@@ -249,10 +256,6 @@ def _segment_length(field, a, b):
     return float(np.sum(_GL_WEIGHTS * 0.5 * vals))
 
 
-def _polyline_length(field, pts):
-    return sum(_segment_length(field, a, b) for a, b in zip(pts[:-1], pts[1:]))
-
-
 # ---------------------------------------------------------------------------
 # shortest path on the annulus
 # ---------------------------------------------------------------------------
@@ -287,24 +290,17 @@ def _annulus_graph_path(field, r, z, w, n_r, n_t):
             rows_list.append(src)
             cols_list.append(dst)
             vals_list.append(wts)
-    rows = list(np.concatenate(rows_list))
-    cols = list(np.concatenate(cols_list))
-    vals = list(np.concatenate(vals_list))
     n_nodes = n_r * n_t
     # connect source and target to their surrounding nodes
     extra = [complex(z), complex(w)]
-    e_rows, e_cols, e_vals = [], [], []
     for e_idx, p in enumerate(extra):
-        d2 = np.abs(flat - p)
-        nearest = np.argsort(d2)[:10]
-        for k in nearest:
-            wgt = _segment_length(field, p, flat[k])
-            e_rows.append(n_nodes + e_idx)
-            e_cols.append(int(k))
-            e_vals.append(wgt)
-    rows = rows + e_rows
-    cols = cols + e_cols
-    vals = vals + e_vals
+        nearest = np.argsort(np.abs(flat - p))[:10]
+        rows_list.append(np.full(nearest.size, n_nodes + e_idx))
+        cols_list.append(nearest)
+        vals_list.append(np.array([_segment_length(field, p, flat[k]) for k in nearest]))
+    rows = np.concatenate(rows_list)
+    cols = np.concatenate(cols_list)
+    vals = np.concatenate(vals_list)
     g = coo_matrix((vals, (rows, cols)), shape=(n_nodes + 2, n_nodes + 2))
     dist, pred = dijkstra(g, directed=False, indices=[n_nodes], return_predecessors=True)
     if not np.isfinite(dist[0, n_nodes + 1]):

@@ -124,10 +124,6 @@ class HalfPlane(PlanarDomain):
         return BoundaryContact(w - d * self.normal, d, self.normal)
 
 
-def upper_half_plane() -> HalfPlane:
-    return HalfPlane(1j)
-
-
 @dataclass(frozen=True)
 class Sector(PlanarDomain):
     """Sector {z != 0 : |arg z| < theta} with half-angle theta in (0, pi)."""

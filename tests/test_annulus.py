@@ -37,6 +37,19 @@ class TestThetaProduct:
     def test_zero_location(self):
         assert abs(theta_product(1.0 + 0j, 0.3)) < 1e-14
 
+    @pytest.mark.parametrize("p", [0.8227, 0.3, 1.0 / 16, 1e-5])
+    def test_array_matches_scalar_calls(self, p, rng):
+        x = rng.uniform(0.2, 2.0, (6, 7)) * np.exp(2j * np.pi * rng.uniform(size=(6, 7)))
+        batch = theta_product(x, p)
+        assert batch.shape == x.shape
+        one_by_one = np.array([[theta_product(v, p) for v in row] for row in x])
+        np.testing.assert_allclose(batch, one_by_one, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.0 - 1e-9])
+    def test_raises_when_product_cannot_truncate(self, p):
+        with pytest.raises(NonConvergence):
+            theta_product(0.5 + 0.1j, p)
+
 
 class TestCoveringDistance:
     def test_coincident(self):
@@ -89,11 +102,25 @@ class TestCaratheodorySeries:
         r = engine.r
         angles = np.exp(2j * np.pi * np.arange(64) / 64)
         zz, zw = (1.3 + 0.4j) / r, (0.6 - 0.2j) / r
-        a2, _ = engine._best_second_zero(zz, zw)
+        a2, _ = engine._second_zero(zz, zw)
         outer = np.abs(engine._inner2(angles, zz, a2))
         inner = np.abs(engine._inner2(engine.q * angles, zz, a2))
         assert np.max(np.abs(outer - 1.0)) < 1e-8
         assert np.max(np.abs(inner - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("r", [1.05, 1.2, 2.0, 5.0, 20.0])
+    def test_closed_form_not_beaten_by_angle_scan(self, r, rng):
+        # oracle: |F(zeta_w)| over 4096 angles of the second zero on its circle
+        eng = AnnulusCaratheodory(r)
+        phis = 2.0 * np.pi * np.arange(4096) / 4096
+        for _ in range(12):
+            z, w = r ** rng.uniform(-0.95, 0.95, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            m = eng.mobius_value(z, w)
+            zz, zw = z / r, w / r
+            rho2 = eng.q / abs(zz)
+            scan = float(np.max(np.abs(eng._inner2(zw, zz, rho2 * np.exp(1j * phis)))))
+            assert scan <= m * (1.0 + 1e-13)
+            assert scan >= m * (1.0 - 1e-6)  # the scan comes within its grid of m
 
     def test_coincident_and_symmetry(self, engine):
         assert engine.distance(1.3 + 0j, 1.3 + 0j) == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from invdist.bergman import (
+    AnnulusKernel,
     annulus_monomial_norm_sq,
     bergman_distance,
     bergman_field,
@@ -82,6 +83,20 @@ class TestAnnulusKernel:
             k = bergman_kernel_pair(dom, z, w)
             assert bergman_kernel_pair(dom, w, z) == pytest.approx(k.conjugate(), abs=1e-14)
         assert bergman_kernel(dom, 1.0 + 0j) > 0
+
+    def test_batched_log_diag_hessian_matches_point_calls(self, rng):
+        # moduli up to 0.999 r give thousands of terms, so the batch runs in
+        # several row chunks
+        r = 1.05
+        kern = AnnulusKernel(r)
+        mod = np.exp(rng.uniform(-0.999, 0.999, (6, 8)) * math.log(r))
+        mod[0, 0] = 0.999 * r
+        z = mod * np.exp(2j * np.pi * rng.uniform(size=(6, 8)))
+        assert 262144 // kern._terms(0.999 * r).size < z.size
+        batch = kern.log_diag_hessian(z)
+        assert batch.shape == z.shape
+        points = np.array([[kern.log_diag_hessian(complex(v)) for v in row] for row in z])
+        np.testing.assert_allclose(batch, points, rtol=1e-13, atol=0)
 
     def test_reproducing_property(self):
         residual = bg_reproducing_residual(2.0, 1.2 + 0.4j, range(-5, 6))
