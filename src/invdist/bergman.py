@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import riemann_map
-from .distances import CertifiedValue, MetricField, caratheodory
+from .distances import CertifiedValue, MetricField, _jordan_jet, caratheodory
 from .domains import Annulus, Disc, JordanDomain, TwoDiscHull
 from .errors import DomainViolation, NonConvergence, UnsupportedDomain
 
@@ -38,6 +37,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+
+
+# largest Laurent index a kernel sum uses, whatever the point's modulus
+_NMAX = 4000
 
 
 def annulus_monomial_norm_sq(r: float, n: int) -> float:
@@ -71,22 +74,16 @@ class AnnulusKernel:
     r: float
     tol: float = 1e-14
 
-    def __post_init__(self):
-        r = self.r
-        # choose N so both geometric tails fall below tol everywhere on A_r:
-        # high tail terms ~ (n+1) (|z| / r)^{2n} / (pi r^2) with |z| < r, and
-        # the worst case |z| -> r is controlled by evaluation-point margin,
-        # so pick N adaptively at evaluation time from the point's modulus.
-        self.nmax_cap = 4000
-
     def _terms(self, a: float):
-        """Term range covering both tails below tol at modulus a."""
+        """Term range covering both tails below tol at modulus a: the high
+        tail terms ~ (n+1) (a / r)^{2n} and the low ones ~ (n+1) (1 / (a r))^{2n},
+        so the count adapts to the point's modulus, up to _NMAX."""
         r = self.r
         ratio_hi = (a / r) ** 2
         ratio_lo = (1.0 / (a * r)) ** 2
         n_hi = _tail_cut(ratio_hi, self.tol)
         n_lo = _tail_cut(ratio_lo, self.tol)
-        n = min(max(n_hi, n_lo, 8), self.nmax_cap)
+        n = min(max(n_hi, n_lo, 8), _NMAX)
         return np.arange(-n - 1, n + 1)
 
     def _weighted_powers(self, a, ns):
@@ -134,10 +131,10 @@ class AnnulusKernel:
 
 def _tail_cut(ratio: float, tol: float) -> int:
     if ratio >= 1.0:
-        return 4000
+        return _NMAX
     # sum_{k>n} (k+1) ratio^k <= (n+3) ratio^{n+1} / (1-ratio)^2 approx
     n = 8
-    while (n + 3) * ratio ** (n + 1) / (1.0 - ratio) ** 2 > tol and n < 4000:
+    while (n + 3) * ratio ** (n + 1) / (1.0 - ratio) ** 2 > tol and n < _NMAX:
         n += 4
     return n
 
@@ -168,9 +165,7 @@ def bergman_kernel(domain, z) -> float:
     if isinstance(domain, TwoDiscHull):
         return bergman_kernel(domain.as_jordan(), z)
     if isinstance(domain, JordanDomain):
-        m = riemann_map(domain, _transport_center(domain))
-        fz = complex(m.evaluate(z))
-        df = complex(m.derivative(z))
+        fz, df = _jordan_jet(domain, z)
         return abs(df) ** 2 / (math.pi * (1.0 - abs(fz) ** 2) ** 2)
     raise UnsupportedDomain(f"bergman kernel unsupported on {type(domain).__name__}")
 
@@ -185,10 +180,6 @@ def bergman_kernel_pair(domain, z, w) -> complex:
     if isinstance(domain, Annulus):
         return _annulus_kernel(domain.r).pair(complex(z), complex(w))
     raise UnsupportedDomain("pair kernel supports Disc and Annulus")
-
-
-def _transport_center(domain: JordanDomain) -> complex:
-    return domain.anchor()
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +209,7 @@ def bergman_metric(domain, z, X=1.0) -> float:
     if isinstance(domain, TwoDiscHull):
         return bergman_metric(domain.as_jordan(), z, X)
     if isinstance(domain, JordanDomain):
-        m = riemann_map(domain, _transport_center(domain))
-        fz = complex(m.evaluate(z))
-        df = complex(m.derivative(z))
+        fz, df = _jordan_jet(domain, z)
         return math.sqrt(2.0) * abs(df * X) / (1.0 - abs(fz) ** 2)
     raise UnsupportedDomain(f"bergman metric unsupported on {type(domain).__name__}")
 

@@ -140,9 +140,10 @@ def _fmt(x) -> str:
 
 
 def _json_canonical(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; a float
+    that is not finite has no JSON form and is written as null."""
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int,)):
@@ -617,7 +618,7 @@ def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
     rng = np.random.default_rng(seed)
     n_anchor = 6
     depths = np.geomspace(1e-3, 0.2, max(samples // n_anchor, 6))
-    z0 = 0j if domain.contains(0j) else bg._transport_center(domain)
+    z0 = 0j if domain.contains(0j) else domain.anchor()
     resids = []
     for ti in (np.arange(n_anchor) + 0.5) / n_anchor:
         t = (ti + 0.02 * rng.uniform()) % 1.0

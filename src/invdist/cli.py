@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -76,6 +77,9 @@ def cmd_dist(args) -> int:
         val = bg.bergman_distance(domain, z, w)
     else:
         raise SchemaError(f"unknown distance kind {args.kind!r}")
+    if not (math.isfinite(val.lo) and math.isfinite(val.hi)):
+        raise NonConvergence(f"{args.kind} distance is not finite "
+                             f"(lo={val.lo!r}, hi={val.hi!r})")
     doc = {
         "schema": 1,
         "kind": args.kind,
@@ -180,8 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_point_values(argv):
+    """Rewrite '--z VALUE' and '--w VALUE' as '--z=VALUE': argparse reads a
+    separate value that starts with '-', such as '-1+0i', as an option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        if arg in ("--z", "--w"):
+            value = next(it, None)
+            out.append(arg if value is None else f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_point_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -396,13 +396,19 @@ class ZipperMap:
         out = self.rot * self._unrotated(np.asarray(z, dtype=complex))
         return complex(out) if scalar else out
 
-    def derivative(self, z):
+    def evaluate_with_derivative(self, z):
+        """(phi(z), phi'(z)) from one pass through the zipper steps; the
+        values are bitwise those of `evaluate` and `derivative`."""
         scalar = np.isscalar(z)
         w, dw = self.chain.forward_with_derivative(np.asarray(z, dtype=complex))
         zeta = self._zeta
+        val = self.rot * ((w - zeta) / (w - zeta.conjugate()))
         dcay = 2j * zeta.imag / (w - zeta.conjugate()) ** 2
-        out = self.rot * dcay * dw
-        return complex(out) if scalar else out
+        der = self.rot * dcay * dw
+        return (complex(val), complex(der)) if scalar else (val, der)
+
+    def derivative(self, z):
+        return self.evaluate_with_derivative(z)[1]
 
     def inverse(self, d):
         scalar = np.isscalar(d)

@@ -179,6 +179,18 @@ def _jordan_chart(domain: JordanDomain, n=512) -> ConformalMap:
     return riemann_map(domain, domain.anchor(), n=n)
 
 
+def _jordan_jet(domain: JordanDomain, z) -> tuple:
+    """(f(z), f'(z)) of the domain's shared Riemann map, from one zipper pass.
+
+    Raises DomainViolation when the map's error puts f(z) outside the unit
+    disc, where the pulled-back metrics would come out negative or infinite.
+    """
+    fz, df = _jordan_chart(domain).engine.evaluate_with_derivative(complex(z))
+    if abs(fz) >= 1.0:
+        raise DomainViolation(f"image of {z} left the unit disc; the map is too coarse here")
+    return fz, df
+
+
 def _halfplane_pullback(domain, z, w) -> float:
     m = upper_chart(domain)
     return halfplane_hyperbolic_distance(complex(m.evaluate(z)), complex(m.evaluate(w)))
@@ -235,18 +247,19 @@ def _disc_inclusion_lower(r, z, w):
 
 def caratheodory(domain, z, w) -> CertifiedValue:
     """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
+    if isinstance(domain, TwoDiscHull):
+        return caratheodory(domain.as_jordan(), z, w)
     _require_inside(domain, z, w)
     if isinstance(domain, Disc):
         return CertifiedValue.exact(_pullback_distance(disc_chart(domain), z, w))
     if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
         return CertifiedValue.exact(_halfplane_pullback(domain, z, w), "conformal_pullback")
-    if isinstance(domain, TwoDiscHull):
-        return caratheodory(domain.as_jordan(), z, w)
     if isinstance(domain, JordanDomain):
         m = _jordan_chart(domain)
-        val = _pullback_distance(m, z, w)
-        err = _map_error_to_distance(m, complex(m.evaluate(z)), complex(m.evaluate(w)))
-        return CertifiedValue.estimate(val, err, "conformal_pullback")
+        fz, fw = complex(m.evaluate(z)), complex(m.evaluate(w))
+        return CertifiedValue.estimate(poincare_distance(fz, fw),
+                                       _map_error_to_distance(m, fz, fw),
+                                       "conformal_pullback")
     if isinstance(domain, Annulus):
         return annulus_caratheodory(domain.r, z, w)
     if isinstance(domain, (Ball, Polydisc)):
@@ -263,15 +276,13 @@ def caratheodory(domain, z, w) -> CertifiedValue:
 def lempert(domain, z, w) -> CertifiedValue:
     """Lempert function l_D(z, w); equals the Kobayashi distance on all
     planar catalog variants and on Ball / Polydisc."""
+    if isinstance(domain, (JordanDomain, TwoDiscHull)):
+        return caratheodory(domain, z, w)
     _require_inside(domain, z, w)
     if isinstance(domain, Disc):
         return CertifiedValue.exact(_pullback_distance(disc_chart(domain), z, w))
     if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
         return CertifiedValue.exact(_halfplane_pullback(domain, z, w), "conformal_pullback")
-    if isinstance(domain, TwoDiscHull):
-        return lempert(domain.as_jordan(), z, w)
-    if isinstance(domain, JordanDomain):
-        return caratheodory(domain, z, w)
     if isinstance(domain, Annulus):
         val = _ann.annulus_kobayashi_distance(domain.r, z, w)
         return CertifiedValue(val - 1e-12, val + 1e-12, "covering", 1e-12)
@@ -325,6 +336,8 @@ def kobayashi_metric(domain, z, X=1.0) -> float:
     """Infinitesimal Kobayashi metric kappa_D(z; X)."""
     if isinstance(domain, (Ball, Polydisc)):
         return _cn_kobayashi_metric(domain, z, X)
+    if isinstance(domain, TwoDiscHull):
+        return kobayashi_metric(domain.as_jordan(), z, X)
     _require_inside(domain, z)
     if isinstance(domain, Disc):
         u = (complex(z) - domain.center) / domain.radius
@@ -333,12 +346,9 @@ def kobayashi_metric(domain, z, X=1.0) -> float:
         m = upper_chart(domain)
         fz = complex(m.evaluate(z))
         return abs(complex(m.derivative(z))) * abs(X) / (2.0 * fz.imag)
-    if isinstance(domain, TwoDiscHull):
-        return kobayashi_metric(domain.as_jordan(), z, X)
     if isinstance(domain, JordanDomain):
-        m = _jordan_chart(domain)
-        fz = complex(m.evaluate(z))
-        return abs(complex(m.derivative(z))) * abs(X) / (1.0 - abs(fz) ** 2)
+        fz, df = _jordan_jet(domain, z)
+        return abs(df) * abs(X) / (1.0 - abs(fz) ** 2)
     if isinstance(domain, Annulus):
         return _ann.annulus_kobayashi_metric(domain.r, complex(z), X)
     raise UnsupportedDomain(f"kobayashi metric unsupported on {type(domain).__name__}")

@@ -359,7 +359,9 @@ def _segment_distance(q: complex, a: complex, b: complex) -> float:
     return abs(q - (a + t * u))
 
 
-def _refine_nearest(curve, t0, w, h):
+def _nearest_param(curve, t0, w, h):
+    """Parameter in [t0 - h, t0 + h] (mod 1) of the curve point nearest w,
+    by ternary search."""
     lo, hi = t0 - h, t0 + h
     for _ in range(60):
         m1 = lo + (hi - lo) / 3
@@ -368,7 +370,11 @@ def _refine_nearest(curve, t0, w, h):
             hi = m2
         else:
             lo = m1
-    return complex(curve(((lo + hi) / 2) % 1.0))
+    return ((lo + hi) / 2) % 1.0
+
+
+def _refine_nearest(curve, t0, w, h):
+    return complex(curve(_nearest_param(curve, t0, w, h)))
 
 
 def two_disc_hull(z: complex, d_z: float, w: complex, d_w: float) -> PlanarDomain:
@@ -478,22 +484,54 @@ class JordanDomain(PlanarDomain):
         return allp
 
     def contains(self, z):
+        """Winding number of the sampled polyline (512, 1024, ... points,
+        until two resolutions agree); within the polyline's sag of the curve
+        the side of the tangent at the nearest curve point decides."""
         n = 512
         last = None
         for _ in range(6):
             ts = np.linspace(0.0, 1.0, n, endpoint=False)
             pts = self.point(ts)
             rel = pts - z
-            if np.min(np.abs(rel)) < 1e-14:
+            near = float(np.min(np.abs(rel)))
+            if near < 1e-14:
                 return False
             ang = np.angle(np.roll(rel, -1) / rel)
             wind = float(np.sum(ang)) / TWO_PI
             k = round(wind)
             if abs(wind - k) < 0.25 and last == k:
-                return k == 1
+                return self._tangent_side(z, ts, rel, near, k == 1)
             last = k
             n *= 2
         raise NonConvergence("winding number did not stabilize")
+
+    def _tangent_side(self, z, ts, rel, near, winding_inside):
+        """Membership of z given the polyline's winding answer.
+
+        On a parameter step dt the curve stays within the sag
+        M2 dt^2 / 8 of its chord, so farther from the polyline the winding
+        answer is the curve's.  Closer, z lies inside when it is on the
+        left of the tangent at the nearest curve point, except within one
+        step of a declared corner, where the winding answer stands.
+        """
+        dt = ts[1]
+        sag = self.second_deriv_bound * dt * dt / 8.0
+        # a chord is at most deriv_bound * dt long, so its points lie at
+        # least near - deriv_bound * dt / 2 from z
+        if near - 0.5 * self.deriv_bound * dt > sag:
+            return winding_inside
+        chord = np.roll(rel, -1) - rel
+        s = np.clip(-(rel * chord.conj()).real / (np.abs(chord) ** 2 + 1e-300), 0.0, 1.0)
+        dist = np.abs(rel + s * chord)
+        i = int(np.argmin(dist))
+        if dist[i] > sag:
+            return winding_inside
+        tm = ts[i] + 0.5 * dt
+        if any(abs((tm - c + 0.5) % 1.0 - 0.5) <= dt for c in self.corner_params):
+            return winding_inside
+        t = _nearest_param(self.point, tm, z, dt)
+        p = complex(self.point(t))
+        return ((z - p) * complex(self.tangent(t)).conjugate()).imag > 0.0
 
     def boundary_distance(self, z, signed=False, tol=1e-8, max_nodes=2_000_000):
         """Distance from z to the boundary curve, certified within tol.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -334,3 +335,8 @@ class TestReports:
     def test_float_formatting_17g(self):
         s = bd._json_canonical({"x": 1.0 / 3.0})
         assert s == '{"x":0.33333333333333331}'
+
+    def test_non_finite_floats_written_as_null(self):
+        s = bd._json_canonical({"a": math.inf, "b": [-math.inf, math.nan], "c": 0.5})
+        assert s == '{"a":null,"b":[null,null],"c":0.5}'
+        assert json.loads(s)["a"] is None

@@ -68,6 +68,25 @@ class TestDist:
                          "--kind", "carath", "--z", "0+0i", "--w", "2+0i")
         assert code == 2
 
+    def test_negative_real_part_after_a_space(self, capsys):
+        code, out, _ = run(capsys, "dist", "--domain", '{"kind":"disc"}',
+                           "--kind", "carath", "--z", "0.5+0i", "--w", "-0.5+0i")
+        assert code == 0
+        assert json.loads(out)["value"]["lo"] == pytest.approx(math.atanh(0.8), abs=1e-12)
+        _, out_eq, _ = run(capsys, "dist", "--domain", '{"kind":"disc"}',
+                           "--kind", "carath", "--z=0.5+0i", "--w=-0.5+0i")
+        assert out_eq == out
+
+    def test_non_finite_value_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run(capsys, "dist", "--domain", '{"kind":"annulus","r":1.005}',
+                             "--kind", "lempert", "--z", "1+0i", "--w", "-1+0i",
+                             "--out", str(path))
+        assert code == 4
+        assert "non-convergence" in err
+        assert out == ""
+        assert not path.exists()
+
     def test_complex_needs_trailing_i(self, capsys):
         code, _, _ = run(capsys, "dist", "--domain", '{"kind":"disc"}',
                          "--kind", "carath", "--z", "0.5", "--w", "0+0i")

@@ -375,3 +375,120 @@ class TestCertifiedValue:
         v = hull_distance(0j, 2.0, 0.5 + 0j, 1.0)
         m = poincare_distance(0j, 0.25 + 0j)
         assert v == pytest.approx(m, abs=1e-12)
+
+
+def _jordan_cases():
+    """(domain, its Jordan domain, star point) for the four Jordan test
+    domains; the hull is passed as a TwoDiscHull."""
+    from invdist.domains import ellipse_domain, lens_domain, two_disc_hull, wobbly_domain
+
+    lens = lens_domain(0.75)
+    hull = two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)
+    cases = [(ellipse_domain(2.0, 1.0), 0j), (wobbly_domain(7), 0j),
+             (lens, lens.anchor()), (hull, hull.as_jordan().anchor())]
+    return [(dom, dom.as_jordan() if hasattr(dom, "as_jordan") else dom, star)
+            for dom, star in cases]
+
+
+def _jordan_points(rng, jordan, star, n):
+    """n interior points star-shaped from `star`, then inward normal offsets
+    at depths 1e-2 ... 1e-6 away from declared corners."""
+    pts = []
+    for _ in range(n):
+        p = complex(jordan.point(rng.uniform()))
+        pts.append(star + rng.uniform(0.05, 0.9) * (p - star))
+    for depth in (1e-2, 1e-4, 1e-6):
+        t = rng.uniform()
+        while any(min(abs(t - c), 1.0 - abs(t - c)) < 0.03 for c in jordan.corner_params):
+            t = rng.uniform()
+        tang = complex(jordan.tangent(t))
+        pts.append(complex(jordan.point(t)) + depth * 1j * tang / abs(tang))
+    return pts
+
+
+def _outcome(fn):
+    """float.hex of a value (or of each end of a CertifiedValue), or the
+    exception type it raised."""
+    try:
+        res = fn()
+    except DomainViolation:
+        return "DomainViolation"
+    if isinstance(res, CertifiedValue):
+        return (res.lo.hex(), res.hi.hex(), res.method)
+    return float(res).hex()
+
+
+class TestJordanOnePass:
+    """A Jordan value maps each point once; the values stay bitwise those of
+    separate evaluate / derivative calls."""
+
+    def test_values_bitwise_equal_to_separate_calls(self):
+        from invdist.bergman import bergman_distance, bergman_kernel, bergman_metric
+        from invdist.distances import _map_error_to_distance
+
+        rng = np.random.default_rng(2024)
+        root2 = math.sqrt(2.0)
+        X = 0.6 - 0.8j
+        checked = 0
+        for dom, jordan, star in _jordan_cases():
+            m = riemann_map(jordan, jordan.anchor())
+            pts = _jordan_points(rng, jordan, star, 6)
+            for z in pts:
+                fz = complex(m.evaluate(z))
+                df = complex(m.derivative(z))
+                gap = 1.0 - abs(fz) ** 2
+                # an image pushed out of the disc by the map's error is refused
+                outside = abs(fz) >= 1.0
+                for fn, want in ((lambda: kobayashi_metric(dom, z, X), abs(df) * abs(X) / gap),
+                                 (lambda: bergman_metric(dom, z, X), root2 * abs(df * X) / gap),
+                                 (lambda: bergman_kernel(dom, z),
+                                  abs(df) ** 2 / (math.pi * gap ** 2))):
+                    assert _outcome(fn) == ("DomainViolation" if outside else want.hex())
+            for z, w in zip(pts[:-1], pts[1:]):
+                fz, fw = complex(m.evaluate(z)), complex(m.evaluate(w))
+
+                def ref():
+                    val = poincare_distance(fz, fw)
+                    return CertifiedValue.estimate(val, _map_error_to_distance(m, fz, fw),
+                                                   "conformal_pullback")
+
+                want = _outcome(ref)
+                assert _outcome(lambda: caratheodory(dom, z, w)) == want
+                assert _outcome(lambda: lempert(dom, z, w)) == want
+                if want != "DomainViolation":
+                    c = ref()
+                    want_b = ((root2 * c.lo).hex(), (root2 * c.hi).hex(), c.method)
+                    assert _outcome(lambda: bergman_distance(dom, z, w)) == want_b
+                    checked += 1
+        assert checked >= 30
+
+    def test_evaluate_with_derivative_matches_both_calls_on_arrays(self, ellipse):
+        zm = riemann_map(ellipse, ellipse.anchor()).engine
+        zs = np.array([0.3 + 0.2j, -1.5 + 0.1j, 1.9999 + 0j])
+        val, der = zm.evaluate_with_derivative(zs)
+        assert np.array_equal(val, zm.evaluate(zs))
+        assert np.array_equal(der, zm.derivative(zs))
+
+    def test_traversals_per_warm_value(self, monkeypatch):
+        from invdist.bergman import bergman_kernel, bergman_metric
+        from invdist.conformal import _GeodesicChain
+
+        counts = {"n": 0}
+        for name in ("forward", "forward_with_derivative"):
+            original = getattr(_GeodesicChain, name)
+
+            def counted(self, z, _original=original):
+                counts["n"] += 1
+                return _original(self, z)
+
+            monkeypatch.setattr(_GeodesicChain, name, counted)
+
+        for dom, jordan, star in _jordan_cases():
+            riemann_map(jordan, jordan.anchor())  # warm: built once, then cached
+            z, w = star, star + 0.3 * (complex(jordan.point(0.3)) - star)
+            for fn, args, want in ((caratheodory, (z, w), 2), (lempert, (z, w), 2),
+                                   (kobayashi_metric, (w,), 1),
+                                   (bergman_metric, (w,), 1), (bergman_kernel, (w,), 1)):
+                counts["n"] = 0
+                fn(dom, *args)
+                assert counts["n"] == want, (fn.__name__, jordan.name)

@@ -187,6 +187,44 @@ class TestJordanDomains:
             if ellipse.contains(z):
                 assert ellipse.boundary_distance(z, tol=1e-6) > 0
 
+    @pytest.mark.parametrize("name", ["ellipse", "wobbly", "lens", "hull"])
+    def test_contains_near_boundary(self, name, ellipse, lens):
+        # p +- delta n at depths down to 1e-8: a polyline winding test alone
+        # misjudges points between the polyline and the curve
+        hull = two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)
+        dom = {"ellipse": ellipse, "wobbly": wobbly_domain(7), "lens": lens,
+               "hull": hull.as_jordan()}[name]
+        rng = np.random.default_rng(11)
+        ts = []
+        while len(ts) < 64:
+            t = rng.uniform()
+            if all(min(abs(t - c), 1.0 - abs(t - c)) > 0.03 for c in dom.corner_params):
+                ts.append(t)
+        wrong = []
+        for t in ts:
+            p = complex(dom.point(t))
+            tang = complex(dom.tangent(t))
+            inward = 1j * tang / abs(tang)
+            for delta in (1e-4, 1e-5, 1e-6, 1e-8):
+                if not dom.contains(p + delta * inward):
+                    wrong.append(("inside", t, delta))
+                if dom.contains(p - delta * inward):
+                    wrong.append(("outside", t, delta))
+                if name == "hull":
+                    assert hull.contains(p + delta * inward)
+                    assert not hull.contains(p - delta * inward)
+        assert wrong == []
+
+    def test_contains_away_from_boundary_unchanged(self, ellipse):
+        # the tangent-side rule only runs within the polyline's sag; at
+        # depth 1e-2 the winding answer stands
+        for t in np.linspace(0.0, 1.0, 16, endpoint=False):
+            p = complex(ellipse.point(t))
+            tang = complex(ellipse.tangent(t))
+            inward = 1j * tang / abs(tang)
+            assert ellipse.contains(p + 1e-2 * inward)
+            assert not ellipse.contains(p - 1e-2 * inward)
+
 
 class TestProjection:
     def test_ball_projection_is_unit_disc(self):
