@@ -1,10 +1,12 @@
 """Bergman kernel, metric, and distance on the supported domains.
 
-The disc kernel is closed form; the annulus kernel is the Laurent
-orthonormal series with an explicit geometric tail bound; Jordan domains
-transport the disc kernel through the Riemann map.  The metric is the
-square root of the Laplacian-type Hessian of log K, which on the disc
-reduces to sqrt(2) |X| / (1 - |z|^2).  The annulus Bergman distance is a
+A simply connected planar domain transports the model kernel through its
+conformal chart f onto the unit disc or the upper half-plane:
+K = |f'|^2 / (pi q^2) and beta = sqrt(2) |f' X| / q, with q = 1 - |f|^2 on
+the disc and 2 Im f on the half-plane.  The annulus kernel is the Laurent
+orthonormal series with an explicit geometric tail bound.  The metric is
+the square root of the Laplacian-type Hessian of log K.  The annulus
+Bergman distance is a
 shortest path in the metric field: Dijkstra on a polar graph, then a
 corridor dynamic-programming refinement; the coarse/fine grid gap is the
 reported error.
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import CertifiedValue, MetricField, _jordan_jet, caratheodory
-from .domains import Annulus, Disc, JordanDomain, TwoDiscHull
+from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, chart
+from .domains import Annulus, Disc
 from .errors import DomainViolation, NonConvergence, UnsupportedDomain
 
 __all__ = [
@@ -74,13 +76,16 @@ class AnnulusKernel:
     r: float
     tol: float = 1e-14
 
-    def _terms(self, a: float):
-        """Term range covering both tails below tol at modulus a: the high
-        tail terms ~ (n+1) (a / r)^{2n} and the low ones ~ (n+1) (1 / (a r))^{2n},
-        so the count adapts to the point's modulus, up to _NMAX."""
+    def _terms(self, a: float, a_lo: float | None = None):
+        """Term range covering both tails below tol for moduli in [a_lo, a]
+        (a_lo = a by default): the high tail terms ~ (n+1) (a / r)^{2n} peak
+        at a and the low ones ~ (n+1) (1 / (a_lo r))^{2n} at a_lo, so the
+        count adapts to the moduli, up to _NMAX."""
         r = self.r
+        if a_lo is None:
+            a_lo = a
         ratio_hi = (a / r) ** 2
-        ratio_lo = (1.0 / (a * r)) ** 2
+        ratio_lo = (1.0 / (a_lo * r)) ** 2
         n_hi = _tail_cut(ratio_hi, self.tol)
         n_lo = _tail_cut(ratio_lo, self.tol)
         n = min(max(n_hi, n_lo, 8), _NMAX)
@@ -98,11 +103,37 @@ class AnnulusKernel:
         out = np.sum(self._weighted_powers(a, ns), axis=-1)
         return out if out.shape else float(out)
 
-    def pair(self, z: complex, w: complex) -> complex:
-        a = max(abs(z), abs(w))
-        ns = self._terms(a)
-        vals = (z ** ns) * np.conj(w ** ns) / np.exp(_log_norm_sq(self.r, ns))
-        return complex(np.sum(vals))
+    def pair(self, z, w: complex):
+        """K(z, w) for a scalar or array z and a scalar w.
+
+        Each Laurent term (z conj w)^n / ||n||^2 is formed from its neighbour
+        toward n = 0, so no power of z overflows.  The tails fall like
+        (|z||w| / r^2)^n and (1 / (|z||w| r^2))^n, so the term range comes
+        from the extremes of sqrt(|z||w|) over the batch.  Rows sum in
+        chunks of about 256k cells, as in log_diag_hessian.
+        """
+        z = np.asarray(z, dtype=complex)
+        w = complex(w)
+        u = (z * w.conjugate()).ravel()
+        g = np.sqrt(np.abs(z).ravel() * abs(w))
+        ns = self._terms(float(g.max()), float(g.min()))
+        r, L = self.r, math.log(self.r)
+        j = np.arange(1.0, ns[-1] + 1.0)
+        # ||j-1||^2 / ||j||^2 in closed form, so nothing overflows; the norms
+        # are symmetric under n -> -2 - n, which gives the factors below 0
+        up = (j + 1.0) / j / (r * r) * np.expm1(-4.0 * j * L) / np.expm1(-4.0 * (j + 1.0) * L)
+        a = math.sinh(2.0 * L) / (2.0 * L)     # ||0||^2 / ||-1||^2
+        down = np.concatenate([[a, 1.0 / a], up[:-1]])
+        t0 = 1.0 / (2.0 * math.pi * math.sinh(2.0 * L))   # 1 / ||0||^2
+        rows = max(1, 262144 // ns.size)
+        out = np.empty(u.shape, dtype=complex)
+        for i in range(0, u.size, rows):
+            uc = u[i:i + rows, None]
+            hi = np.sum(np.cumprod(uc * up, axis=-1), axis=-1)
+            lo = np.sum(np.cumprod(down / uc, axis=-1), axis=-1)
+            out[i:i + rows] = t0 * (1.0 + hi + lo)
+        out = out.reshape(z.shape)
+        return out if out.shape else complex(out)
 
     def log_diag_hessian(self, z):
         """d^2/dz dzbar of log K at z, from the series in s = |z|^2.
@@ -152,21 +183,14 @@ def _annulus_kernel(r: float) -> AnnulusKernel:
 
 def bergman_kernel(domain, z) -> float:
     """Bergman kernel on the diagonal K_D(z)."""
-    if isinstance(domain, Disc):
-        u = (complex(z) - domain.center)
-        s = domain.radius ** 2 - abs(u) ** 2
-        if s <= 0:
-            raise DomainViolation("point outside the disc")
-        return domain.radius ** 2 / (math.pi * s * s)
+    m = chart(domain)
+    if m is not None:
+        df, q = _chart_jet(m, z)
+        return abs(df) ** 2 / (math.pi * q ** 2)
     if isinstance(domain, Annulus):
         if not domain.contains(z):
             raise DomainViolation("point outside the annulus")
         return _annulus_kernel(domain.r).diagonal(complex(z))
-    if isinstance(domain, TwoDiscHull):
-        return bergman_kernel(domain.as_jordan(), z)
-    if isinstance(domain, JordanDomain):
-        fz, df = _jordan_jet(domain, z)
-        return abs(df) ** 2 / (math.pi * (1.0 - abs(fz) ** 2) ** 2)
     raise UnsupportedDomain(f"bergman kernel unsupported on {type(domain).__name__}")
 
 
@@ -189,11 +213,10 @@ def bergman_kernel_pair(domain, z, w) -> complex:
 
 def bergman_metric(domain, z, X=1.0) -> float:
     """beta_D(z; X) = |X| sqrt(d^2 log K / dz dzbar)."""
-    if isinstance(domain, Disc):
-        u = (complex(z) - domain.center) / domain.radius
-        if abs(u) >= 1.0:
-            raise DomainViolation("point outside the disc")
-        return math.sqrt(2.0) * abs(X) / domain.radius / (1.0 - abs(u) ** 2)
+    m = chart(domain)
+    if m is not None:
+        df, q = _chart_jet(m, z)
+        return math.sqrt(2.0) * abs(df * X) / q
     if isinstance(domain, Annulus):
         if np.isscalar(z) or isinstance(z, complex):
             if not domain.contains(z):
@@ -206,11 +229,6 @@ def bergman_metric(domain, z, X=1.0) -> float:
         z_safe = np.where(inside, z, 1.0)
         h = _annulus_kernel(domain.r).log_diag_hessian(z_safe)
         return np.where(inside, np.abs(X) * np.sqrt(np.maximum(h, 0.0)), np.inf)
-    if isinstance(domain, TwoDiscHull):
-        return bergman_metric(domain.as_jordan(), z, X)
-    if isinstance(domain, JordanDomain):
-        fz, df = _jordan_jet(domain, z)
-        return math.sqrt(2.0) * abs(df * X) / (1.0 - abs(fz) ** 2)
     raise UnsupportedDomain(f"bergman metric unsupported on {type(domain).__name__}")
 
 
@@ -389,12 +407,13 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex,
 def bergman_distance(domain, z, w) -> CertifiedValue:
     """Bergman distance b_D(z, w).
 
-    Simply connected planar domains: sqrt(2) times the hyperbolic distance,
-    via conformal transport.  Annulus: shortest-path value of the metric
-    field on two grid resolutions; the gap is the reported error.
+    Simply connected planar domains: sqrt(2) times the hyperbolic distance
+    of the domain's chart.  Annulus: shortest-path value of the metric field
+    on two grid resolutions; the gap is the reported error.
     """
-    if isinstance(domain, (Disc, JordanDomain, TwoDiscHull)):
-        c = caratheodory(domain, z, w)
+    m = chart(domain)
+    if m is not None:
+        c = _chart_distance(m, z, w)
         root2 = math.sqrt(2.0)
         return CertifiedValue(root2 * c.lo, root2 * c.hi, c.method,
                               root2 * c.error_estimate)

@@ -566,8 +566,7 @@ def _suite_eq_ca(samples, seed, tol=1e-8, domains=None):
             if _sep(z, w) < 1e-9:
                 continue
             total += 1
-            cv = ds.caratheodory(dom, z, w) if not isinstance(dom, TwoDiscHull) \
-                else ds.lempert(dom, z, w)
+            cv = ds.caratheodory(dom, z, w)
             b = max(0.0, bound_convex_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
             slack = tol + 3.0 * cv.width
             worst = min(worst, cv.value - b + slack)
@@ -806,9 +805,7 @@ def bg_reproducing_residual(r: float, w: complex, orders, n_rad: int = 6,
     rw = np.concatenate([0.5 * (b - a) * wts for a, b in zip(edges[:-1], edges[1:])])
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     zgrid = rho[:, None] * np.exp(1j * theta)[None, :]
-    # pair kernel on the grid, vectorized over the mode sum
-    amax = float(np.max(rho))
-    kern = _vector_pair_kernel(r, zgrid, w, amax)
+    kern = bg.AnnulusKernel(r).pair(zgrid, w)
     dA = rw[:, None] * rho[:, None] * (2.0 * math.pi / n_ang)
     worst = 0.0
     for n in orders:
@@ -816,19 +813,6 @@ def bg_reproducing_residual(r: float, w: complex, orders, n_rad: int = 6,
         val = complex(np.sum(integrand * dA))
         worst = max(worst, abs(val - w ** n))
     return worst
-
-
-def _vector_pair_kernel(r, zgrid, w, amax):
-    ratio = max(abs(w) * amax / (r * r), 1.0 / (abs(w) * amax * r * r))
-    n = 16
-    while ratio ** n > 1e-18 and n < 2000:
-        n += 8
-    ns = np.arange(-n, n + 1)
-    logns = bg._log_norm_sq(r, ns)
-    acc = np.zeros_like(zgrid)
-    for k, nn in enumerate(ns):
-        acc = acc + (zgrid ** nn) * (np.conj(w) ** nn) * math.exp(-logns[k])
-    return acc
 
 
 def _suite_remark_a(samples=8, seed=42):

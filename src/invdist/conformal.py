@@ -36,6 +36,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# the frozen targets every chart shares
+_UNIT_DISC = UnitDisc()
+_UPPER_HALF_PLANE = HalfPlane(1j)
+
 
 def _sqrt_cut_pos(s):
     """Square root with branch cut along the nonnegative real axis; maps
@@ -115,7 +119,7 @@ def mobius_disc_automorphism(a: complex) -> ConformalMap:
     def inv(w):
         return (w + a) / (1.0 + ac * w)
 
-    return ConformalMap(ev, dv, inv, UnitDisc(), UnitDisc(),
+    return ConformalMap(ev, dv, inv, _UNIT_DISC, _UNIT_DISC,
                         normalization={"zero_of_map": a})
 
 
@@ -131,7 +135,7 @@ def cayley_map() -> ConformalMap:
     def inv(w):
         return 1j * (1.0 + w) / (1.0 - w)
 
-    return ConformalMap(ev, dv, inv, HalfPlane(1j), UnitDisc())
+    return ConformalMap(ev, dv, inv, _UPPER_HALF_PLANE, _UNIT_DISC)
 
 
 def sector_map(theta: float) -> ConformalMap:
@@ -183,7 +187,7 @@ def slit_sqrt_map() -> ConformalMap:
     def inv(w):
         return np.asarray(w, dtype=complex) ** 2 if not np.isscalar(w) else w * w
 
-    return ConformalMap(ev, dv, inv, SlitPlane(), HalfPlane(1j))
+    return ConformalMap(ev, dv, inv, SlitPlane(), _UPPER_HALF_PLANE)
 
 
 def disc_scale_map(center: complex, radius: float) -> ConformalMap:
@@ -201,7 +205,7 @@ def disc_scale_map(center: complex, radius: float) -> ConformalMap:
     def inv(w):
         return c + r * w
 
-    return ConformalMap(ev, dv, inv, Disc(c, r), UnitDisc())
+    return ConformalMap(ev, dv, inv, Disc(c, r), _UNIT_DISC)
 
 
 def half_plane_map(normal: complex) -> ConformalMap:
@@ -218,7 +222,7 @@ def half_plane_map(normal: complex) -> ConformalMap:
     def inv(w):
         return w / rot
 
-    return ConformalMap(ev, dv, inv, HalfPlane(n), HalfPlane(1j))
+    return ConformalMap(ev, dv, inv, HalfPlane(n), _UPPER_HALF_PLANE)
 
 
 def closed_map(kind: str, **kw) -> ConformalMap:
@@ -455,20 +459,21 @@ def riemann_map(domain: JordanDomain, z0: complex, n: int = 512,
     """Riemann map of a Jordan domain onto the unit disc, normalized by
     phi(z0) = 0 and phi'(z0) > 0.
 
-    Results are cached per (z0, n) on the domain.  Raises NonConvergence if
+    Results are cached per (z0, n) on the domain; z0 is checked to lie
+    inside when its map is built, not on a cache hit.  Raises NonConvergence if
     the boundary data folds over at the requested resolution (cap n = 8192).
     """
     if n > 8192:
         raise NonConvergence("boundary resolution cap is 8192 points")
-    if not domain.contains(z0):
-        raise DegenerateInput("normalization point must lie inside the domain")
     pkey = None if params is None else hash(np.asarray(params, dtype=float).tobytes())
     key = (complex(z0), int(n), pkey)
     cached = domain._map_cache.get(key)
     if cached is not None:
         return cached
+    if not domain.contains(z0):
+        raise DegenerateInput("normalization point must lie inside the domain")
     zm = ZipperMap(domain, z0, n=n, params=params)
-    cm = ConformalMap(zm.evaluate, zm.derivative, zm.inverse, domain, UnitDisc(),
+    cm = ConformalMap(zm.evaluate, zm.derivative, zm.inverse, domain, _UNIT_DISC,
                       accuracy=zm.accuracy,
                       normalization={"z0": complex(z0), "deriv_z0": zm.deriv_z0})
     cm.engine = zm

@@ -18,7 +18,6 @@ import numpy as np
 from . import annulus as _ann
 from .conformal import (
     ConformalMap,
-    cayley_map,
     disc_scale_map,
     half_plane_map,
     riemann_map,
@@ -42,6 +41,7 @@ from .errors import DomainViolation, UnsupportedDomain
 
 __all__ = [
     "CertifiedValue",
+    "chart",
     "halfplane_hyperbolic_distance",
     "MetricField",
     "poincare_distance",
@@ -146,54 +146,67 @@ def halfplane_hyperbolic_distance(a: complex, b: complex) -> float:
     return math.log(s / 2.0) - 0.5 * (math.log(a.imag) + math.log(b.imag))
 
 
-def _pullback_distance(m: ConformalMap, z: complex, w: complex) -> float:
-    return poincare_distance(complex(m.evaluate(z)), complex(m.evaluate(w)))
-
-
 # ---------------------------------------------------------------------------
-# simply connected planar catalog: one conformal chart each
+# simply connected planar domains: one conformal chart each
 # ---------------------------------------------------------------------------
 
 
-def upper_chart(domain) -> ConformalMap:
-    """A conformal map of an unbounded catalog domain onto the upper half-plane."""
+def chart(domain) -> ConformalMap | None:
+    """The conformal chart of a simply connected planar domain, or None.
+
+    Discs, Jordan domains and two-disc hulls map onto the unit disc (Jordan
+    domains by their shared Riemann map, normalized at the anchor).  The
+    half-plane, sector and slit plane map onto the upper half-plane, whose
+    distance stays accurate for points at hugely different scales.
+    """
+    if isinstance(domain, Disc):
+        return disc_scale_map(domain.center, domain.radius)
     if isinstance(domain, HalfPlane):
         return half_plane_map(domain.normal)
     if isinstance(domain, Sector):
         return sector_map(domain.theta).then(half_plane_map(1.0 + 0j))
     if isinstance(domain, SlitPlane):
         return slit_sqrt_map()
-    raise UnsupportedDomain(f"no half-plane chart for {type(domain).__name__}")
+    if isinstance(domain, TwoDiscHull):
+        domain = domain.as_jordan()
+    if isinstance(domain, JordanDomain):
+        return riemann_map(domain, domain.anchor())
+    return None
 
 
-def disc_chart(domain) -> ConformalMap:
-    """A conformal map of a simply connected catalog domain onto the unit disc."""
-    if isinstance(domain, Disc):
-        return disc_scale_map(domain.center, domain.radius)
-    if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
-        return upper_chart(domain).then(cayley_map())
-    raise UnsupportedDomain(f"no closed chart for {type(domain).__name__}")
+def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
+    """c = l through chart m: the hyperbolic distance of the two images, with
+    the map's error bound when the chart is numeric."""
+    _require_inside(m.source, z, w)
+    fz, fw = complex(m.evaluate(z)), complex(m.evaluate(w))
+    if isinstance(m.target, HalfPlane):
+        d = halfplane_hyperbolic_distance(fz, fw)
+    else:
+        d = poincare_distance(fz, fw)
+    if m.accuracy == 0.0:
+        return CertifiedValue.exact(d, "closed_form" if isinstance(m.source, Disc)
+                                    else "conformal_pullback")
+    return CertifiedValue.estimate(d, _map_error_to_distance(m, fz, fw), "conformal_pullback")
 
 
-def _jordan_chart(domain: JordanDomain, n=512) -> ConformalMap:
-    return riemann_map(domain, domain.anchor(), n=n)
+def _chart_jet(m: ConformalMap, z) -> tuple:
+    """(f'(z), q) of chart m, with q = 1 - |f|^2 on the disc and 2 Im f on
+    the half-plane, so that kappa = |f'| |X| / q.  A Riemann map gives f and
+    f' from one zipper pass.
 
-
-def _jordan_jet(domain: JordanDomain, z) -> tuple:
-    """(f(z), f'(z)) of the domain's shared Riemann map, from one zipper pass.
-
-    Raises DomainViolation when the map's error puts f(z) outside the unit
-    disc, where the pulled-back metrics would come out negative or infinite.
+    Raises DomainViolation when q <= 0: the map's error put f(z) outside the
+    target, where the pulled-back metrics would come out negative or infinite.
     """
-    fz, df = _jordan_chart(domain).engine.evaluate_with_derivative(complex(z))
-    if abs(fz) >= 1.0:
-        raise DomainViolation(f"image of {z} left the unit disc; the map is too coarse here")
-    return fz, df
-
-
-def _halfplane_pullback(domain, z, w) -> float:
-    m = upper_chart(domain)
-    return halfplane_hyperbolic_distance(complex(m.evaluate(z)), complex(m.evaluate(w)))
+    _require_inside(m.source, z)
+    engine = getattr(m, "engine", None)
+    if engine is not None:
+        fz, df = engine.evaluate_with_derivative(complex(z))
+    else:
+        fz, df = complex(m.evaluate(z)), complex(m.derivative(z))
+    q = 2.0 * fz.imag if isinstance(m.target, HalfPlane) else 1.0 - abs(fz) ** 2
+    if not q > 0:
+        raise DomainViolation(f"image of {z} left the chart's target; the map is too coarse here")
+    return df, q
 
 
 def _map_error_to_distance(m: ConformalMap, image_a: complex, image_b: complex) -> float:
@@ -247,19 +260,10 @@ def _disc_inclusion_lower(r, z, w):
 
 def caratheodory(domain, z, w) -> CertifiedValue:
     """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
-    if isinstance(domain, TwoDiscHull):
-        return caratheodory(domain.as_jordan(), z, w)
+    m = chart(domain)
+    if m is not None:
+        return _chart_distance(m, z, w)
     _require_inside(domain, z, w)
-    if isinstance(domain, Disc):
-        return CertifiedValue.exact(_pullback_distance(disc_chart(domain), z, w))
-    if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
-        return CertifiedValue.exact(_halfplane_pullback(domain, z, w), "conformal_pullback")
-    if isinstance(domain, JordanDomain):
-        m = _jordan_chart(domain)
-        fz, fw = complex(m.evaluate(z)), complex(m.evaluate(w))
-        return CertifiedValue.estimate(poincare_distance(fz, fw),
-                                       _map_error_to_distance(m, fz, fw),
-                                       "conformal_pullback")
     if isinstance(domain, Annulus):
         return annulus_caratheodory(domain.r, z, w)
     if isinstance(domain, (Ball, Polydisc)):
@@ -276,13 +280,10 @@ def caratheodory(domain, z, w) -> CertifiedValue:
 def lempert(domain, z, w) -> CertifiedValue:
     """Lempert function l_D(z, w); equals the Kobayashi distance on all
     planar catalog variants and on Ball / Polydisc."""
-    if isinstance(domain, (JordanDomain, TwoDiscHull)):
-        return caratheodory(domain, z, w)
+    m = chart(domain)
+    if m is not None:
+        return _chart_distance(m, z, w)
     _require_inside(domain, z, w)
-    if isinstance(domain, Disc):
-        return CertifiedValue.exact(_pullback_distance(disc_chart(domain), z, w))
-    if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
-        return CertifiedValue.exact(_halfplane_pullback(domain, z, w), "conformal_pullback")
     if isinstance(domain, Annulus):
         val = _ann.annulus_kobayashi_distance(domain.r, z, w)
         return CertifiedValue(val - 1e-12, val + 1e-12, "covering", 1e-12)
@@ -336,20 +337,12 @@ def kobayashi_metric(domain, z, X=1.0) -> float:
     """Infinitesimal Kobayashi metric kappa_D(z; X)."""
     if isinstance(domain, (Ball, Polydisc)):
         return _cn_kobayashi_metric(domain, z, X)
-    if isinstance(domain, TwoDiscHull):
-        return kobayashi_metric(domain.as_jordan(), z, X)
-    _require_inside(domain, z)
-    if isinstance(domain, Disc):
-        u = (complex(z) - domain.center) / domain.radius
-        return abs(X) / domain.radius / (1.0 - abs(u) ** 2)
-    if isinstance(domain, (HalfPlane, Sector, SlitPlane)):
-        m = upper_chart(domain)
-        fz = complex(m.evaluate(z))
-        return abs(complex(m.derivative(z))) * abs(X) / (2.0 * fz.imag)
-    if isinstance(domain, JordanDomain):
-        fz, df = _jordan_jet(domain, z)
-        return abs(df) * abs(X) / (1.0 - abs(fz) ** 2)
+    m = chart(domain)
+    if m is not None:
+        df, q = _chart_jet(m, z)
+        return abs(df) * abs(X) / q
     if isinstance(domain, Annulus):
+        _require_inside(domain, z)
         return _ann.annulus_kobayashi_metric(domain.r, complex(z), X)
     raise UnsupportedDomain(f"kobayashi metric unsupported on {type(domain).__name__}")
 
@@ -396,9 +389,10 @@ def green_function(domain, z, w) -> float:
     simply connected planar domains (g >= 0, g -> 0 at the boundary)."""
     if z == w:
         raise DomainViolation("green function pole: z must differ from w")
-    if not getattr(domain, "simply_connected", False):
+    m = chart(domain)
+    if m is None:
         raise UnsupportedDomain("green function implemented for simply connected domains")
-    c = caratheodory(domain, z, w)
+    c = _chart_distance(m, z, w)
     return -math.log(math.tanh(c.value)) / (2.0 * math.pi)
 
 

@@ -69,7 +69,6 @@ class PlanarDomain:
     """Base class for planar domains (points are python complex numbers)."""
 
     dim = 1
-    simply_connected = True
 
     def boundary_distance(self, z: complex, signed: bool = False) -> float:
         raise NotImplementedError
@@ -183,7 +182,6 @@ class Annulus(PlanarDomain):
     """Concentric annulus {1/r < |z| < r}, r > 1."""
 
     r: float
-    simply_connected = False
 
     def __post_init__(self):
         if not self.r > 1.0:
@@ -403,8 +401,6 @@ class JordanDomain(PlanarDomain):
     derivative is available and not supplied.
     """
 
-    simply_connected = True
-
     def __init__(self, curve, dcurve=None, *, c1=True, dini=True,
                  modulus_bound=None, deriv_bound=None, name="jordan",
                  check_simple=True, corner_params=()):
@@ -479,9 +475,7 @@ class JordanDomain(PlanarDomain):
             offs.append(offs[-1] * ratio)
         offs = np.array(offs[:-1])
         extra = np.concatenate([cluster_at + offs, cluster_at - offs, [cluster_at]]) % 1.0
-        allp = np.unique(np.concatenate([base, extra]))
-        # drop base points that crowd the graded zone less finely than the grading
-        return allp
+        return np.unique(np.concatenate([base, extra]))
 
     def contains(self, z):
         """Winding number of the sampled polyline (512, 1024, ... points,

@@ -186,3 +186,100 @@ class TestAnnulusBergmanDistance:
         vals = bergman_metric(dom, np.array([1.0 + 0j, 3.0 + 0j]), 1.0)
         assert math.isfinite(vals[0])
         assert math.isinf(vals[1])
+
+
+class TestHalfPlaneChartBergman:
+    """The half-plane, sector and slit plane pull the Bergman quantities
+    back through their chart onto the upper half-plane."""
+
+    POINTS = {"halfplane": [0.3 + 0.9j, 2.0 - 0.4j, 0.05 + 0.1j],
+              "sector": [1.0 + 0j, 0.4 + 0.2j, 2.5 - 1.5j],
+              "slitplane": [-1.0 + 0j, 0.5 + 0.5j, 2.0 - 1e-3j]}
+
+    @staticmethod
+    def domains():
+        from invdist.domains import HalfPlane, Sector, SlitPlane
+        return {"halfplane": HalfPlane(0.6 + 0.8j), "sector": Sector(0.7),
+                "slitplane": SlitPlane()}
+
+    def test_halfplane_closed_forms(self):
+        from invdist.domains import HalfPlane
+        n = 0.6 + 0.8j
+        dom = HalfPlane(n)
+        for z in self.POINTS["halfplane"]:
+            y = (n.conjugate() * z).real
+            assert bergman_kernel(dom, z) == pytest.approx(1.0 / (4.0 * math.pi * y * y),
+                                                           rel=1e-14)
+            assert bergman_metric(dom, z) == pytest.approx(1.0 / (ROOT2 * y), rel=1e-14)
+            assert bergman_metric(dom, z, 0.3 - 0.7j) == \
+                pytest.approx(abs(0.3 - 0.7j) / (ROOT2 * y), rel=1e-14)
+
+    def test_sector_and_slit_closed_forms(self):
+        from invdist.domains import Sector, SlitPlane
+        p = math.pi / (2.0 * 0.7)
+        for z in self.POINTS["sector"]:
+            # f = i z^p: |f'| = p |z|^(p-1) and Im f = Re z^p
+            kappa = p * abs(z) ** (p - 1.0) / (2.0 * (z ** p).real)
+            assert bergman_metric(Sector(0.7), z) == pytest.approx(ROOT2 * kappa, rel=1e-13)
+            assert bergman_kernel(Sector(0.7), z) == pytest.approx(kappa ** 2 / math.pi,
+                                                                   rel=1e-13)
+        for z in (-1.0 + 0j, 0.5 + 0.5j, 2.0 - 0.5j):
+            # f = sqrt(z) with the cut on [0, inf): |f'| = 1 / (2 |z|^(1/2))
+            s = cmath.sqrt(-z)
+            f = complex(-s.imag, s.real) if s.real >= 0 else complex(s.imag, -s.real)
+            kappa = 1.0 / (2.0 * math.sqrt(abs(z)) * 2.0 * f.imag)
+            assert bergman_metric(SlitPlane(), z) == pytest.approx(ROOT2 * kappa, rel=1e-13)
+            assert bergman_kernel(SlitPlane(), z) == pytest.approx(kappa ** 2 / math.pi,
+                                                                   rel=1e-13)
+
+    def test_identities_with_kobayashi_and_caratheodory(self):
+        X = 0.3 - 0.7j
+        for label, dom in self.domains().items():
+            pts = self.POINTS[label]
+            for z in pts:
+                kappa = kobayashi_metric(dom, z)
+                assert bergman_kernel(dom, z) == pytest.approx(kappa ** 2 / math.pi, rel=1e-14)
+                assert bergman_metric(dom, z, X) == \
+                    pytest.approx(ROOT2 * kobayashi_metric(dom, z, X), rel=1e-14)
+            for z, w in zip(pts, pts[1:] + pts[:1]):
+                b, c = bergman_distance(dom, z, w), caratheodory(dom, z, w)
+                assert (b.lo, b.hi, b.method) == (ROOT2 * c.lo, ROOT2 * c.hi, c.method)
+
+    def test_outside_raises(self):
+        from invdist.errors import DomainViolation
+        for dom, z in zip(self.domains().values(), (-0.6 - 0.8j, -1.0 + 0.1j, 2.0 + 0j)):
+            with pytest.raises(DomainViolation):
+                bergman_kernel(dom, z)
+            with pytest.raises(DomainViolation):
+                bergman_metric(dom, z)
+
+
+class TestAnnulusPairKernel:
+    """K(z, w) of A_2 against 40-digit references (mpmath), and batches."""
+
+    @pytest.mark.parametrize("z, w, want", [(0.52, 0.55, 61.97356058518271147),
+                                            (1.9, 1.95, 14.674713295568670912)])
+    def test_references(self, z, w, want):
+        got = bergman_kernel_pair(Annulus(2.0), z, w)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_array_matches_scalar_calls(self, rng):
+        kern = AnnulusKernel(2.0)
+        z = np.exp(rng.uniform(-0.99, 0.99, (5, 7)) * math.log(2.0)) * \
+            np.exp(2j * np.pi * rng.uniform(size=(5, 7)))
+        w = 1.2 + 0.4j
+        batch = kern.pair(z, w)
+        assert batch.shape == z.shape
+        points = np.array([[kern.pair(complex(v), w) for v in row] for row in z])
+        # the batch may sum a few more terms; |K(z, w)| <= sqrt(K(z) K(w))
+        scale = np.sqrt(kern.diagonal(z) * kern.diagonal(w))
+        assert np.all(np.abs(batch - points) <= 1e-13 * scale)
+
+    def test_pair_on_the_diagonal_and_hermitian(self, rng):
+        kern = AnnulusKernel(2.0)
+        for _ in range(10):
+            z = complex(np.exp(rng.uniform(-0.99, 0.99) * math.log(2.0) +
+                               2j * math.pi * rng.uniform()))
+            w = complex(np.exp(rng.uniform(-0.99, 0.99) * math.log(2.0)))
+            assert kern.pair(z, z) == pytest.approx(kern.diagonal(z), rel=1e-13)
+            assert kern.pair(w, z) == pytest.approx(kern.pair(z, w).conjugate(), rel=1e-14)

@@ -224,3 +224,19 @@ class TestAnnulusCover:
     def test_requires_modulus(self):
         with pytest.raises(DegenerateInput):
             annulus_cover(1.0)
+
+
+def test_warm_riemann_map_skips_membership(monkeypatch):
+    dom = wobbly_domain(5)
+    z0 = dom.anchor()
+    first = riemann_map(dom, z0)
+    calls = []
+    original = type(dom).contains
+
+    def counting(self, z):
+        calls.append(z)
+        return original(self, z)
+
+    monkeypatch.setattr(type(dom), "contains", counting)
+    assert riemann_map(dom, z0) is first
+    assert calls == []

@@ -492,3 +492,47 @@ class TestJordanOnePass:
                 counts["n"] = 0
                 fn(dom, *args)
                 assert counts["n"] == want, (fn.__name__, jordan.name)
+
+
+class TestOneChart:
+    """c = l and b = sqrt(2) c on every simply connected planar domain come
+    from one pullback through the domain's chart."""
+
+    def test_values_bitwise_equal(self):
+        from invdist.bergman import bergman_distance
+        from invdist.domains import (Disc, HalfPlane, Sector, SlitPlane, ellipse_domain,
+                                     lens_domain, two_disc_hull)
+
+        root2 = math.sqrt(2.0)
+        cases = [(Disc(0.25 - 0.5j, 1.5), [0.3 - 0.2j, -0.9 - 1.1j, 1.2 - 0.5j]),
+                 (HalfPlane(0.6 + 0.8j), [0.3 + 0.9j, 2.0 - 0.4j, 1e-6 + 0.5j]),
+                 (Sector(0.7), [1.0 + 0j, 0.4 + 0.2j, 2.5 - 1.5j]),
+                 (SlitPlane(), [-1.0 + 0j, 0.5 + 0.5j, 2.0 - 1e-3j]),
+                 (ellipse_domain(2.0, 1.0), [0j, 1.2 + 0.3j, -0.5 - 0.6j])]
+        lens = lens_domain(0.75)
+        hull = two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)
+        for dom in (lens, hull):
+            a = dom.as_jordan().anchor() if hasattr(dom, "as_jordan") else dom.anchor()
+            cases.append((dom, [a, a + 0.1 + 0.05j, a - 0.2j]))
+        for dom, pts in cases:
+            for z, w in zip(pts, pts[1:] + pts[:1]):
+                c = _outcome(lambda: caratheodory(dom, z, w))
+                assert _outcome(lambda: lempert(dom, z, w)) == c
+                cv = caratheodory(dom, z, w)
+                want = ((root2 * cv.lo).hex(), (root2 * cv.hi).hex(), cv.method)
+                assert _outcome(lambda: bergman_distance(dom, z, w)) == want
+
+    def test_half_plane_charts_are_exact_pullbacks(self):
+        from invdist.domains import HalfPlane, Sector, SlitPlane
+
+        for dom, z, w in ((HalfPlane(1j), 1j, 2j), (Sector(0.7), 1.0 + 0j, 2.0 + 0j),
+                          (SlitPlane(), -1.0 + 0j, -2.0 + 0j)):
+            v = caratheodory(dom, z, w)
+            assert (v.method, v.width) == ("conformal_pullback", 0.0)
+
+    def test_chart_is_none_off_the_simply_connected_planar_domains(self):
+        from invdist.distances import chart
+        from invdist.domains import Annulus, Ball
+
+        assert chart(Annulus(2.0)) is None
+        assert chart(Ball((0j, 0j), 1.0)) is None
