@@ -127,7 +127,9 @@ class AnnulusCaratheodory:
 
     series_mode reports whether the build-time unimodularity self-tests
     passed; when they fail the engine refuses point values and callers fall
-    back to certified intervals.
+    back to certified intervals.  self_test_report holds the worst outer and
+    inner deviations, or under "error" the exception that stopped the
+    self-tests (for instance a theta product that does not truncate).
 
     Values are carried through m = tanh(distance), so distances beyond
     roughly 15 saturate double precision (m within a few ulp of 1); on the
@@ -145,8 +147,9 @@ class AnnulusCaratheodory:
         self.self_test_report = {}
         try:
             self._run_self_tests()
-        except Exception:
+        except Exception as exc:
             self.series_mode = False
+            self.self_test_report = {"error": f"{type(exc).__name__}: {exc}"}
 
     # -- building blocks ---------------------------------------------------
 

@@ -283,6 +283,19 @@ def sample_interior(domain, n, rng, d_floor=1e-6):
     raise UnsupportedDomain(f"no sampler for {type(domain).__name__}")
 
 
+def _sample_pairs(domain, n, rng, d_floor=1e-6, min_sep=0.0):
+    """n pairs of interior points, dropping pairs closer than min_sep."""
+    pts = sample_interior(domain, 2 * n, rng, d_floor=d_floor)
+    return [(z, w) for z, w in zip(pts[:n], pts[n:]) if _sep(z, w) >= min_sep]
+
+
+def _inward_point(domain, t, d):
+    """The point at distance d from gamma(t) along the inward unit normal."""
+    p = complex(domain.point(t))
+    tang = complex(domain.tangent(t))
+    return p + d * (1j * tang / abs(tang))
+
+
 def _sep(z, w):
     if isinstance(z, complex):
         return abs(z - w)
@@ -437,17 +450,9 @@ def _approach_points(domain, depths):
         ws = [domain.center + (domain.radius - d) * (1.0 + 0j) for d in depths]
         return ws, list(depths)
     if isinstance(domain, JordanDomain):
-        t0 = 0.13
-        p = complex(domain.point(t0))
-        tang = complex(domain.tangent(t0))
-        inward = 1j * tang / abs(tang)
-        ws, dv = [], []
-        for d in depths:
-            w = p + d * inward
-            dd = domain.boundary_distance(w, tol=min(1e-8, d * 1e-3))
-            ws.append(w)
-            dv.append(dd)
-        return ws, dv
+        ws = [_inward_point(domain, 0.13, d) for d in depths]
+        return ws, [domain.boundary_distance(w, tol=min(1e-8, d * 1e-3))
+                    for w, d in zip(ws, depths)]
     raise UnsupportedDomain("approach points support Disc and JordanDomain")
 
 
@@ -504,10 +509,7 @@ def _suite_prop1(samples, seed, tol=1e-3, domains=None):
     total = 0
     per = max(samples // len(domains), 1)
     for dom in domains:
-        pts = sample_interior(dom, 2 * per, rng, d_floor=5e-3)
-        for z, w in zip(pts[:per], pts[per:]):
-            if _sep(z, w) < 1e-6:
-                continue
+        for z, w in _sample_pairs(dom, per, rng, d_floor=5e-3, min_sep=1e-6):
             total += 1
             dz = dom.boundary_distance(z)
             dw = dom.boundary_distance(w)
@@ -532,10 +534,7 @@ def _suite_prop2(samples, seed, tol=1e-8, domains=None):
     total = 0
     per = max(samples // len(domains), 1)
     for dom in domains:
-        pts = sample_interior(dom, 2 * per, rng)
-        for z, w in zip(pts[:per], pts[per:]):
-            if _sep(z, w) < 1e-9:
-                continue
+        for z, w in _sample_pairs(dom, per, rng, min_sep=1e-9):
             total += 1
             c = ds.caratheodory(dom, z, w).lo
             b = max(0.0, bound_ccvx_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
@@ -561,10 +560,7 @@ def _suite_eq_ca(samples, seed, tol=1e-8, domains=None):
     per = max(samples // len(domains), 1)
     for dom in domains:
         floor = 2e-2 if isinstance(dom, TwoDiscHull) else 1e-6
-        pts = sample_interior(dom, 2 * per, rng, d_floor=floor)
-        for z, w in zip(pts[:per], pts[per:]):
-            if _sep(z, w) < 1e-9:
-                continue
+        for z, w in _sample_pairs(dom, per, rng, d_floor=floor, min_sep=1e-9):
             total += 1
             cv = ds.caratheodory(dom, z, w)
             b = max(0.0, bound_convex_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
@@ -579,14 +575,11 @@ def _suite_eq_le(samples, seed, domain=None):
     if domain is None:
         domain = ellipse_domain(2.0, 1.0)
     rng = np.random.default_rng(seed)
-    pts = sample_interior(domain, 2 * samples, rng, d_floor=1e-3)
     vals = []
-    for z, w in zip(pts[:samples], pts[samples:]):
-        if _sep(z, w) < 1e-6:
-            continue
+    for z, w in _sample_pairs(domain, samples, rng, d_floor=1e-3, min_sep=1e-6):
         l = ds.lempert(domain, z, w).value
-        dz = domain.boundary_distance(z, tol=1e-8)
-        dw = domain.boundary_distance(w, tol=1e-8)
+        dz = domain.boundary_distance(z)
+        dw = domain.boundary_distance(w)
         vals.append(l + 0.5 * math.log(dz * dw))
     c = max(vals)
     return BoundReport("eq-le", len(vals), 0 if math.isfinite(c) else 1,
@@ -595,7 +588,7 @@ def _suite_eq_le(samples, seed, domain=None):
 
 def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
     rows = []
-    if domain is None or isinstance(domain, Disc):
+    if domain is None:
         dom = Disc(0j, 1.0)
         rng = np.random.default_rng(seed)
         viol = 0
@@ -621,11 +614,8 @@ def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
     resids = []
     for ti in (np.arange(n_anchor) + 0.5) / n_anchor:
         t = (ti + 0.02 * rng.uniform()) % 1.0
-        p = complex(domain.point(t))
-        tang = complex(domain.tangent(t))
-        inward = 1j * tang / abs(tang)
         for d in depths:
-            w = p + d * inward
+            w = _inward_point(domain, t, d)
             dw = domain.boundary_distance(w, tol=min(1e-8, d * 1e-3))
             resids.append(envelope_residual_pla(ds.caratheodory(domain, z0, w).value, dw))
     c = max(abs(v) for v in resids)
@@ -677,8 +667,7 @@ def _prop6_grid(domain, samples, rng):
     independent seeds probing the same depth scales so fits stay stable.
     """
     n_rand = samples // 2
-    pts = sample_interior(domain, 2 * n_rand, rng, d_floor=2e-2)
-    pairs = list(zip(pts[:n_rand], pts[n_rand:]))
+    pairs = _sample_pairs(domain, n_rand, rng, d_floor=2e-2)
     d_floor = 1e-4 if isinstance(domain, Disc) else 1e-3
     n_anchor = 8
     n_depth = max((samples - n_rand) // n_anchor, 4)
@@ -699,29 +688,17 @@ def _prop6_grid(domain, samples, rng):
                 pairs.append((complex(z), complex(w)))
                 pairs.append((complex(zf), complex(w)))
             else:
-                p = complex(domain.point(t))
-                tang = complex(domain.tangent(t))
-                inward = 1j * tang / abs(tang)
-                t2 = (t + 0.015) % 1.0
-                p2 = complex(domain.point(t2))
-                tang2 = complex(domain.tangent(t2))
-                inward2 = 1j * tang2 / abs(tang2)
-                pairs.append((p2 + 6 * d * inward2, p + d * inward))
+                w = _inward_point(domain, t, d)
+                pairs.append((_inward_point(domain, (t + 0.015) % 1.0, 6 * d), w))
                 # far pair: both ends near the boundary on opposite sides,
                 # where the global supremum of the constant is approached
-                t3 = (t + 0.5) % 1.0
-                p3 = complex(domain.point(t3))
-                tang3 = complex(domain.tangent(t3))
-                inward3 = 1j * tang3 / abs(tang3)
-                pairs.append((p3 + 6 * d * inward3, p + d * inward))
+                pairs.append((_inward_point(domain, (t + 0.5) % 1.0, 6 * d), w))
     data = []
     for z, w in pairs:
         if _sep(z, w) < 1e-7:
             continue
-        dz = domain.boundary_distance(z) if not isinstance(domain, JordanDomain) \
-            else domain.boundary_distance(z, tol=1e-8)
-        dw = domain.boundary_distance(w) if not isinstance(domain, JordanDomain) \
-            else domain.boundary_distance(w, tol=1e-8)
+        dz = domain.boundary_distance(z)
+        dw = domain.boundary_distance(w)
         if dz <= 0 or dw <= 0:
             continue
         mc = math.tanh(ds.caratheodory(domain, z, w).value)
@@ -736,10 +713,7 @@ def _suite_comp(samples, seed, tol=1e-6):
     viol = 0
     worst = math.inf
     ratios = []
-    pts = sample_interior(disc, 2 * samples, rng)
-    for z, w in zip(pts[:samples], pts[samples:]):
-        if _sep(z, w) < 1e-9:
-            continue
+    for z, w in _sample_pairs(disc, samples, rng, min_sep=1e-9):
         k = ds.lempert(disc, z, w).value
         b = bg.bergman_distance(disc, z, w).value
         worst = min(worst, 4 * b - k + tol)
@@ -779,10 +753,7 @@ def _suite_annulus(samples, seed, r=2.0):
         viol += 1
     # c <= k on random pairs; compare on both scales, since the atanh scale
     # amplifies tanh-value roundoff for large distances
-    pts = sample_interior(dom, 2 * samples, rng, d_floor=5e-3)
-    for z, w in zip(pts[:samples], pts[samples:]):
-        if _sep(z, w) < 1e-6:
-            continue
+    for z, w in _sample_pairs(dom, samples, rng, d_floor=5e-3, min_sep=1e-6):
         c = ds.caratheodory(dom, z, w).lo
         k = annulus_kobayashi_distance(r, z, w)
         worst = min(worst, k - c + 1e-8)
@@ -837,6 +808,10 @@ def _suite_remark_b(samples=8, seed=42):
     return rep
 
 
+def _suite_prop5(samples, seed):
+    return verify_prop5_product(seed=seed)
+
+
 def _suite_prop7(samples=10, seed=42):
     return experiment_ratio_c_over_l(depths=np.geomspace(3e-2, 1e-4, max(samples, 8)))
 
@@ -847,7 +822,7 @@ def _suite_slope(samples, seed, domain=None):
     for kind in ("carath", "lempert", "bergman"):
         s, _, _ = boundary_slope_regression(Disc(0j, 1.0), 0j, kind, depths_disc)
         reports[f"disc_{kind}"] = s
-    ell = domain if isinstance(domain, JordanDomain) else ellipse_domain(2.0, 1.0)
+    ell = ellipse_domain(2.0, 1.0) if domain is None else domain
     depths_ell = np.geomspace(1e-3, 1e-1, 20)
     for kind in ("carath", "lempert", "bergman"):
         s, _, _ = boundary_slope_regression(ell, 0j, kind, depths_ell)
@@ -859,35 +834,45 @@ def _suite_slope(samples, seed, domain=None):
             viol += 1
     worst = min(min(v - 0.45, 0.55 - v) for v in reports.values())
     return BoundReport("boundary-slope", len(reports), viol, worst,
-                       constants=reports, seed=seed)
+                       constants=reports, seed=seed,
+                       rows=list(reports.items()), headers=("case", "slope"))
 
 
+# suite name -> (suite function, the domain classes that may replace its
+# default domain; an empty tuple means the suite takes no domain)
 SUITES = {
-    "prop1": _suite_prop1,
-    "prop2": _suite_prop2,
-    "eq-ca": _suite_eq_ca,
-    "eq-le": _suite_eq_le,
-    "prop4": _suite_prop4,
-    "prop5": lambda samples, seed, **kw: verify_prop5_product(seed=seed),
-    "prop6": _suite_prop6,
-    "prop7": lambda samples, seed, **kw: _suite_prop7(samples, seed),
-    "remark-a": lambda samples, seed, **kw: _suite_remark_a(samples, seed),
-    "remark-b": lambda samples, seed, **kw: _suite_remark_b(samples, seed),
-    "comp": _suite_comp,
-    "annulus": _suite_annulus,
-    "boundary-slope": _suite_slope,
+    "prop1": (_suite_prop1, ()),
+    "prop2": (_suite_prop2, ()),
+    "eq-ca": (_suite_eq_ca, ()),
+    "eq-le": (_suite_eq_le, (JordanDomain,)),
+    "prop4": (_suite_prop4, (JordanDomain,)),
+    "prop5": (_suite_prop5, ()),
+    "prop6": (_suite_prop6, (Disc, JordanDomain)),
+    "prop7": (_suite_prop7, ()),
+    "remark-a": (_suite_remark_a, ()),
+    "remark-b": (_suite_remark_b, ()),
+    "comp": (_suite_comp, ()),
+    "annulus": (_suite_annulus, ()),
+    "boundary-slope": (_suite_slope, (JordanDomain,)),
 }
 
 
 def run_suite(name: str, samples: int = 1000, seed: int = 42, domain=None) -> BoundReport:
-    """Run one verification suite and return its report."""
+    """Run one verification suite and return its report.
+
+    A `domain` replaces the suite's default domain; it must be one of the
+    classes SUITES lists for the suite, else UnsupportedDomain is raised.
+    """
     if name not in SUITES:
         raise UnsupportedDomain(f"unknown suite {name!r}")
-    fn = SUITES[name]
+    if samples < 1:
+        raise DegenerateInput(f"samples must be at least 1, got {samples}")
+    fn, kinds = SUITES[name]
+    if domain is not None and not isinstance(domain, kinds):
+        accepted = ", ".join(k.__name__ for k in kinds) or "none"
+        raise UnsupportedDomain(f"suite {name!r} cannot run on {type(domain).__name__} "
+                                f"(accepted domains: {accepted})")
     t0 = time.perf_counter()
-    kwargs = {}
-    if domain is not None and name in ("prop4", "prop6", "eq-le", "boundary-slope"):
-        kwargs["domain"] = domain
-    rep = fn(samples, seed, **kwargs)
+    rep = fn(samples, seed) if domain is None else fn(samples, seed, domain=domain)
     rep.runtime_seconds = time.perf_counter() - t0
     return rep

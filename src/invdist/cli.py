@@ -1,5 +1,5 @@
-"""Command-line front end: single distances, sweep experiments, constant
-fits, and verification suites with machine-readable reports.
+"""Command-line front end: single distances and verification suites with
+machine-readable reports (JSON, or CSV for suites that produce table rows).
 
 Exit codes: 0 success (verify: zero violations), 1 suite violations,
 2 parse/usage errors, 3 unsupported domain or operation, 4 non-convergence.
@@ -33,9 +33,6 @@ EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NONCONVERGENCE = 4
-
-_EXPERIMENTS = ("sector-ratio", "slit-coefficient", "ratio-c-over-l",
-                "boundary-slope", "prop5-product")
 
 
 def _parse_point(text: str, domain):
@@ -73,10 +70,8 @@ def cmd_dist(args) -> int:
         val = ds.caratheodory(domain, z, w)
     elif args.kind == "lempert":
         val = ds.lempert(domain, z, w)
-    elif args.kind == "bergman":
-        val = bg.bergman_distance(domain, z, w)
     else:
-        raise SchemaError(f"unknown distance kind {args.kind!r}")
+        val = bg.bergman_distance(domain, z, w)
     if not (math.isfinite(val.lo) and math.isfinite(val.hi)):
         raise NonConvergence(f"{args.kind} distance is not finite "
                              f"(lo={val.lo!r}, hi={val.hi!r})")
@@ -91,48 +86,13 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def _report_out(rep: bd.BoundReport, args) -> None:
+def cmd_verify(args) -> int:
+    domain = domain_from_json(args.domain) if args.domain else None
+    rep = bd.run_suite(args.suite, samples=args.samples, seed=args.seed, domain=domain)
     if args.format == "csv" and rep.rows:
         _emit(rep.to_csv(), args.out)
     else:
         _emit(rep.to_json(include_runtime=args.timing), args.out)
-
-
-def cmd_verify(args) -> int:
-    domain = domain_from_json(args.domain) if args.domain else None
-    rep = bd.run_suite(args.suite, samples=args.samples, seed=args.seed, domain=domain)
-    _report_out(rep, args)
-    return EXIT_OK if rep.passed else EXIT_VIOLATIONS
-
-
-def cmd_sweep(args) -> int:
-    if args.experiment == "sector-ratio":
-        xs = np.geomspace(1e-2, 1e-6, max(args.samples, 5))
-        rep = bd.experiment_sector_ratio(args.theta, xs)
-    elif args.experiment == "slit-coefficient":
-        ts = np.geomspace(1e-2, 1e-8, max(args.samples, 5))
-        rep = bd.experiment_slit_coefficient(ts)
-    elif args.experiment == "ratio-c-over-l":
-        rep = bd.experiment_ratio_c_over_l(
-            depths=np.geomspace(3e-2, 1e-4, max(args.samples, 8)))
-    elif args.experiment == "boundary-slope":
-        rep = bd.run_suite("boundary-slope", samples=args.samples, seed=args.seed)
-        rep.rows = [(k, v) for k, v in rep.constants.items()]
-        rep.headers = ("case", "slope")
-    elif args.experiment == "prop5-product":
-        rep = bd.verify_prop5_product(seed=args.seed)
-    else:
-        raise SchemaError(f"unknown experiment {args.experiment!r}")
-    _report_out(rep, args)
-    return EXIT_OK if rep.passed else EXIT_VIOLATIONS
-
-
-def cmd_fit(args) -> int:
-    domain = domain_from_json(args.domain) if args.domain else None
-    if args.suite not in ("prop4", "prop6", "eq-le", "comp", "prop5"):
-        raise SchemaError(f"suite {args.suite!r} does not fit a constant")
-    rep = bd.run_suite(args.suite, samples=args.samples, seed=args.seed, domain=domain)
-    _report_out(rep, args)
     return EXIT_OK if rep.passed else EXIT_VIOLATIONS
 
 
@@ -143,44 +103,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_domain=True):
-        if with_domain:
-            sp.add_argument("--domain", help="domain description JSON")
-        sp.add_argument("--samples", type=int, default=1000)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (must be positive)")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--timing", action="store_true",
-                        help="include runtime in the report (breaks byte determinism)")
-
     d = sub.add_parser("dist", help="compute one distance")
-    d.add_argument("--domain", required=True)
+    d.add_argument("--domain", required=True, help="domain description JSON")
     d.add_argument("--kind", choices=("carath", "lempert", "bergman"), required=True)
     d.add_argument("--z", required=True)
     d.add_argument("--w", required=True)
-    d.add_argument("--out", default=None)
-    d.add_argument("--format", choices=("json", "csv"), default="json")
-    d.add_argument("--tol", type=float, default=None)
+    d.add_argument("--out", default=None, help="output path (default stdout)")
     d.set_defaults(fn=cmd_dist)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=sorted(bd.SUITES), required=True)
-    common(v)
+    v.add_argument("--domain", help="domain description JSON replacing the suite's default "
+                                    "(exit 3 if the suite cannot use that kind)")
+    v.add_argument("--samples", type=int, default=1000)
+    v.add_argument("--seed", type=int, default=42)
+    v.add_argument("--out", default=None, help="output path (default stdout)")
+    v.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv writes the suite's table rows, when it has any")
+    v.add_argument("--timing", action="store_true",
+                   help="include runtime in the report (breaks byte determinism)")
     v.set_defaults(fn=cmd_verify)
-
-    s = sub.add_parser("sweep", help="run a sweep experiment")
-    s.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
-    s.add_argument("--theta", type=float, default=0.05)
-    common(s)
-    s.set_defaults(fn=cmd_sweep)
-
-    f = sub.add_parser("fit", help="fit the smallest working constant of a suite")
-    f.add_argument("--suite", choices=("prop4", "prop6", "eq-le", "comp", "prop5"),
-                   required=True)
-    common(f)
-    f.set_defaults(fn=cmd_fit)
     return p
 
 
@@ -205,9 +147,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0,) else 0
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        sys.stderr.write("error: tolerance override must be positive\n")
-        return EXIT_PARSE
     try:
         return args.fn(args)
     except (SchemaError, DegenerateInput, DomainViolation, BranchViolation) as exc:

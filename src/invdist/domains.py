@@ -343,8 +343,7 @@ class TwoDiscHull(PlanarDomain):
         cached = getattr(self, "_jordan", None)
         if cached is None:
             curve, dcurve = self.parametrize()
-            cached = JordanDomain(curve, dcurve, name="two-disc-hull", dini=True,
-                                  c1=True, check_simple=False)
+            cached = JordanDomain(curve, dcurve, name="two-disc-hull", check_simple=False)
             cached.param_grid_override = self.param_grid
             object.__setattr__(self, "_jordan", cached)
         return cached
@@ -401,14 +400,10 @@ class JordanDomain(PlanarDomain):
     derivative is available and not supplied.
     """
 
-    def __init__(self, curve, dcurve=None, *, c1=True, dini=True,
-                 modulus_bound=None, deriv_bound=None, name="jordan",
+    def __init__(self, curve, dcurve=None, *, deriv_bound=None, name="jordan",
                  check_simple=True, corner_params=()):
         self._raw_curve = curve
         self._raw_dcurve = dcurve
-        self.c1 = c1
-        self.dini = dini
-        self.modulus_bound = modulus_bound
         self.name = name
         self.corner_params = tuple(float(c) % 1.0 for c in corner_params)
         self._map_cache: dict = {}
@@ -709,8 +704,8 @@ def lens_domain(rho: float) -> JordanDomain:
         out[~m] = 1j * rho * np.exp(1j * ang) * (TWO_PI - 2 * phi_c) / (1.0 - b1)
         return out if out.shape else complex(out)
 
-    dom = JordanDomain(curve, dcurve, name=f"lens({rho})", c1=False, dini=True,
-                       check_simple=False, corner_params=(0.0, b1))
+    dom = JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
+                       corner_params=(0.0, b1))
     dom.param_of_one = b1 / 2.0  # parameter of the boundary point z = 1
     return dom
 

@@ -97,6 +97,13 @@ class TestCaratheodorySeries:
         assert engine.series_mode
         assert engine.self_test_report["outer"] < 1e-8
         assert engine.self_test_report["inner"] < 1e-8
+        assert "error" not in engine.self_test_report
+
+    def test_fallback_records_its_reason(self):
+        # A_1.00005 needs more theta factors than theta_product allows
+        thin = AnnulusCaratheodory(1.00005)
+        assert not thin.series_mode
+        assert thin.self_test_report["error"].startswith("NonConvergence: ")
 
     def test_inner_function_unimodular_on_both_circles(self, engine):
         r = engine.r

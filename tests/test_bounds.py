@@ -14,7 +14,12 @@ from invdist.domains import (
     SlitPlane,
     two_disc_hull,
 )
-from invdist.errors import DegenerateInput, InsufficientSamples, NoFiniteConstant
+from invdist.errors import (
+    DegenerateInput,
+    InsufficientSamples,
+    NoFiniteConstant,
+    UnsupportedDomain,
+)
 
 
 class TestFormulas:
@@ -290,6 +295,17 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(Exception):
             bd.run_suite("nonsense")
+
+    @pytest.mark.parametrize("suite", ["prop4", "annulus", "remark-a"])
+    def test_zero_samples_rejected(self, suite):
+        with pytest.raises(DegenerateInput):
+            bd.run_suite(suite, samples=0)
+
+    def test_domain_outside_the_suite_contract(self):
+        with pytest.raises(UnsupportedDomain):
+            bd.run_suite("eq-le", samples=4, domain=Disc(0j, 1.0))
+        with pytest.raises(UnsupportedDomain):
+            bd.run_suite("prop2", samples=4, domain=Disc(0j, 1.0))
 
 
 class TestProp2ProjectionChain:

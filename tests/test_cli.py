@@ -127,10 +127,33 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "prop99")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["eq-le", "prop4", "comp", "annulus"])
+    def test_zero_samples_exit_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "0")
+        assert code == 2
+        assert "samples" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("suite, domain", [
+        ("eq-le", '{"kind":"disc"}'),
+        ("prop4", '{"kind":"sector","theta":0.7}'),
+        ("prop6", '{"kind":"annulus","r":2.0}'),
+        ("boundary-slope", '{"kind":"disc"}'),
+        ("prop2", '{"kind":"sector","theta":0.7}'),
+    ])
+    def test_domain_the_suite_cannot_use_exit_3(self, capsys, suite, domain):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "5",
+                             "--domain", domain)
+        assert code == 3
+        assert "unsupported" in err
+        assert out == ""
+
 
 class TestSweep:
+    """Sweep tables: the rows of a suite, written by `verify --format csv`."""
+
     def test_slit_coefficient_csv(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--experiment", "slit-coefficient",
+        code, out, _ = run(capsys, "verify", "--suite", "remark-b",
                            "--samples", "5", "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
@@ -139,15 +162,8 @@ class TestSweep:
         quot = float(lines[-1].split(",")[3])
         assert quot == pytest.approx(0.25, abs=1e-6)
 
-    def test_sector_ratio_json(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--experiment", "sector-ratio",
-                           "--theta", "0.05", "--samples", "5")
-        assert code == 0
-        doc = json.loads(out)
-        assert abs(doc["constants"]["final_ratio"] - 0.785398) < 0.02
-
     def test_boundary_slope(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--experiment", "boundary-slope",
+        code, out, _ = run(capsys, "verify", "--suite", "boundary-slope",
                            "--samples", "20", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "case,slope"
@@ -163,13 +179,11 @@ class TestSweep:
 
 
 class TestFit:
+    """Fitted constants: the `constants` of a suite's `verify` report."""
+
     def test_fit_prop6(self, capsys):
-        code, out, _ = run(capsys, "fit", "--suite", "prop6", "--samples", "60",
+        code, out, _ = run(capsys, "verify", "--suite", "prop6", "--samples", "60",
                            "--seed", "11")
         assert code == 0
         doc = json.loads(out)
         assert 1.0 <= doc["constants"]["c"] <= 4.2
-
-    def test_fit_rejects_non_fit_suite(self, capsys):
-        code, _, _ = run(capsys, "fit", "--suite", "prop2")
-        assert code == 2
