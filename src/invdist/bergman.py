@@ -4,18 +4,20 @@ A simply connected planar domain transports the model kernel through its
 conformal chart f onto the unit disc or the upper half-plane:
 K = |f'|^2 / (pi q^2) and beta = sqrt(2) |f' X| / q, with q = 1 - |f|^2 on
 the disc and 2 Im f on the half-plane.  The annulus kernel is the Laurent
-orthonormal series with an explicit geometric tail bound.  The metric is
-the square root of the Laplacian-type Hessian of log K.  The annulus
-Bergman distance is a
-shortest path in the metric field: Dijkstra on a polar graph, then a
-corridor dynamic-programming refinement; the coarse/fine grid gap is the
-reported error.
+orthonormal series with an explicit geometric tail bound.  On the diagonal
+each point sums the term range of its fixed bin of log|z|, so its value
+does not depend on the batch it comes in; the terms' log-norms and moments
+are read from one table per kernel, grown on demand.  The metric is the
+square root of the Laplacian-type Hessian of log K.  The annulus Bergman
+distance is a shortest path in the metric field: Dijkstra on a polar graph,
+then a corridor dynamic-programming refinement; the coarse/fine grid gap is
+the reported error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +46,14 @@ __all__ = [
 # largest Laurent index a kernel sum uses, whatever the point's modulus
 _NMAX = 4000
 
+# The diagonal sums bin log|z| on the scale v = atanh(log|z| / log r): a
+# bin is [k, k + 1) * _BIN_WIDTH in v.  A tail's term count grows like the
+# inverse distance to its circle, and the bins shrink geometrically toward
+# both circles, so a bin's term count exceeds its points' own by ~13% at most.
+# Points on or outside a circle fall in its last bin, whose range is _NMAX.
+_BIN_WIDTH = 1.0 / 16.0
+_T_MAX = np.nextafter(1.0, 0.0)
+
 
 def annulus_monomial_norm_sq(r: float, n: int) -> float:
     """L^2(A_r) norm squared of zeta^n: pi (r^{2n+2} - r^{-(2n+2)}) / (n+1),
@@ -57,24 +67,31 @@ def annulus_monomial_norm_sq(r: float, n: int) -> float:
 def _log_norm_sq(r: float, ns: np.ndarray) -> np.ndarray:
     """log of the monomial norms, stable for large |n| (norms overflow fast)."""
     ns = np.asarray(ns)
-    out = np.empty(ns.shape, dtype=float)
     logr = math.log(r)
-    logpi = math.log(math.pi)
-    neg1 = ns == -1
-    out[neg1] = math.log(4.0 * math.pi * logr)
-    m = np.abs(ns + 1.0)  # norm is symmetric under n -> -2 - n
-    rest = ~neg1
-    mm = m[rest]
-    out[rest] = logpi + 2.0 * mm * logr + np.log1p(-np.exp(-4.0 * mm * logr)) - np.log(mm)
+    m = np.maximum(np.abs(ns + 1.0), 1.0)  # norm is symmetric under n -> -2 - n
+    out = math.log(math.pi) + 2.0 * m * logr + np.log1p(-np.exp(-4.0 * m * logr)) - np.log(m)
+    out[ns == -1] = math.log(4.0 * math.pi * logr)
     return out
 
 
 @dataclass
 class AnnulusKernel:
-    """Truncated Laurent-series Bergman kernel of A_r with tail control."""
+    """Truncated Laurent-series Bergman kernel of A_r with tail control.
+
+    K(z) = sum_n |z|^{2n} / ||z^n||^2.  diagonal and log_diag_hessian give
+    each point, scalar or in an array, the term range of its bin of log|z|
+    (see _BIN_WIDTH), never that of its batch, so a value does not depend on
+    the points evaluated with it.  The kernel's table holds the columns
+    [1, n(n-1), n, -log ||z^n||^2] for n in [-N - 1, N], grown on demand up
+    to N = _NMAX (8002 rows, 256 KB); each bin reads a slice of it, and the
+    term range of each bin is computed once.
+    """
 
     r: float
     tol: float = 1e-14
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _n: int = field(default=-1, init=False, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def _terms(self, a: float, a_lo: float | None = None):
         """Term range covering both tails below tol for moduli in [a_lo, a]
@@ -91,16 +108,71 @@ class AnnulusKernel:
         n = min(max(n_hi, n_lo, 8), _NMAX)
         return np.arange(-n - 1, n + 1)
 
-    def _weighted_powers(self, a, ns):
-        """exp(2 n log a - log ||n||^2), stable against norm overflow."""
-        log_terms = 2.0 * np.log(a)[..., None] * ns - _log_norm_sq(self.r, ns)
-        return np.exp(log_terms)
+    def _bin_range(self, k: int):
+        """Term range [-n_lo - 1, n_hi] of bin k as (n_lo, n_hi), each tail
+        cut by _tail_cut at the bin edge nearest its circle."""
+        rng = self._ranges.get(k)
+        if rng is None:
+            L = math.log(self.r)
+            # (|z| / r)^2 at the upper edge and (1 / (|z| r))^2 at the lower
+            ratio_hi = math.exp(-2.0 * L * (1.0 - math.tanh((k + 1) * _BIN_WIDTH)))
+            ratio_lo = math.exp(-2.0 * L * (1.0 + math.tanh(k * _BIN_WIDTH)))
+            rng = (_tail_cut(ratio_lo, self.tol), _tail_cut(ratio_hi, self.tol))
+            self._ranges[k] = rng
+            if max(rng) > self._n:
+                self._grow(max(rng))
+        return rng
 
-    def diagonal(self, z) -> float:
-        z = np.asarray(z, dtype=complex)
-        a = np.abs(z)
-        ns = self._terms(float(a.max()))
-        out = np.sum(self._weighted_powers(a, ns), axis=-1)
+    def _grow(self, n: int):
+        """Rebuild the table for n in [-N - 1, N], N >= n, at least doubling
+        N so that a kernel rebuilds it a few times at most."""
+        N = min(max(n, 2 * self._n), _NMAX)
+        ns = np.arange(-N - 1.0, N + 1.0)
+        tab = np.empty((ns.size, 4))
+        tab[:, 0] = 1.0
+        tab[:, 1] = ns * (ns - 1.0)
+        tab[:, 2] = ns
+        tab[:, 3] = -_log_norm_sq(self.r, ns)
+        self._table, self._n = tab, N
+
+    def _sums(self, z, cols: int):
+        """|z|^2 and, per point, the first cols of the sums of t_n times
+        [1, n(n-1), n] over its bin's term range, t_n = |z|^{2n} / ||z^n||^2.
+
+        Each bin's (points x terms) block of exponents 2 n log|z| -
+        log ||z^n||^2 is one matrix product with the table, exponentiated
+        in place and contracted with the table in a second; blocks hold
+        about 256k cells (2 MB), so a large batch never holds its whole
+        table.
+        """
+        a = np.abs(np.asarray(z, dtype=complex)).ravel()
+        u = np.log(a)
+        t = np.minimum(np.maximum(u / math.log(self.r), -_T_MAX), _T_MAX)
+        k = np.floor(np.arctanh(t) / _BIN_WIDTH).astype(int)
+        x = np.empty((a.size, 2))       # rows [2 log|z|, 1] against [n, -log ||z^n||^2]
+        x[:, 0] = 2.0 * u
+        x[:, 1] = 1.0
+        if k.min() == k.max():
+            groups = [np.arange(a.size)]
+        else:
+            order = np.argsort(k, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(k[order])) + 1)
+        out = np.empty((a.size, cols))
+        for idx in groups:
+            n_lo, n_hi = self._bin_range(int(k[idx[0]]))
+            tab = self._table[self._n - n_lo:self._n + n_hi + 2]
+            step = max(1, 262144 // len(tab))
+            for i in range(0, idx.size, step):
+                ic = idx[i:i + step]
+                terms = x[ic] @ tab[:, 2:].T
+                np.exp(terms, out=terms)
+                out[ic] = terms @ tab[:, :cols]
+        return a * a, out
+
+    def diagonal(self, z):
+        """K(z) for a scalar or array z."""
+        _, sums = self._sums(z, 1)
+        out = sums[:, 0].reshape(np.shape(z))
         return out if out.shape else float(out)
 
     def pair(self, z, w: complex):
@@ -136,38 +208,33 @@ class AnnulusKernel:
         return out if out.shape else complex(out)
 
     def log_diag_hessian(self, z):
-        """d^2/dz dzbar of log K at z, from the series in s = |z|^2.
-
-        The (points x terms) sums run in row chunks of about 256k cells
-        (2 MB), so a large batch never holds its whole table; the term range
-        comes from the largest modulus of the batch.
-        """
-        z = np.asarray(z, dtype=complex)
-        a = np.abs(z).ravel()
-        ns = self._terms(float(a.max()))
-        rows = max(1, 262144 // ns.size)
-        out = np.empty(a.shape)
-        for i in range(0, a.size, rows):
-            ac = a[i:i + rows]
-            s = ac * ac
-            terms = self._weighted_powers(ac, ns)
-            k0 = np.sum(terms, axis=-1)
-            k1 = np.sum(ns * terms, axis=-1) / s
-            k2 = np.sum(ns * (ns - 1.0) * terms, axis=-1) / (s * s)
-            g = k1 / k0
-            out[i:i + rows] = g + s * (k2 / k0 - g * g)
-        out = out.reshape(z.shape)
+        """d^2/dz dzbar of log K at z, from the series in s = |z|^2:
+        with k_j = d^j K / ds^j, it is k_1 / k_0 + s (k_2 / k_0 - (k_1 / k_0)^2).
+        Each point's term range comes from its bin, as in diagonal."""
+        s, sums = self._sums(z, 3)
+        k0 = sums[:, 0]
+        g = sums[:, 2] / s / k0
+        out = g + s * (sums[:, 1] / (s * s) / k0 - g * g)
+        out = out.reshape(np.shape(z))
         return out if out.shape else float(out)
 
 
 def _tail_cut(ratio: float, tol: float) -> int:
+    """First n in 8, 12, ..., _NMAX whose tail bound is at most tol."""
     if ratio >= 1.0:
         return _NMAX
-    # sum_{k>n} (k+1) ratio^k <= (n+3) ratio^{n+1} / (1-ratio)^2 approx
-    n = 8
-    while (n + 3) * ratio ** (n + 1) / (1.0 - ratio) ** 2 > tol and n < _NMAX:
-        n += 4
-    return n
+    # sum_{k>n} (k+1) ratio^k <= (n+3) ratio^{n+1} / (1-ratio)^2 approx.  The
+    # bound only rises where it is far above tol (past n = 8 it rises only
+    # for ratio > exp(-1/11), where it exceeds 600), so the steps above tol
+    # are a prefix: bisect for the first one below it
+    lo, hi = 8, _NMAX
+    while lo < hi:
+        mid = lo + 4 * ((hi - lo) // 8)
+        if (mid + 3) * ratio ** (mid + 1) / (1.0 - ratio) ** 2 > tol:
+            lo = mid + 4
+        else:
+            hi = mid
+    return lo
 
 
 _KERNELS: dict = {}

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -786,16 +787,16 @@ def bg_reproducing_residual(r: float, w: complex, orders, n_rad: int = 6,
     return worst
 
 
-def _suite_remark_a(samples=8, seed=42):
-    xs = np.geomspace(1e-2, 1e-6, max(samples, 5))
+def _suite_remark_a(samples, seed):
+    xs = np.geomspace(1e-2, 1e-6, samples)
     rep = experiment_sector_ratio(0.05, xs)
     gap = rep.constants["limit_gap"]
     rep.violations += 0 if gap <= 0.02 else 1
     return rep
 
 
-def _suite_remark_b(samples=8, seed=42):
-    ts = np.geomspace(1e-2, 1e-8, max(samples, 5))
+def _suite_remark_b(samples, seed):
+    ts = np.geomspace(1e-2, 1e-8, samples)
     rep = experiment_slit_coefficient(ts)
     if rep.constants["pipeline_error"] > 1e-6:
         rep.violations += 1
@@ -812,8 +813,8 @@ def _suite_prop5(samples, seed):
     return verify_prop5_product(seed=seed)
 
 
-def _suite_prop7(samples=10, seed=42):
-    return experiment_ratio_c_over_l(depths=np.geomspace(3e-2, 1e-4, max(samples, 8)))
+def _suite_prop7(samples, seed):
+    return experiment_ratio_c_over_l(depths=np.geomspace(3e-2, 1e-4, samples))
 
 
 def _suite_slope(samples, seed, domain=None):
@@ -838,40 +839,58 @@ def _suite_slope(samples, seed, domain=None):
                        rows=list(reports.items()), headers=("case", "slope"))
 
 
-# suite name -> (suite function, the domain classes that may replace its
-# default domain; an empty tuple means the suite takes no domain)
+class Suite(NamedTuple):
+    """A suite's contract: its function, the domain classes that may replace
+    its default domain (none: it takes no domain), and its size: at least
+    `floor` samples, or the `fixed` sample count of a suite that takes none."""
+
+    fn: Callable
+    domains: tuple = ()
+    floor: int = 1
+    fixed: int | None = None
+
+
 SUITES = {
-    "prop1": (_suite_prop1, ()),
-    "prop2": (_suite_prop2, ()),
-    "eq-ca": (_suite_eq_ca, ()),
-    "eq-le": (_suite_eq_le, (JordanDomain,)),
-    "prop4": (_suite_prop4, (JordanDomain,)),
-    "prop5": (_suite_prop5, ()),
-    "prop6": (_suite_prop6, (Disc, JordanDomain)),
-    "prop7": (_suite_prop7, ()),
-    "remark-a": (_suite_remark_a, ()),
-    "remark-b": (_suite_remark_b, ()),
-    "comp": (_suite_comp, ()),
-    "annulus": (_suite_annulus, ()),
-    "boundary-slope": (_suite_slope, (JordanDomain,)),
+    "prop1": Suite(_suite_prop1),
+    "prop2": Suite(_suite_prop2),
+    "eq-ca": Suite(_suite_eq_ca),
+    "eq-le": Suite(_suite_eq_le, (JordanDomain,)),
+    "prop4": Suite(_suite_prop4, (JordanDomain,)),
+    "prop5": Suite(_suite_prop5, fixed=768),                      # 8 x 8 x 12 grid
+    "prop6": Suite(_suite_prop6, (Disc, JordanDomain)),
+    "prop7": Suite(_suite_prop7, floor=8),
+    "remark-a": Suite(_suite_remark_a, floor=5),
+    "remark-b": Suite(_suite_remark_b, floor=5),
+    "comp": Suite(_suite_comp),
+    "annulus": Suite(_suite_annulus),
+    "boundary-slope": Suite(_suite_slope, (JordanDomain,), fixed=6),   # 6 regressions
 }
 
 
-def run_suite(name: str, samples: int = 1000, seed: int = 42, domain=None) -> BoundReport:
+def run_suite(name: str, samples: int | None = None, seed: int = 42,
+              domain=None) -> BoundReport:
     """Run one verification suite and return its report.
 
     A `domain` replaces the suite's default domain; it must be one of the
     classes SUITES lists for the suite, else UnsupportedDomain is raised.
+    `samples` defaults to 1000; a suite with a fixed size raises
+    DegenerateInput if given a count, and any other below its floor.
     """
     if name not in SUITES:
         raise UnsupportedDomain(f"unknown suite {name!r}")
-    if samples < 1:
-        raise DegenerateInput(f"samples must be at least 1, got {samples}")
-    fn, kinds = SUITES[name]
+    fn, kinds, floor, fixed = SUITES[name]
     if domain is not None and not isinstance(domain, kinds):
         accepted = ", ".join(k.__name__ for k in kinds) or "none"
         raise UnsupportedDomain(f"suite {name!r} cannot run on {type(domain).__name__} "
                                 f"(accepted domains: {accepted})")
+    if fixed is not None:
+        if samples is not None:
+            raise DegenerateInput(f"suite {name!r} has a fixed size of {fixed} samples "
+                                  f"and takes no samples count")
+    elif samples is None:
+        samples = 1000
+    elif samples < floor:
+        raise DegenerateInput(f"suite {name!r} needs at least {floor} samples, got {samples}")
     t0 = time.perf_counter()
     rep = fn(samples, seed) if domain is None else fn(samples, seed, domain=domain)
     rep.runtime_seconds = time.perf_counter() - t0

@@ -115,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=sorted(bd.SUITES), required=True)
     v.add_argument("--domain", help="domain description JSON replacing the suite's default "
                                     "(exit 3 if the suite cannot use that kind)")
-    v.add_argument("--samples", type=int, default=1000)
+    v.add_argument("--samples", type=int, default=None,
+                   help="sample count (default 1000); exit 2 below the suite's floor "
+                        "or, for the fixed-size prop5 and boundary-slope, if given")
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--out", default=None, help="output path (default stdout)")
     v.add_argument("--format", choices=("json", "csv"), default="json",

@@ -34,8 +34,6 @@ __all__ = [
     "AnnulusCover",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 # the frozen targets every chart shares
 _UNIT_DISC = UnitDisc()
 _UPPER_HALF_PLANE = HalfPlane(1j)
@@ -43,10 +41,13 @@ _UPPER_HALF_PLANE = HalfPlane(1j)
 
 def _sqrt_cut_pos(s):
     """Square root with branch cut along the nonnegative real axis; maps
-    C minus [0, inf) onto the upper half-plane."""
+    C minus [0, inf) onto the upper half-plane.
+
+    i sqrt(-s) with the principal root keeps full relative accuracy in both
+    parts near the cut; adding +0 turns x - 0i into x + 0i, so the cut
+    itself keeps the convention x +- 0i -> +sqrt(x) for x > 0."""
     s = np.asarray(s, dtype=complex)
-    ang = np.mod(np.angle(s), TWO_PI)
-    out = np.sqrt(np.abs(s)) * np.exp(0.5j * ang)
+    out = 1j * np.sqrt(-(s + 0.0))
     return out if out.shape else complex(out)
 
 

@@ -204,7 +204,8 @@ def test_criterion_10_prop7_squeeze():
 
 def test_criterion_11_boundary_slopes():
     with criterion(11, "boundary slope regressions near 1/2", 60.0):
-        rep = bd.run_suite("boundary-slope", samples=20, seed=42)
+        rep = bd.run_suite("boundary-slope", seed=42)
+        assert rep.samples == bd.SUITES["boundary-slope"].fixed
         for key, slope in rep.constants.items():
             if key.startswith("disc"):
                 assert 0.49 <= slope <= 0.51, key

@@ -98,6 +98,21 @@ class TestAnnulusKernel:
         points = np.array([[kern.log_diag_hessian(complex(v)) for v in row] for row in z])
         np.testing.assert_allclose(batch, points, rtol=1e-13, atol=0)
 
+    def test_point_value_does_not_depend_on_its_batch(self, rng):
+        # 500 points over the moduli of three annuli, in one batch and one by
+        # one: a term range taken from a batch's largest modulus would cut
+        # the low tail of its small-modulus points
+        for r in (1.05, 2.0, 5.0):
+            kern = AnnulusKernel(r)
+            L = math.log(r)
+            z = np.exp(rng.uniform(-0.999, 0.999, 500) * L + 2j * math.pi * rng.uniform(size=500))
+            for f in (kern.diagonal, kern.log_diag_hessian):
+                points = np.array([f(complex(v)) for v in z])
+                np.testing.assert_allclose(f(z), points, rtol=1e-13, atol=0)
+        k = AnnulusKernel(2.0)
+        assert k.diagonal(np.array([0.52, 0.9]))[0] == pytest.approx(191.82110254173833,
+                                                                      rel=1e-13)
+
     def test_reproducing_property(self):
         residual = bg_reproducing_residual(2.0, 1.2 + 0.4j, range(-5, 6))
         assert residual < 1e-6
@@ -180,6 +195,19 @@ class TestAnnulusBergmanDistance:
         k = annulus_kobayashi_distance(2.0, z, w)
         b = bergman_distance(dom, z, w)
         assert k <= 4.0 * b.hi + 1e-6
+
+    @pytest.mark.parametrize("r, z, w, lo, hi", [
+        # the comp suite's A_2 pairs and the benchmark's A_5 Bergman pair
+        # shape (unrotated, unjittered); lo and hi from the per-batch term
+        # ranges the binned sums replaced, which moved them ~1e-13
+        (2.0, 1.0 + 0j, 1.5 + 0j, 0.7669452968201027, 0.7669472968201028),
+        (2.0, 0.7j, -1.1 + 0.2j, 2.5268501854554315, 2.556077802976804),
+        (5.0, 0.7 + 0j, 2.0 * cmath.exp(0.8j), 0.9563835292452963, 0.9575192410791159),
+    ])
+    def test_distance_values_pinned(self, r, z, w, lo, hi):
+        v = bergman_distance(Annulus(r), z, w)
+        assert v.lo == pytest.approx(lo, rel=1e-12)
+        assert v.hi == pytest.approx(hi, rel=1e-12)
 
     def test_bergman_metric_vectorized_guard(self):
         dom = Annulus(2.0)

@@ -301,6 +301,15 @@ class TestSuites:
         with pytest.raises(DegenerateInput):
             bd.run_suite(suite, samples=0)
 
+    def test_suite_sizes(self):
+        rep = bd.run_suite("prop5", seed=5)
+        assert rep.samples == bd.SUITES["prop5"].fixed
+        with pytest.raises(DegenerateInput):
+            bd.run_suite("prop5", samples=768)
+        assert bd.run_suite("remark-b", samples=5).samples == 5
+        with pytest.raises(DegenerateInput):
+            bd.run_suite("prop7", samples=7)
+
     def test_domain_outside_the_suite_contract(self):
         with pytest.raises(UnsupportedDomain):
             bd.run_suite("eq-le", samples=4, domain=Disc(0j, 1.0))

@@ -134,6 +134,20 @@ class TestVerify:
         assert "samples" in err
         assert out == ""
 
+    @pytest.mark.parametrize("suite", ["prop5", "boundary-slope"])
+    def test_fixed_size_suite_rejects_samples_exit_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "20")
+        assert code == 2
+        assert "fixed size" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("suite, floor", [("remark-a", 5), ("remark-b", 5), ("prop7", 8)])
+    def test_samples_below_floor_exit_2(self, capsys, suite, floor):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", str(floor - 1))
+        assert code == 2
+        assert f"at least {floor} samples" in err
+        assert out == ""
+
     @pytest.mark.parametrize("suite, domain", [
         ("eq-le", '{"kind":"disc"}'),
         ("prop4", '{"kind":"sector","theta":0.7}'),
@@ -164,7 +178,7 @@ class TestSweep:
 
     def test_boundary_slope(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "boundary-slope",
-                           "--samples", "20", "--format", "csv")
+                           "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "case,slope"
 

@@ -14,6 +14,7 @@ from invdist.conformal import (
     riemann_map,
     sector_map,
     slit_sqrt_map,
+    _sqrt_cut_pos,
 )
 from invdist.distances import poincare_distance
 from invdist.domains import JordanDomain, wobbly_domain
@@ -74,6 +75,23 @@ class TestClosedMaps:
     def test_slit_sqrt_principal(self):
         m = slit_sqrt_map()
         assert m.evaluate(-1.0 + 0j) == pytest.approx(1j, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-8])
+    def test_slit_sqrt_full_precision_below_the_cut(self, t):
+        # just below the cut the root is close to -sqrt(2) with a tiny
+        # imaginary part, which must keep its own relative accuracy
+        z = 2.0 - t * 1j
+        f, want = slit_sqrt_map().evaluate(z), 1j * cmath.sqrt(-z)
+        assert abs(f.real - want.real) <= 1e-15 * abs(want.real)
+        assert abs(f.imag - want.imag) <= 1e-15 * abs(want.imag)
+
+    def test_root_on_the_cut_is_positive(self):
+        # the chain's slit maps meet x +- 0i with x > 0; both signs of the
+        # zero give +sqrt(x)
+        for s in (complex(4.0, 0.0), complex(4.0, -0.0)):
+            assert _sqrt_cut_pos(s) == 2.0
+        np.testing.assert_array_equal(_sqrt_cut_pos(np.array([complex(9.0, -0.0), 4.0])),
+                                      [3.0, 2.0])
 
     def test_sector_quarter_derivative(self):
         m = sector_map(math.pi / 4)
