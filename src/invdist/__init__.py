@@ -37,9 +37,7 @@ from .bounds import (
 from .conformal import (
     AnnulusCover,
     ConformalMap,
-    annulus_cover,
     cayley_map,
-    closed_map,
     disc_scale_map,
     mobius_disc_automorphism,
     riemann_map,
@@ -58,14 +56,11 @@ from .distances import (
     kobayashi_field,
     kobayashi_metric,
     lempert,
-    mobius_scale,
     poincare_distance,
 )
 from .domains import (
     Annulus,
     Ball,
-    BoundaryContact,
-    ConvexBody,
     Disc,
     HalfPlane,
     JordanDomain,
@@ -80,10 +75,6 @@ from .domains import (
     domain_to_json,
     ellipse_domain,
     lens_domain,
-    nearest_boundary_contact,
-    project_domain,
-    project_point,
-    supporting_hyperplane,
     two_disc_hull,
     wobbly_domain,
 )

@@ -515,7 +515,7 @@ def _suite_prop1(samples, seed, tol=1e-3, domains=None):
             dz = dom.boundary_distance(z)
             dw = dom.boundary_distance(w)
             l = ds.lempert(dom, z, w).value
-            lh = ds.hull_distance(0j, dz, complex(_sep(z, w), 0.0), dw, n=384)
+            lh = ds.hull_distance(0j, dz, complex(_sep(z, w), 0.0), dw)
             R = bound_prop1_R(_sep(z, w), dz, dw)
             cap = _sep(z, w) / min(dz, dw)
             margins = (lh + tol - l, R + tol - lh, cap + tol - R)

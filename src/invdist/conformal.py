@@ -27,10 +27,7 @@ __all__ = [
     "sector_map",
     "slit_sqrt_map",
     "disc_scale_map",
-    "closed_map",
     "riemann_map",
-    "boundary_derivative_modulus",
-    "annulus_cover",
     "AnnulusCover",
 ]
 
@@ -224,19 +221,6 @@ def half_plane_map(normal: complex) -> ConformalMap:
         return w / rot
 
     return ConformalMap(ev, dv, inv, HalfPlane(n), _UPPER_HALF_PLANE)
-
-
-def closed_map(kind: str, **kw) -> ConformalMap:
-    """Catalog dispatcher: cayley | sector(theta) | slit_sqrt | disc_scale(center, radius)."""
-    if kind == "cayley":
-        return cayley_map()
-    if kind == "sector":
-        return sector_map(kw["theta"])
-    if kind == "slit_sqrt":
-        return slit_sqrt_map()
-    if kind == "disc_scale":
-        return disc_scale_map(kw.get("center", 0j), kw.get("radius", 1.0))
-    raise DegenerateInput(f"unknown closed map kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +422,6 @@ class ZipperMap:
         return max(diff, rt, 1e-15)
 
 
-def boundary_derivative_modulus(cmap: ConformalMap, p: complex, inward: complex,
-                                h: float = 1e-4) -> float:
-    """|phi'| at a boundary point by one-sided differences along the inward
-    normal, Richardson-extrapolated; valid where the boundary is smooth
-    enough for the derivative to extend continuously."""
-    inward = inward / abs(inward)
-
-    def slope(step):
-        a = complex(cmap.evaluate(p + step * inward))
-        b = complex(cmap.evaluate(p + 2.0 * step * inward))
-        return abs(b - a) / step
-
-    s1 = slope(h)
-    s2 = slope(h / 2.0)
-    return 2.0 * s2 - s1
-
-
 def riemann_map(domain: JordanDomain, z0: complex, n: int = 512,
                 params=None) -> ConformalMap:
     """Riemann map of a Jordan domain onto the unit disc, normalized by
@@ -509,19 +476,6 @@ class AnnulusCover:
     def lift(self, z: complex) -> complex:
         return cmath.log(z)
 
-    def deck(self, zeta: complex, k: int) -> complex:
-        return zeta + 2j * math.pi * k
-
-    def density(self, zeta: complex) -> float:
-        L = self.half_width
-        return (math.pi / (4.0 * L)) / math.cos(math.pi * zeta.real / (2.0 * L))
-
-    def strip_to_disc(self, zeta):
-        """Conformal map of the strip onto the unit disc (0 -> 0)."""
-        L = self.half_width
-        u = 1j * np.asarray(zeta, dtype=complex) * math.pi / (4.0 * L)
-        return np.tanh(u)
-
     def strip_to_upper(self, zeta):
         """Conformal map of the strip onto the upper half-plane."""
         L = self.half_width
@@ -542,7 +496,3 @@ class AnnulusCover:
         if not (pa.imag > 0.0 and pb.imag > 0.0):
             return math.inf
         return halfplane_hyperbolic_distance(pa, pb)
-
-
-def annulus_cover(r: float) -> AnnulusCover:
-    return AnnulusCover(float(r))

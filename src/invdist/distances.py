@@ -2,9 +2,9 @@
 
 Values are reported on the tanh^{-1} scale as CertifiedValue enclosures;
 exact modes (closed forms, conformal pullbacks through closed maps) carry a
-zero-width interval, numeric modes carry an error estimate.  The helper
-`mobius_scale` converts to m = tanh(value) where boundary product estimates
-are more natural.
+zero-width interval, numeric modes carry an error estimate.
+`CertifiedValue.mobius()` converts to m = tanh(value) where boundary product
+estimates are more natural.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .conformal import (
 from .domains import (
     Annulus,
     Ball,
-    ConvexBody,
     Disc,
     HalfPlane,
     JordanDomain,
@@ -45,7 +44,6 @@ __all__ = [
     "halfplane_hyperbolic_distance",
     "MetricField",
     "poincare_distance",
-    "mobius_scale",
     "caratheodory",
     "lempert",
     "kobayashi_metric",
@@ -108,11 +106,6 @@ class MetricField:
 
     def __call__(self, z, X=1.0):
         return self.eval(z, X)
-
-
-def mobius_scale(value: float) -> float:
-    """Convert a tanh^{-1}-scale distance to the m = tanh scale."""
-    return math.tanh(value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +261,6 @@ def caratheodory(domain, z, w) -> CertifiedValue:
         return annulus_caratheodory(domain.r, z, w)
     if isinstance(domain, (Ball, Polydisc)):
         return CertifiedValue.exact(cn_model_distance(domain, z, w))
-    if isinstance(domain, ConvexBody):
-        dz = domain.boundary_distance(z)
-        dw = domain.boundary_distance(w)
-        lo = max(0.5 * abs(math.log(dz / dw)), 0.0)
-        up = lempert(domain, z, w)
-        return CertifiedValue(min(lo, up.hi), up.hi, "interval", up.hi - min(lo, up.hi))
     raise UnsupportedDomain(f"caratheodory unsupported on {type(domain).__name__}")
 
 
@@ -285,18 +272,16 @@ def lempert(domain, z, w) -> CertifiedValue:
         return _chart_distance(m, z, w)
     _require_inside(domain, z, w)
     if isinstance(domain, Annulus):
-        val = _ann.annulus_kobayashi_distance(domain.r, z, w)
-        return CertifiedValue(val - 1e-12, val + 1e-12, "covering", 1e-12)
+        return CertifiedValue.exact(_ann.annulus_kobayashi_distance(domain.r, z, w),
+                                    "covering")
     if isinstance(domain, (Ball, Polydisc)):
         return CertifiedValue.exact(cn_model_distance(domain, z, w))
-    if isinstance(domain, ConvexBody):
-        return _lempert_hull_upper(domain, z, w)
     raise UnsupportedDomain(f"lempert unsupported on {type(domain).__name__}")
 
 
-def hull_distance(z, d_z, w, d_w, n: int = 512) -> float:
+def hull_distance(z, d_z, w, d_w) -> float:
     """Distance between the two centers inside their two-disc hull, computed
-    in the hull's own complex line coordinates.
+    in the hull's own complex line coordinates, on 384 boundary nodes.
 
     Uses the mapping chain directly (no normalization bookkeeping): the
     hyperbolic distance is invariant under the final disc rotation.
@@ -310,22 +295,12 @@ def hull_distance(z, d_z, w, d_w, n: int = 512) -> float:
         return poincare_distance(complex(m.evaluate(0j)),
                                  complex(m.evaluate(complex(length, 0.0))))
     curve, _ = hull.parametrize()
-    pts = np.asarray(curve(hull.param_grid(n)), dtype=complex)
+    pts = np.asarray(curve(hull.param_grid(384)), dtype=complex)
     chain = _GeodesicChain(pts, 0j)
     zeta = chain.z0_img
     wim = complex(chain.forward(np.array([complex(length, 0.0)]))[0])
     rho = abs((wim - zeta) / (wim - zeta.conjugate()))
     return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
-
-
-def _lempert_hull_upper(domain, z, w) -> CertifiedValue:
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    dz = domain.boundary_distance(z)
-    dw = domain.boundary_distance(w)
-    hi = hull_distance(0j, dz, complex(np.linalg.norm(w - z), 0.0), dw)
-    lo = max(0.0, 0.5 * abs(math.log(dz / dw)))
-    return CertifiedValue(min(lo, hi), hi, "hull_upper", hi - min(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Every domain is an immutable value object answering membership and
 boundary-distance queries; boundary distance is exact on the closed-form
 variants and certified to a user tolerance on Jordan curves.  The module
-also builds the constructive objects used by the distance estimates:
-two-disc convex hulls, nearest boundary contacts, supporting hyperplanes
-and complex-line projections.
+also builds the two-disc convex hulls used by the distance estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInput,
-    DomainViolation,
     InvalidDomain,
     NonConvergence,
     SchemaError,
@@ -38,14 +35,8 @@ __all__ = [
     "CnDomain",
     "Ball",
     "Polydisc",
-    "ConvexBody",
-    "BoundaryContact",
     "boundary_distance",
-    "nearest_boundary_contact",
     "two_disc_hull",
-    "project_domain",
-    "project_point",
-    "supporting_hyperplane",
     "ellipse_domain",
     "lens_domain",
     "wobbly_domain",
@@ -76,9 +67,6 @@ class PlanarDomain:
     def contains(self, z: complex) -> bool:
         return self.boundary_distance(z, signed=True) > 0.0
 
-    def nearest_contact(self, w: complex) -> "BoundaryContact":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Disc(PlanarDomain):
@@ -91,13 +79,6 @@ class Disc(PlanarDomain):
 
     def boundary_distance(self, z, signed=False):
         return _clamp0(self.radius - abs(z - self.center), signed)
-
-    def nearest_contact(self, w):
-        u = w - self.center
-        # degenerate center: scan order picks the angle-0 boundary point
-        direction = u / abs(u) if u != 0 else 1.0 + 0j
-        p = self.center + self.radius * direction
-        return BoundaryContact(p, self.boundary_distance(w), -direction)
 
 
 def UnitDisc() -> Disc:
@@ -117,10 +98,6 @@ class HalfPlane(PlanarDomain):
 
     def boundary_distance(self, z, signed=False):
         return _clamp0((self.normal.conjugate() * z).real, signed)
-
-    def nearest_contact(self, w):
-        d = self.boundary_distance(w)
-        return BoundaryContact(w - d * self.normal, d, self.normal)
 
 
 @dataclass(frozen=True)
@@ -144,18 +121,6 @@ class Sector(PlanarDomain):
             return d if signed else 0.0
         return r * math.sin(min(gap, math.pi / 2.0))
 
-    def nearest_contact(self, w):
-        d = self.boundary_distance(w)
-        phi = cmath.phase(w)
-        gap = self.theta - abs(phi)
-        if gap >= math.pi / 2.0:
-            return BoundaryContact(0j, d, w / abs(w))
-        ray = self.theta if phi >= 0 else -self.theta
-        # orthogonal projection of w onto the bounding ray
-        t = (w * cmath.exp(-1j * ray)).real
-        p = t * cmath.exp(1j * ray)
-        return BoundaryContact(p, d, (w - p) / abs(w - p))
-
 
 @dataclass(frozen=True)
 class SlitPlane(PlanarDomain):
@@ -169,12 +134,6 @@ class SlitPlane(PlanarDomain):
 
     def contains(self, z):
         return not (z.imag == 0.0 and z.real >= 0.0)
-
-    def nearest_contact(self, w):
-        d = self.boundary_distance(w)
-        p = complex(w.real, 0.0) if w.real > 0 else 0j
-        u = w - p
-        return BoundaryContact(p, d, u / abs(u))
 
 
 @dataclass(frozen=True)
@@ -190,14 +149,6 @@ class Annulus(PlanarDomain):
     def boundary_distance(self, z, signed=False):
         a = abs(z)
         return _clamp0(min(self.r - a, a - 1.0 / self.r), signed)
-
-    def nearest_contact(self, w):
-        a = abs(w)
-        d = self.boundary_distance(w)
-        direction = w / a
-        if self.r - a <= a - 1.0 / self.r:
-            return BoundaryContact(self.r * direction, d, -direction)
-        return BoundaryContact(direction / self.r, d, direction)
 
 
 @dataclass(frozen=True)
@@ -256,17 +207,6 @@ class TwoDiscHull(PlanarDomain):
         t = min(max((s - g) / length, 0.0), 1.0)
         gap = math.hypot(s - t * length, p) - ((1.0 - t) * self.r_z + t * self.r_w)
         return gap < 0.0
-
-    def nearest_contact(self, w):
-        d = self.boundary_distance(w)
-        # coarse scan over the boundary parametrization, then a local refine
-        curve, _ = self.parametrize()
-        ts = np.linspace(0.0, 1.0, 2048, endpoint=False)
-        pts = curve(ts)
-        i = int(np.argmin(np.abs(pts - w)))
-        p = _refine_nearest(curve, ts[i], w, 1.0 / 2048)
-        u = w - p
-        return BoundaryContact(p, d, u / abs(u))
 
     def parametrize(self):
         """Positively oriented piecewise arc/segment boundary, arclength-proportional."""
@@ -368,10 +308,6 @@ def _nearest_param(curve, t0, w, h):
         else:
             lo = m1
     return ((lo + hi) / 2) % 1.0
-
-
-def _refine_nearest(curve, t0, w, h):
-    return complex(curve(_nearest_param(curve, t0, w, h)))
 
 
 def two_disc_hull(z: complex, d_z: float, w: complex, d_w: float) -> PlanarDomain:
@@ -565,14 +501,6 @@ class JordanDomain(PlanarDomain):
             return d_curve if self.contains(z) else -d_curve
         return d_curve if self.contains(z) else 0.0
 
-    def nearest_contact(self, w):
-        ts = np.linspace(0.0, 1.0, 4096, endpoint=False)
-        pts = self.point(ts)
-        i = int(np.argmin(np.abs(pts - w)))
-        p = _refine_nearest(lambda t: self.point(t), ts[i], w, 1.0 / 4096)
-        d = abs(p - w)
-        return BoundaryContact(p, d, (w - p) / d)
-
     def anchor(self) -> complex:
         """A fixed interior point (cached); used to key shared conformal charts."""
         cached = getattr(self, "_anchor", None)
@@ -636,7 +564,8 @@ def ellipse_domain(a: float, b: float, center: complex = 0j) -> JordanDomain:
         t = np.asarray(t, dtype=float)
         return TWO_PI * (-a * np.sin(TWO_PI * t) + 1j * b * np.cos(TWO_PI * t))
 
-    return JordanDomain(curve, dcurve, name=f"ellipse({a},{b})", check_simple=False)
+    name = f"ellipse({a},{b})" if center == 0 else f"ellipse({a},{b},{center})"
+    return JordanDomain(curve, dcurve, name=name, check_simple=False)
 
 
 def wobbly_domain(seed: int, modes: int = 4, amp: float = 0.12,
@@ -728,9 +657,6 @@ class CnDomain:
     def contains(self, z):
         return self.boundary_distance(np.asarray(z, dtype=complex), signed=True) > 0.0
 
-    def nearest_contact(self, w):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Ball(CnDomain):
@@ -752,18 +678,6 @@ class Ball(CnDomain):
     def boundary_distance(self, z, signed=False):
         d = self.radius - float(np.linalg.norm(np.asarray(z, dtype=complex) - self._c()))
         return _clamp0(d, signed)
-
-    def nearest_contact(self, w):
-        w = np.asarray(w, dtype=complex)
-        u = w - self._c()
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            direction = np.zeros(self.dim, dtype=complex)
-            direction[0] = 1.0
-        else:
-            direction = u / nu
-        p = self._c() + self.radius * direction
-        return BoundaryContact(p, self.boundary_distance(w), -direction)
 
 
 @dataclass(frozen=True)
@@ -788,101 +702,6 @@ class Polydisc(CnDomain):
         margins = np.asarray(self.radii) - np.abs(z - np.asarray(self.center))
         return _clamp0(float(margins.min()), signed)
 
-    def nearest_contact(self, w):
-        w = np.asarray(w, dtype=complex)
-        c = np.asarray(self.center, dtype=complex)
-        margins = np.asarray(self.radii) - np.abs(w - c)
-        i = int(np.argmin(margins))
-        u = w[i] - c[i]
-        phase = u / abs(u) if u != 0 else 1.0 + 0j
-        p = w.copy()
-        p[i] = c[i] + self.radii[i] * phase
-        d = self.boundary_distance(w)
-        direction = np.zeros(self.dim, dtype=complex)
-        direction[i] = -phase
-        return BoundaryContact(p, d, direction)
-
-
-@dataclass(frozen=True)
-class ConvexBody(CnDomain):
-    """Bounded intersection of real half-spaces {x : Re<x, a_j> < b_j} in C^n."""
-
-    normals: tuple   # rows a_j as tuples of complex
-    offsets: tuple   # b_j
-
-    def __post_init__(self):
-        normals = tuple(tuple(complex(v) for v in row) for row in self.normals)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", tuple(float(b) for b in self.offsets))
-        if len(self.normals) != len(self.offsets):
-            raise DegenerateInput("normals and offsets length mismatch")
-        if not self._bounded_and_solid():
-            raise InvalidDomain("convex body must be bounded with nonempty interior")
-
-    @property
-    def dim(self):
-        return len(self.normals[0])
-
-    def _as_real(self):
-        a = np.asarray(self.normals, dtype=complex)
-        # Re<x, a> = Re(x) . Re(a) + Im(x) . Im(a)
-        return np.hstack([a.real, a.imag]), np.asarray(self.offsets)
-
-    def _bounded_and_solid(self):
-        from scipy.optimize import linprog
-
-        areal, b = self._as_real()
-        n = areal.shape[1]
-        rng = np.random.default_rng(0)
-        dirs = rng.normal(size=(2 * n + 4, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        for d in dirs:
-            res = linprog(-d, A_ub=areal, b_ub=b, bounds=[(None, None)] * n,
-                          method="highs")
-            if res.status == 3:  # unbounded
-                return False
-            if res.status != 0:
-                return False
-        # interior nonempty: maximize slack
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        arow = np.hstack([areal, np.ones((len(b), 1))])
-        res = linprog(c, A_ub=arow, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
-                      method="highs")
-        return res.status == 0 and res.x[-1] > 1e-9
-
-    def _margins(self, z):
-        z = np.asarray(z, dtype=complex)
-        a = np.asarray(self.normals, dtype=complex)
-        norms = np.linalg.norm(a, axis=1)
-        vals = np.real(a.conj() @ z)
-        return (np.asarray(self.offsets) - vals) / norms
-
-    def boundary_distance(self, z, signed=False):
-        return _clamp0(float(self._margins(z).min()), signed)
-
-    def contains(self, z):
-        return bool(np.all(self._margins(z) > 0.0))
-
-    def nearest_contact(self, w):
-        w = np.asarray(w, dtype=complex)
-        m = self._margins(w)
-        j = int(np.argmin(m))
-        a = np.asarray(self.normals[j], dtype=complex)
-        na = float(np.linalg.norm(a))
-        p = w + (m[j] / na) * (a / na)
-        d = self.boundary_distance(w)
-        return BoundaryContact(p, d, -a / na)
-
-
-@dataclass(frozen=True)
-class BoundaryContact:
-    """Nearest boundary point of w together with the contact geometry."""
-
-    point: object          # complex or complex vector
-    distance: float
-    inward: object         # unit direction from the foot point back into the domain
-
 
 # ---------------------------------------------------------------------------
 # spec operations (module-level API)
@@ -892,93 +711,6 @@ class BoundaryContact:
 def boundary_distance(domain, z, signed: bool = False) -> float:
     """dist(z, boundary) for z inside; 0 outside (or negative with signed=True)."""
     return domain.boundary_distance(z, signed=signed)
-
-
-def nearest_boundary_contact(domain, w) -> BoundaryContact:
-    """A nearest boundary point of w with its distance and inward direction."""
-    if not domain.contains(w):
-        raise DomainViolation("contact point must lie inside the domain")
-    return domain.nearest_contact(w)
-
-
-def supporting_hyperplane(domain: CnDomain, p):
-    """Real supporting hyperplane (point, unit outward complex normal) at p on the boundary.
-
-    At polytope corners the active normals are averaged.  Only convex
-    variants are supported.
-    """
-    p = np.asarray(p, dtype=complex)
-    if isinstance(domain, Ball):
-        u = p - np.asarray(domain.center, dtype=complex)
-        return p, u / np.linalg.norm(u)
-    if isinstance(domain, Polydisc):
-        c = np.asarray(domain.center, dtype=complex)
-        margins = np.asarray(domain.radii) - np.abs(p - c)
-        active = np.where(np.abs(margins) < 1e-9)[0]
-        if len(active) == 0:
-            raise DomainViolation("point is not on the polydisc boundary")
-        n = np.zeros(domain.dim, dtype=complex)
-        for i in active:
-            u = p[i] - c[i]
-            n[i] = u / abs(u)
-        return p, n / np.linalg.norm(n)
-    if isinstance(domain, ConvexBody):
-        m = domain._margins(p)
-        active = np.where(np.abs(m) < 1e-9)[0]
-        if len(active) == 0:
-            raise DomainViolation("point is not on the body boundary")
-        a = np.asarray(domain.normals, dtype=complex)[active]
-        a = a / np.linalg.norm(a, axis=1, keepdims=True)
-        n = a.mean(axis=0)
-        return p, n / np.linalg.norm(n)
-    raise UnsupportedDomain("supporting hyperplane needs a convex catalog variant")
-
-
-def project_domain(domain: CnDomain, w, foot=None):
-    """Image of the domain under projection onto the complex line through w and
-    its nearest boundary point, parallel to the supporting complex hyperplane.
-
-    Returns a planar domain in the line coordinate; use `project_point` for
-    the matching coordinates of other points.
-    """
-    if isinstance(domain, PlanarDomain):
-        return domain  # one variable: nothing to project
-    w = np.asarray(w, dtype=complex)
-    if foot is None:
-        foot = nearest_boundary_contact(domain, w).point
-    foot = np.asarray(foot, dtype=complex)
-    if isinstance(domain, Ball):
-        # the line through w and its radial foot passes through the center,
-        # so the image is the full coordinate disc of the line
-        return Disc(0j, domain.radius)
-    if isinstance(domain, Polydisc):
-        diffs = np.abs(w - foot)
-        i = int(np.argmax(diffs))
-        return Disc(0j, domain.radii[i])
-    raise UnsupportedDomain("projection is supported for Ball and Polydisc")
-
-
-def project_point(domain: CnDomain, w, x, foot=None):
-    """Line coordinate of the projection of x (see `project_domain`)."""
-    w = np.asarray(w, dtype=complex)
-    if foot is None:
-        foot = nearest_boundary_contact(domain, w).point
-    foot = np.asarray(foot, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    _, normal = supporting_hyperplane(domain, foot)
-    u = w - foot
-    u = u / np.linalg.norm(u)
-    denom = np.vdot(normal, u)  # <u, normal> with conjugation on normal
-    t = np.vdot(normal, x - foot) / denom
-    # coordinate on the line foot + t*u, measured so the domain center maps near 0
-    if isinstance(domain, Ball):
-        origin_t = np.vdot(normal, np.asarray(domain.center, dtype=complex) - foot) / denom
-        return complex(t - origin_t)
-    if isinstance(domain, Polydisc):
-        diffs = np.abs(w - foot)
-        i = int(np.argmax(diffs))
-        return complex(x[i] - np.asarray(domain.center, dtype=complex)[i])
-    raise UnsupportedDomain("projection is supported for Ball and Polydisc")
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +820,10 @@ def domain_to_json(domain) -> dict:
                 "w": _fmt_complex(domain.w), "d_w": domain.r_w}
     if isinstance(domain, JordanDomain):
         if domain.name.startswith("ellipse"):
-            a, b = domain.name[8:-1].split(",")
+            axes = domain.name[8:-1].split(",")
+            if len(axes) != 2:
+                raise UnsupportedDomain("only origin-centered ellipses serialize")
+            a, b = axes
             return {"kind": "jordan", "curve": "ellipse", "a": float(a), "b": float(b)}
         if domain.name.startswith("lens"):
             return {"kind": "jordan", "curve": "lens", "rho": float(domain.name[5:-1])}

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invdist.annulus import annulus_kobayashi_metric
 from invdist.conformal import (
-    annulus_cover,
+    AnnulusCover,
     cayley_map,
-    closed_map,
+    disc_scale_map,
     mobius_disc_automorphism,
     riemann_map,
     sector_map,
@@ -111,10 +112,9 @@ class TestClosedMaps:
         assert abs(m.evaluate(0.3 + 0.001j)) < 1.0
 
     def test_dispatcher(self):
-        assert closed_map("cayley").evaluate(1j) == pytest.approx(0j)
-        assert closed_map("sector", theta=math.pi / 4).derivative(1.0 + 0j) == pytest.approx(2.0)
-        assert closed_map("slit_sqrt").evaluate(-4.0 + 0j) == pytest.approx(2j)
-        assert closed_map("disc_scale", center=0j, radius=2.0).evaluate(1.0 + 0j) == pytest.approx(0.5)
+        assert sector_map(math.pi / 4).derivative(1.0 + 0j) == pytest.approx(2.0)
+        assert slit_sqrt_map().evaluate(-4.0 + 0j) == pytest.approx(2j)
+        assert disc_scale_map(0j, 2.0).evaluate(1.0 + 0j) == pytest.approx(0.5)
 
     def test_self_test_residuals(self):
         grid = 0.4 * np.exp(2j * np.pi * np.arange(16) / 16) + 1.2
@@ -212,36 +212,21 @@ class TestRiemannEngine:
             cr = 1.0 / m.normalization["deriv_z0"]
             assert d - 1e-6 <= cr <= 4.0 * d + 1e-6
 
-    def test_boundary_derivative_modulus_scaled_disc(self):
-        from invdist.conformal import boundary_derivative_modulus
-        dom = circle_domain(radius=2.0)
-        m = riemann_map(dom, 0j, n=512)
-        p = 2.0 * cmath.exp(0.4j)
-        val = boundary_derivative_modulus(m, p, -p)
-        assert val == pytest.approx(0.5, rel=1e-3)
 
 
 class TestAnnulusCover:
     def test_lift_and_deck(self):
-        cov = annulus_cover(2.0)
+        cov = AnnulusCover(2.0)
         assert cov.lift(1.0 + 0j) == pytest.approx(0j)
-        assert cov.deck(0j, 3) == pytest.approx(6j * math.pi)
 
     def test_density_at_center(self):
-        cov = annulus_cover(math.e)
-        assert cov.density(0j) == pytest.approx(math.pi / 4.0)
-        cov2 = annulus_cover(2.0)
-        assert cov2.density(0j) == pytest.approx(math.pi / (4.0 * math.log(2.0)))
-
-    def test_strip_map_hits_disc(self):
-        cov = annulus_cover(2.0)
-        L = cov.half_width
-        for zeta in (0j, 0.5 * L + 0.3j, -0.9 * L - 2.0j):
-            assert abs(cov.strip_to_disc(zeta)) < 1.0
+        assert annulus_kobayashi_metric(math.e, 1.0 + 0j) == pytest.approx(math.pi / 4.0)
+        assert annulus_kobayashi_metric(2.0, 1.0 + 0j) == \
+            pytest.approx(math.pi / (4.0 * math.log(2.0)))
 
     def test_requires_modulus(self):
         with pytest.raises(DegenerateInput):
-            annulus_cover(1.0)
+            AnnulusCover(1.0)
 
 
 def test_warm_riemann_map_skips_membership(monkeypatch):

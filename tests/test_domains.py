@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from invdist.domains import (
     Annulus,
     Ball,
-    ConvexBody,
     Disc,
     HalfPlane,
     Polydisc,
@@ -19,14 +18,11 @@ from invdist.domains import (
     boundary_distance,
     domain_from_json,
     domain_to_json,
-    nearest_boundary_contact,
-    project_domain,
-    project_point,
-    supporting_hyperplane,
+    ellipse_domain,
     two_disc_hull,
     wobbly_domain,
 )
-from invdist.errors import DegenerateInput, DomainViolation, SchemaError
+from invdist.errors import DegenerateInput, SchemaError, UnsupportedDomain
 
 
 class TestBoundaryDistance:
@@ -68,41 +64,6 @@ class TestBoundaryDistance:
                     continue
                 inside = dom.contains(z)
                 assert inside == (dom.boundary_distance(z, signed=True) > 0.0)
-
-
-class TestNearestContact:
-    def test_disc(self):
-        c = nearest_boundary_contact(UnitDisc(), 0.5 + 0j)
-        assert c.point == pytest.approx(1.0 + 0j)
-        assert c.distance == pytest.approx(0.5)
-
-    def test_annulus_outer(self):
-        c = nearest_boundary_contact(Annulus(2.0), 1.6 + 0j)
-        assert c.point == pytest.approx(2.0 + 0j)
-        assert c.distance == pytest.approx(0.4)
-
-    def test_disc_center_scan_order(self):
-        c = nearest_boundary_contact(UnitDisc(), 0j)
-        assert c.point == pytest.approx(1.0 + 0j)
-
-    def test_consistency_with_distance(self, rng):
-        for dom in (Disc(0.3 + 0.1j, 1.7), Annulus(3.0), Ball((0j, 0j), 2.0),
-                    Polydisc((0j, 0j), (1.0, 2.0))):
-            for _ in range(40):
-                if isinstance(dom, (Ball, Polydisc)):
-                    w = np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
-                                  complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))])
-                else:
-                    w = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-                if not dom.contains(w):
-                    continue
-                c = nearest_boundary_contact(dom, w)
-                gap = np.linalg.norm(np.asarray(w) - np.asarray(c.point))
-                assert abs(gap - dom.boundary_distance(w)) < 1e-10
-
-    def test_requires_interior(self):
-        with pytest.raises(DomainViolation):
-            nearest_boundary_contact(UnitDisc(), 2.0 + 0j)
 
 
 class TestTwoDiscHull:
@@ -226,70 +187,6 @@ class TestJordanDomains:
             assert not ellipse.contains(p - 1e-2 * inward)
 
 
-class TestProjection:
-    def test_ball_projection_is_unit_disc(self):
-        b = Ball((0j, 0j), 1.0)
-        dom = project_domain(b, np.array([0.9, 0.0]))
-        assert isinstance(dom, Disc)
-        assert dom.radius == pytest.approx(1.0)
-
-    def test_polydisc_coordinate_disc(self):
-        p = Polydisc((0j, 0j), (1.0, 2.0))
-        dom = project_domain(p, np.array([0.9, 0.0]))
-        assert dom.radius == pytest.approx(1.0)
-
-    def test_planar_projection_is_identity(self):
-        dom = UnitDisc()
-        assert project_domain(dom, 0.5 + 0j) is dom
-
-    def test_projection_containment(self, rng):
-        b = Ball((0j, 0j), 1.0)
-        w = np.array([0.7, 0.1j])
-        if not b.contains(w):
-            w = np.array([0.5, 0.0])
-        dom = project_domain(b, w)
-        for _ in range(1000):
-            x = rng.normal(size=4)
-            v = (x[:2] + 1j * x[2:])
-            v = v / np.linalg.norm(v) * rng.uniform(0, 1) ** 0.25
-            if not b.contains(v):
-                continue
-            zeta = project_point(b, w, v)
-            assert dom.contains(zeta) or dom.boundary_distance(zeta, signed=True) > -1e-9
-
-
-class TestSupportingHyperplane:
-    def test_ball_normal(self):
-        b = Ball((0j, 0j), 1.0)
-        p, n = supporting_hyperplane(b, np.array([1.0, 0.0]))
-        assert np.allclose(n, [1.0, 0.0])
-
-    def test_polydisc_face(self):
-        pd = Polydisc((0j, 0j), (1.0, 2.0))
-        p, n = supporting_hyperplane(pd, np.array([1.0, 0.3]))
-        assert np.allclose(n, [1.0, 0.0])
-
-    def test_cube_side_condition(self, rng):
-        cube = ConvexBody(
-            normals=((1 + 0j,), (-1 + 0j,), (1j,), (-1j,)),
-            offsets=(1.0, 1.0, 1.0, 1.0),
-        )
-        p, n = supporting_hyperplane(cube, np.array([1.0 + 0.2j]))
-        level = np.real(np.vdot(n, np.array([1.0 + 0.2j])))
-        for _ in range(1000):
-            x = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]) * 0.999
-            assert np.real(np.vdot(n, x)) < level + 1e-12
-
-    def test_cube_corner_averages(self):
-        cube = ConvexBody(
-            normals=((1 + 0j,), (-1 + 0j,), (1j,), (-1j,)),
-            offsets=(1.0, 1.0, 1.0, 1.0),
-        )
-        p, n = supporting_hyperplane(cube, np.array([1.0 + 1.0j]))
-        expect = (1.0 + 1.0j) / math.sqrt(2.0)
-        assert n[0] == pytest.approx(expect)
-
-
 class TestJson:
     @pytest.mark.parametrize("doc,cls", [
         ('{"kind": "annulus", "r": 2.0}', Annulus),
@@ -323,6 +220,12 @@ class TestJson:
                     Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0))):
             back = domain_from_json(domain_to_json(dom))
             assert type(back) is type(dom)
+
+    def test_off_center_ellipse_does_not_serialize(self):
+        centred = domain_from_json(domain_to_json(ellipse_domain(2.0, 1.0)))
+        assert centred.contains(1.9 + 0j)
+        with pytest.raises(UnsupportedDomain):
+            domain_to_json(ellipse_domain(2.0, 1.0, center=1 + 1j))
 
 
 class TestInvariants:
