@@ -28,23 +28,26 @@ __all__ = [
 ]
 
 
-def theta_product(x, p: float, tol: float = 1e-16):
+_THETA_TOL = 1e-16   # the theta product stops at the first nome power below this
+
+
+def theta_product(x, p: float):
     """q-theta function theta(x; p) = prod_{k>=0} (1 - p^k x)(1 - p^{k+1} / x).
 
     Satisfies theta(p x) = theta(1/x) = -theta(x) / x.  Zeros at x in p^Z.
     The product runs over the nome powers p^1 .. p^n, n the first power
-    below tol, in one numpy product per point.
+    below _THETA_TOL, in one numpy product per point.
     """
     x = np.asarray(x, dtype=complex)
-    if p < tol:
+    if p < _THETA_TOL:
         n = 1
     elif p < 1.0:
-        # p^n < tol with room to spare, at most 100000 factors
-        n = min(int(math.log(tol) / math.log(p)) + 2, 100000)
+        # p^n < _THETA_TOL with room to spare, at most 100000 factors
+        n = min(int(math.log(_THETA_TOL) / math.log(p)) + 2, 100000)
     else:
         n = 0
     pk = np.cumprod(np.full(n, p))
-    below = np.flatnonzero(pk < tol)
+    below = np.flatnonzero(pk < _THETA_TOL)
     if below.size == 0:
         raise NonConvergence("theta product did not truncate")
     pk = pk[:below[0] + 1]
@@ -72,12 +75,11 @@ def deck_distances(r: float, z: complex, w: complex, n_deck: int = 16):
             for k in range(-n_deck, n_deck + 1)]
 
 
-def annulus_kobayashi_distance(r: float, z: complex, w: complex,
-                               n_deck: int = 16) -> float:
-    """k_{A_r}(z, w) = min over lifts of the strip hyperbolic distance."""
+def annulus_kobayashi_distance(r: float, z: complex, w: complex) -> float:
+    """k_{A_r}(z, w): the least strip hyperbolic distance over 33 lifts."""
     _check_in(r, z)
     _check_in(r, w)
-    return min(deck_distances(r, z, w, n_deck))
+    return min(deck_distances(r, z, w))
 
 
 def annulus_kobayashi_metric(r: float, z, X=1.0):
@@ -126,8 +128,9 @@ class AnnulusCaratheodory:
     / theta(-|zeta_w| rho2; p)|, and a value costs four theta products.
 
     series_mode reports whether the build-time unimodularity self-tests
-    passed; when they fail the engine refuses point values and callers fall
-    back to certified intervals.  self_test_report holds the worst outer and
+    passed (|F| within 1e-8 of 1 at 64 points of each boundary circle);
+    when they fail the engine refuses point values and callers fall back to
+    certified intervals.  self_test_report holds the worst outer and
     inner deviations, or under "error" the exception that stopped the
     self-tests (for instance a theta product that does not truncate).
 
@@ -137,8 +140,6 @@ class AnnulusCaratheodory:
     """
 
     r: float
-    self_test_tol: float = 1e-8
-    n_boundary_samples: int = 64
 
     def __post_init__(self):
         self.q = 1.0 / (self.r * self.r)
@@ -189,8 +190,7 @@ class AnnulusCaratheodory:
     # -- self-tests ----------------------------------------------------------
 
     def _run_self_tests(self):
-        n = self.n_boundary_samples
-        angles = np.exp(2j * math.pi * np.arange(n) / n)
+        angles = np.exp(2j * math.pi * np.arange(64) / 64)
         probes = [(0.7 * self.r, -0.8 / self.r), (1.0 + 0j, 0.5j * self.r),
                   (0.9 * self.r * 1j, 1.2 / self.r)]
         worst_outer = worst_inner = 0.0
@@ -202,5 +202,5 @@ class AnnulusCaratheodory:
             worst_outer = max(worst_outer, float(np.max(np.abs(outer - 1.0))))
             worst_inner = max(worst_inner, float(np.max(np.abs(inner - 1.0))))
         self.self_test_report = {"outer": worst_outer, "inner": worst_inner}
-        if max(worst_outer, worst_inner) > self.self_test_tol:
+        if max(worst_outer, worst_inner) > 1e-8:
             self.series_mode = False

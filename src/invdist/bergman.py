@@ -53,6 +53,7 @@ _NMAX = 4000
 # Points on or outside a circle fall in its last bin, whose range is _NMAX.
 _BIN_WIDTH = 1.0 / 16.0
 _T_MAX = np.nextafter(1.0, 0.0)
+_TOL = 1e-14     # each Laurent tail is cut where its bound falls to this
 
 
 def annulus_monomial_norm_sq(r: float, n: int) -> float:
@@ -88,13 +89,12 @@ class AnnulusKernel:
     """
 
     r: float
-    tol: float = 1e-14
     _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _n: int = field(default=-1, init=False, repr=False, compare=False)
     _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def _terms(self, a: float, a_lo: float | None = None):
-        """Term range covering both tails below tol for moduli in [a_lo, a]
+        """Term range covering both tails below _TOL for moduli in [a_lo, a]
         (a_lo = a by default): the high tail terms ~ (n+1) (a / r)^{2n} peak
         at a and the low ones ~ (n+1) (1 / (a_lo r))^{2n} at a_lo, so the
         count adapts to the moduli, up to _NMAX."""
@@ -103,8 +103,8 @@ class AnnulusKernel:
             a_lo = a
         ratio_hi = (a / r) ** 2
         ratio_lo = (1.0 / (a_lo * r)) ** 2
-        n_hi = _tail_cut(ratio_hi, self.tol)
-        n_lo = _tail_cut(ratio_lo, self.tol)
+        n_hi = _tail_cut(ratio_hi)
+        n_lo = _tail_cut(ratio_lo)
         n = min(max(n_hi, n_lo, 8), _NMAX)
         return np.arange(-n - 1, n + 1)
 
@@ -117,7 +117,7 @@ class AnnulusKernel:
             # (|z| / r)^2 at the upper edge and (1 / (|z| r))^2 at the lower
             ratio_hi = math.exp(-2.0 * L * (1.0 - math.tanh((k + 1) * _BIN_WIDTH)))
             ratio_lo = math.exp(-2.0 * L * (1.0 + math.tanh(k * _BIN_WIDTH)))
-            rng = (_tail_cut(ratio_lo, self.tol), _tail_cut(ratio_hi, self.tol))
+            rng = (_tail_cut(ratio_lo), _tail_cut(ratio_hi))
             self._ranges[k] = rng
             if max(rng) > self._n:
                 self._grow(max(rng))
@@ -219,18 +219,18 @@ class AnnulusKernel:
         return out if out.shape else float(out)
 
 
-def _tail_cut(ratio: float, tol: float) -> int:
-    """First n in 8, 12, ..., _NMAX whose tail bound is at most tol."""
+def _tail_cut(ratio: float) -> int:
+    """First n in 8, 12, ..., _NMAX whose tail bound is at most _TOL."""
     if ratio >= 1.0:
         return _NMAX
     # sum_{k>n} (k+1) ratio^k <= (n+3) ratio^{n+1} / (1-ratio)^2 approx.  The
-    # bound only rises where it is far above tol (past n = 8 it rises only
-    # for ratio > exp(-1/11), where it exceeds 600), so the steps above tol
+    # bound only rises where it is far above _TOL (past n = 8 it rises only
+    # for ratio > exp(-1/11), where it exceeds 600), so the steps above _TOL
     # are a prefix: bisect for the first one below it
     lo, hi = 8, _NMAX
     while lo < hi:
         mid = lo + 4 * ((hi - lo) // 8)
-        if (mid + 3) * ratio ** (mid + 1) / (1.0 - ratio) ** 2 > tol:
+        if (mid + 3) * ratio ** (mid + 1) / (1.0 - ratio) ** 2 > _TOL:
             lo = mid + 4
         else:
             hi = mid
@@ -411,12 +411,15 @@ def _batched_lengths(field, a, b):
     return np.sum(_GL_WEIGHTS * 0.5 * vals, axis=-1)
 
 
-def _trellis_refine(field, r, pts, n_stations, width, n_lat=15, shrinks=6):
+_N_LAT = 15      # candidate points per trellis station
+
+
+def _trellis_refine(field, r, pts, n_stations, width, shrinks):
     """Shorten the path by dynamic programming over lateral offsets.
 
     Stations are resampled along the current path; each interior station
-    gets candidate points offset along the local normal.  A DP pass picks
-    the cheapest chain; the corridor then shrinks around it.
+    gets _N_LAT candidate points offset along the local normal.  A DP pass
+    picks the cheapest chain; the corridor then shrinks around it.
     """
     margin = 1e-4
 
@@ -436,13 +439,13 @@ def _trellis_refine(field, r, pts, n_stations, width, n_lat=15, shrinks=6):
         tang[-1] = pts[-1] - pts[-2]
         nz = np.abs(tang) > 0
         normals[nz] = 1j * tang[nz] / np.abs(tang[nz])
-        offs = np.linspace(-width, width, n_lat)
+        offs = np.linspace(-width, width, _N_LAT)
         cand = pts[:, None] + normals[:, None] * offs[None, :]
         cand = clamp(cand)
         cand[0, :] = pts[0]
         cand[-1, :] = pts[-1]
-        back = np.zeros((n_stations, n_lat), dtype=int)
-        cost = np.zeros(n_lat)
+        back = np.zeros((n_stations, _N_LAT), dtype=int)
+        cost = np.zeros(_N_LAT)
         for i in range(1, n_stations):
             seg = _batched_lengths(field, cand[i - 1][:, None], cand[i][None, :])
             tot = cost[:, None] + seg
@@ -463,11 +466,13 @@ def _trellis_refine(field, r, pts, n_stations, width, n_lat=15, shrinks=6):
 
 def shortest_path_length(field: MetricField, r: float, z: complex, w: complex,
                          n_r: int = 64, n_t: int = 256) -> float:
-    """Length of an approximate metric geodesic between z and w in A_r."""
+    """Length of an approximate metric geodesic from z to w in A_r; 0 at z = w."""
+    if z == w:
+        return 0.0
     pts = _annulus_graph_path(field, r, z, w, n_r, n_t)
     n_st = max(64, min(int(1.5 * len(pts)), 192))
-    best, pts = _trellis_refine(field, r, pts, n_st, width=0.4, n_lat=15, shrinks=8)
-    best, _ = _trellis_refine(field, r, pts, 2 * n_st, width=0.02, n_lat=15, shrinks=4)
+    best, pts = _trellis_refine(field, r, pts, n_st, width=0.4, shrinks=8)
+    best, _ = _trellis_refine(field, r, pts, 2 * n_st, width=0.02, shrinks=4)
     return best
 
 
@@ -476,7 +481,7 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
 
     Simply connected planar domains: sqrt(2) times the hyperbolic distance
     of the domain's chart.  Annulus: shortest-path value of the metric field
-    on two grid resolutions; the gap is the reported error.
+    on two grid resolutions; the gap is the reported error (none at z = w).
     """
     m = chart(domain)
     if m is not None:
@@ -487,6 +492,8 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
     if isinstance(domain, Annulus):
         if not (domain.contains(z) and domain.contains(w)):
             raise DomainViolation("points must lie inside the annulus")
+        if z == w:
+            return CertifiedValue(0.0, 0.0, "interval", 0.0)
         field = bergman_field(domain)
         coarse = shortest_path_length(field, domain.r, z, w, 48, 192)
         fine = shortest_path_length(field, domain.r, z, w, 96, 384)

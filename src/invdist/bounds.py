@@ -308,13 +308,13 @@ def _sep(z, w):
 # ---------------------------------------------------------------------------
 
 
-def fit_min_constant(margin_at, c_lo: float = 0.0, c_hi: float = 1e6,
-                     tol: float = 1e-9) -> tuple:
+def fit_min_constant(margin_at, c_lo: float = 0.0) -> tuple:
     """Smallest c in [c_lo, c_hi] with zero violations, by bisection.
 
     margin_at(c) returns an array of margins; a violation is margin < -tol.
     Raises NoFiniteConstant when c_hi still violates.
     """
+    c_hi, tol = 1e6, 1e-9
 
     def violations(c):
         m = np.asarray(margin_at(c))
@@ -386,20 +386,18 @@ def experiment_slit_coefficient(ts) -> BoundReport:
     )
 
 
-def experiment_ratio_c_over_l(rho: float = 0.75, depths=None, z_factor: float = 10.0,
-                              n_map: int = 512) -> BoundReport:
-    """Squeeze rows (d_w, c_disc(z, w), l_lens(z, w), ratio) with z, w -> 1
-    radially inside the lens Delta * D(1, rho); the ratio climbs to 1."""
-    if depths is None:
-        depths = np.geomspace(3e-2, 1e-4, 10)
-    lens = lens_domain(rho)
+def experiment_ratio_c_over_l(depths) -> BoundReport:
+    """Squeeze rows (d_w, c_disc(z, w), l_lens(z, w), ratio) with w = 1 - d_w
+    and z = 1 - 10 d_w inside the lens Delta * D(1, 0.75), on a 512-point
+    map clustered at 1; the ratio climbs to 1."""
+    lens = lens_domain(0.75)
     tp = lens.param_of_one
-    params = lens.params(n_map, cluster_at=tp, min_gap=2e-5)
+    params = lens.params(512, cluster_at=tp, min_gap=2e-5)
     m = riemann_map(lens, 0.85 + 0j, params=params)
     rows = []
     for dw in depths:
         w = complex(1.0 - dw, 0.0)
-        z = complex(1.0 - z_factor * dw, 0.0)
+        z = complex(1.0 - 10.0 * dw, 0.0)
         c = ds.poincare_distance(z, w)
         l = ds.poincare_distance(complex(m.evaluate(z)), complex(m.evaluate(w)))
         rows.append((dw, c, l, c / l))
@@ -458,19 +456,19 @@ def _approach_points(domain, depths):
 
 
 def verify_prop5_product(r: float = 2.0, n_grid: int = 8, seed: int = 42,
-                         rotate: float = 0.0, n_angles: int = 12) -> BoundReport:
+                         rotate: float = 0.0) -> BoundReport:
     """Fit the smallest c with m(z, w) >= 1 - c d(z) d(w) for z real near the
     outer boundary and w near the inner one.
 
-    The grid is deterministic (depth ladders times a uniform angle fan for
-    w); `rotate` applies a common rotation to every w, under which the
-    fitted constant is nearly invariant.
+    The grid is deterministic (depth ladders times a uniform fan of 12
+    angles for w); `rotate` applies a common rotation to every w, under
+    which the fitted constant is nearly invariant.
     """
     dom = Annulus(r)
     eng = ds._annulus_engine(r)
     zs = r - np.geomspace(2e-3, 0.3, n_grid)
     ws = 1.0 / r + np.geomspace(2e-3, 0.3, n_grid)
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles + rotate
+    angles = 2.0 * math.pi * np.arange(12) / 12 + rotate
     rows = []
     interval_only = not eng.series_mode
     worst_c = 0.0
@@ -501,10 +499,10 @@ def verify_prop5_product(r: float = 2.0, n_grid: int = 8, seed: int = 42,
 # ---------------------------------------------------------------------------
 
 
-def _suite_prop1(samples, seed, tol=1e-3, domains=None):
+def _suite_prop1(samples, seed):
     rng = np.random.default_rng(seed)
-    if domains is None:
-        domains = [Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 1.0))]
+    tol = 1e-3
+    domains = [Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 1.0))]
     viol = 0
     worst = math.inf
     total = 0
@@ -522,14 +520,14 @@ def _suite_prop1(samples, seed, tol=1e-3, domains=None):
             worst = min(worst, *margins)
             if min(margins) < 0:
                 viol += 1
-    return BoundReport("prop1", total, viol, worst, seed=seed)
+    return BoundReport("prop1", total, viol, worst)
 
 
-def _suite_prop2(samples, seed, tol=1e-8, domains=None):
+def _suite_prop2(samples, seed):
     rng = np.random.default_rng(seed)
-    if domains is None:
-        domains = [Disc(0j, 1.0), Sector(0.7), SlitPlane(),
-                   Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0))]
+    tol = 1e-8
+    domains = [Disc(0j, 1.0), Sector(0.7), SlitPlane(),
+               Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0))]
     viol = 0
     worst = math.inf
     total = 0
@@ -542,19 +540,19 @@ def _suite_prop2(samples, seed, tol=1e-8, domains=None):
             worst = min(worst, c - b + tol)
             if c < b - tol:
                 viol += 1
-    return BoundReport("prop2", total, viol, worst, seed=seed)
+    return BoundReport("prop2", total, viol, worst)
 
 
-def _suite_eq_ca(samples, seed, tol=1e-8, domains=None):
+def _suite_eq_ca(samples, seed):
     """Convex lower bound c >= max(0, (1/2) log(d_z/d_w)).
 
     The bound is attained in the radial near-boundary limit, so numeric-mode
     values (the hull pullback) get a slack scaled by their certified width.
     """
     rng = np.random.default_rng(seed)
-    if domains is None:
-        domains = [Disc(0j, 1.0), Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0)),
-                   two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)]
+    tol = 1e-8
+    domains = [Disc(0j, 1.0), Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0)),
+               two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)]
     viol = 0
     worst = math.inf
     total = 0
@@ -569,7 +567,7 @@ def _suite_eq_ca(samples, seed, tol=1e-8, domains=None):
             worst = min(worst, cv.value - b + slack)
             if cv.value < b - slack:
                 viol += 1
-    return BoundReport("eq-ca", total, viol, worst, seed=seed)
+    return BoundReport("eq-ca", total, viol, worst)
 
 
 def _suite_eq_le(samples, seed, domain=None):
@@ -584,12 +582,13 @@ def _suite_eq_le(samples, seed, domain=None):
         vals.append(l + 0.5 * math.log(dz * dw))
     c = max(vals)
     return BoundReport("eq-le", len(vals), 0 if math.isfinite(c) else 1,
-                       min(vals), constants={"c": c}, seed=seed)
+                       min(vals), constants={"c": c})
 
 
-def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
+def _suite_prop4(samples, seed, domain=None):
     rows = []
     if domain is None:
+        tol_disc = 1e-9
         dom = Disc(0j, 1.0)
         rng = np.random.default_rng(seed)
         viol = 0
@@ -605,7 +604,7 @@ def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
             if gap > tol_disc:
                 viol += 1
         return BoundReport("prop4", samples, viol, worst,
-                           constants={"c": max(abs(r[1]) for r in rows)}, seed=seed,
+                           constants={"c": max(abs(r[1]) for r in rows)},
                            rows=rows, headers=("abs_w", "residual", "exact"))
     # jordan domain: finite fitted envelope constant, stability via seeds
     rng = np.random.default_rng(seed)
@@ -621,10 +620,10 @@ def _suite_prop4(samples, seed, domain=None, tol_disc=1e-9):
             resids.append(envelope_residual_pla(ds.caratheodory(domain, z0, w).value, dw))
     c = max(abs(v) for v in resids)
     return BoundReport("prop4", len(resids), 0 if math.isfinite(c) else 1,
-                       min(resids), constants={"c": c}, seed=seed)
+                       min(resids), constants={"c": c})
 
 
-def _suite_prop6(samples, seed, domain=None, revalidate=True):
+def _suite_prop6(samples, seed, domain=None):
     """Two-sided sandwich fit.  The fitted c is the grid minimum, so the
     fresh-grid check runs at 1.1 c, inside the declared 10% seed-stability
     band; the fresh grid's own fit is reported for the stability ratio."""
@@ -639,26 +638,23 @@ def _suite_prop6(samples, seed, domain=None, revalidate=True):
                 out.append(mc - lo)
                 out.append(hi - ml)
             return np.asarray(out)
-        return fit_min_constant(margins, 1.0, 1e6)
+        return fit_min_constant(margins, 1.0)
 
     data = _prop6_grid(domain, samples, np.random.default_rng(seed))
     c_fit, worst = fit_on(data)
+    data2 = _prop6_grid(domain, samples, np.random.default_rng(seed + 101))
+    c_fresh, _ = fit_on(data2)
+    c_val = 1.1 * c_fit
     viol = 0
-    lc_gap = 0.0
-    c_fresh = math.nan
-    if revalidate:
-        data2 = _prop6_grid(domain, samples, np.random.default_rng(seed + 101))
-        c_fresh, _ = fit_on(data2)
-        c_val = 1.1 * c_fit
-        for sep, dz, dw, mc, ml in data2:
-            lo, hi = sandwich_gen(sep, dz, dw, c_val)
-            if mc < lo - 1e-9 or ml > hi + 1e-9:
-                viol += 1
-        lc_gap = max(abs(math.atanh(ml) - math.atanh(mc)) for _, _, _, mc, ml in data2) \
-            if isinstance(domain, Disc) else 0.0
+    for sep, dz, dw, mc, ml in data2:
+        lo, hi = sandwich_gen(sep, dz, dw, c_val)
+        if mc < lo - 1e-9 or ml > hi + 1e-9:
+            viol += 1
+    lc_gap = max(abs(math.atanh(ml) - math.atanh(mc)) for _, _, _, mc, ml in data2) \
+        if isinstance(domain, Disc) else 0.0
     return BoundReport("prop6", len(data), viol, worst,
                        constants={"c": c_fit, "c_fresh": c_fresh,
-                                  "disc_l_minus_c": lc_gap}, seed=seed)
+                                  "disc_l_minus_c": lc_gap})
 
 
 def _prop6_grid(domain, samples, rng):
@@ -708,8 +704,9 @@ def _prop6_grid(domain, samples, rng):
     return data
 
 
-def _suite_comp(samples, seed, tol=1e-6):
+def _suite_comp(samples, seed):
     rng = np.random.default_rng(seed)
+    tol = 1e-6
     disc = Disc(0j, 1.0)
     viol = 0
     worst = math.inf
@@ -730,11 +727,12 @@ def _suite_comp(samples, seed, tol=1e-6):
         if k > 4 * b.hi + tol:
             viol += 1
     return BoundReport("comp", samples + 2, viol, worst,
-                       constants={"c1_disc": max(ratios)}, seed=seed)
+                       constants={"c1_disc": max(ratios)})
 
 
-def _suite_annulus(samples, seed, r=2.0):
+def _suite_annulus(samples, seed):
     rng = np.random.default_rng(seed)
+    r = 2.0
     dom = Annulus(r)
     eng = ds._annulus_engine(r)
     viol = 0
@@ -764,7 +762,7 @@ def _suite_annulus(samples, seed, r=2.0):
     return BoundReport("annulus", samples, viol, worst,
                        constants={"sp_gap": sp_gap, "reproducing_residual": rep,
                                   "prop5_c": p5.constants["c"]},
-                       seed=seed, notes=p5.notes)
+                       notes=p5.notes)
 
 
 def bg_reproducing_residual(r: float, w: complex, orders, n_rad: int = 6,
@@ -835,7 +833,7 @@ def _suite_slope(samples, seed, domain=None):
             viol += 1
     worst = min(min(v - 0.45, 0.55 - v) for v in reports.values())
     return BoundReport("boundary-slope", len(reports), viol, worst,
-                       constants=reports, seed=seed,
+                       constants=reports,
                        rows=list(reports.items()), headers=("case", "slope"))
 
 
@@ -874,7 +872,8 @@ def run_suite(name: str, samples: int | None = None, seed: int = 42,
     A `domain` replaces the suite's default domain; it must be one of the
     classes SUITES lists for the suite, else UnsupportedDomain is raised.
     `samples` defaults to 1000; a suite with a fixed size raises
-    DegenerateInput if given a count, and any other below its floor.
+    DegenerateInput if given a count, and any other below its floor.  The
+    report states the seed it ran with.
     """
     if name not in SUITES:
         raise UnsupportedDomain(f"unknown suite {name!r}")
@@ -893,5 +892,6 @@ def run_suite(name: str, samples: int | None = None, seed: int = 42,
         raise DegenerateInput(f"suite {name!r} needs at least {floor} samples, got {samples}")
     t0 = time.perf_counter()
     rep = fn(samples, seed) if domain is None else fn(samples, seed, domain=domain)
+    rep.seed = seed
     rep.runtime_seconds = time.perf_counter() - t0
     return rep

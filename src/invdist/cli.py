@@ -36,20 +36,24 @@ EXIT_NONCONVERGENCE = 4
 
 
 def _parse_point(text: str, domain):
-    """Parse 'a+bi' or a JSON array of such literals for C^n domains."""
+    """Parse 'a+bi' on a planar domain, or on a C^n domain a JSON array of
+    such literals with one per coordinate."""
     from .domains import _parse_complex
 
     text = text.strip()
-    if text.startswith("["):
-        try:
-            items = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid vector literal: {exc}") from exc
-        return np.asarray([_parse_complex(t) for t in items], dtype=complex)
-    value = _parse_complex(text)
-    if isinstance(domain, CnDomain):
+    if not isinstance(domain, CnDomain):
+        if text.startswith("["):
+            raise SchemaError("planar domains take one 'a+bi' literal, not a vector")
+        return _parse_complex(text)
+    if not text.startswith("["):
         raise SchemaError("C^n domains need vector points, e.g. '[\"0.5+0i\",\"0+0i\"]'")
-    return value
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid vector literal: {exc}") from exc
+    if len(items) != domain.dim:
+        raise SchemaError(f"a point of this domain has {domain.dim} coordinates, got {len(items)}")
+    return np.asarray([_parse_complex(t) for t in items], dtype=complex)
 
 
 def _emit(doc: str, out_path):

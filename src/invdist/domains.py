@@ -328,16 +328,17 @@ def two_disc_hull(z: complex, d_z: float, w: complex, d_w: float) -> PlanarDomai
 
 
 class JordanDomain(PlanarDomain):
-    """Domain bounded by a closed simple curve gamma: [0, 1] -> C.
+    """Domain bounded by a closed simple curve gamma: [0, 1] -> C, given
+    with its derivative dcurve.
 
     The parametrization is normalized at construction to be positively
-    oriented.  `deriv_bound` (a Lipschitz constant for gamma) certifies the
-    adaptive boundary-distance search; it is estimated from samples when the
-    derivative is available and not supplied.
+    oriented.  Bounds on |gamma'| and |gamma''| from 1024 samples of dcurve,
+    with a 1.5 safety factor, certify the adaptive boundary-distance search
+    and the tangent test of `contains`.
     """
 
-    def __init__(self, curve, dcurve=None, *, deriv_bound=None, name="jordan",
-                 check_simple=True, corner_params=()):
+    def __init__(self, curve, dcurve, *, name="jordan", check_simple=True,
+                 corner_params=()):
         self._raw_curve = curve
         self._raw_dcurve = dcurve
         self.name = name
@@ -352,26 +353,15 @@ class JordanDomain(PlanarDomain):
         self._flip = area2 < 0.0
         if check_simple and _polyline_self_intersects(pts if not self._flip else pts[::-1]):
             raise InvalidDomain("sampled boundary self-intersects")
-        if deriv_bound is None:
-            if dcurve is not None:
-                dv = np.abs(np.asarray(dcurve(ts), dtype=complex))
-                deriv_bound = 1.5 * float(dv.max())
-            else:
-                step = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
-                deriv_bound = 2.0 * float(step.max()) * len(ts)
-        self.deriv_bound = float(deriv_bound)
+        dv = np.asarray(dcurve(ts), dtype=complex)
+        self.deriv_bound = 1.5 * float(np.abs(dv).max())
         # sampled curvature bound certifies the tangent-segment distance bound;
         # samples straddling declared corners are excluded (handled separately)
-        if dcurve is not None:
-            dv = np.asarray(dcurve(ts), dtype=complex)
-            dd = np.abs(np.roll(dv, -1) - np.roll(dv, 1)) * (len(ts) / 2.0)
-        else:
-            dd = np.abs(np.roll(pts, -1) - 2 * pts + np.roll(pts, 1)) * float(len(ts)) ** 2
+        dd = np.abs(np.roll(dv, -1) - np.roll(dv, 1)) * (len(ts) / 2.0)
         keep = np.ones(len(ts), dtype=bool)
         for c in self.corner_params:
             keep &= np.minimum(np.abs(ts - c), 1.0 - np.abs(ts - c)) > 2.5 / len(ts)
-        factor = 1.5 if dcurve is not None else 2.0
-        self.second_deriv_bound = factor * float(dd[keep].max()) + 1e-9
+        self.second_deriv_bound = 1.5 * float(dd[keep].max()) + 1e-9
         self._samples = pts if not self._flip else np.roll(pts[::-1], 1)
 
     def point(self, t):
@@ -382,18 +372,15 @@ class JordanDomain(PlanarDomain):
 
     def tangent(self, t):
         t = np.asarray(t, dtype=float)
-        if self._raw_dcurve is not None:
-            s = (1.0 - t) % 1.0 if self._flip else t % 1.0
-            out = np.asarray(self._raw_dcurve(s), dtype=complex)
-            if self._flip:
-                out = -out
-        else:
-            h = 1e-6
-            out = (np.asarray(self.point(t + h)) - np.asarray(self.point(t - h))) / (2 * h)
+        s = (1.0 - t) % 1.0 if self._flip else t % 1.0
+        out = np.asarray(self._raw_dcurve(s), dtype=complex)
+        if self._flip:
+            out = -out
         return out if out.shape else complex(out)
 
-    def params(self, n, cluster_at=None, min_gap=None, ratio=1.18):
-        """Parameter grid of ~n points, optionally geometrically graded near cluster_at."""
+    def params(self, n, cluster_at=None, min_gap=None):
+        """Parameter grid of ~n points, optionally graded near cluster_at:
+        offsets from min_gap (default 0.25 / n) growing by 1.18 per point."""
         override = getattr(self, "param_grid_override", None)
         if override is not None and cluster_at is None:
             return override(n)
@@ -403,7 +390,7 @@ class JordanDomain(PlanarDomain):
         gap = min_gap if min_gap is not None else 0.25 / n
         offs = [gap]
         while offs[-1] < 0.75 / 2:
-            offs.append(offs[-1] * ratio)
+            offs.append(offs[-1] * 1.18)
         offs = np.array(offs[:-1])
         extra = np.concatenate([cluster_at + offs, cluster_at - offs, [cluster_at]]) % 1.0
         return np.unique(np.concatenate([base, extra]))
@@ -458,13 +445,14 @@ class JordanDomain(PlanarDomain):
         p = complex(self.point(t))
         return ((z - p) * complex(self.tangent(t)).conjugate()).imag > 0.0
 
-    def boundary_distance(self, z, signed=False, tol=1e-8, max_nodes=2_000_000):
+    def boundary_distance(self, z, signed=False, tol=1e-8):
         """Distance from z to the boundary curve, certified within tol.
 
         Branch and bound over parameter intervals.  On an interval of half
         width h around t the curve stays within M2 * h^2 / 2 of its tangent
         segment, so the point-to-segment distance minus that correction is a
-        certified lower bound for the distance on the interval.
+        certified lower bound for the distance on the interval.  More than
+        2e6 curve evaluations raise NonConvergence.
         """
         n0 = 256
         m2 = self.second_deriv_bound
@@ -492,7 +480,7 @@ class JordanDomain(PlanarDomain):
             half /= 2.0
             tc = np.concatenate([tc[active] - half, tc[active] + half]) % 1.0
             evals += len(tc)
-            if evals > max_nodes:
+            if evals > 2_000_000:
                 raise NonConvergence("boundary-distance refinement exceeded node cap")
         else:
             raise NonConvergence("boundary-distance refinement did not certify")
@@ -551,42 +539,41 @@ def _polyline_self_intersects(pts: np.ndarray) -> bool:
     return False
 
 
-def ellipse_domain(a: float, b: float, center: complex = 0j) -> JordanDomain:
-    """Axis-aligned ellipse with semi-axes a, b."""
+def ellipse_domain(a: float, b: float) -> JordanDomain:
+    """Origin-centred axis-aligned ellipse with semi-axes a, b."""
     if a <= 0 or b <= 0:
         raise DegenerateInput("ellipse semi-axes must be positive")
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        return center + a * np.cos(TWO_PI * t) + 1j * b * np.sin(TWO_PI * t)
+        return a * np.cos(TWO_PI * t) + 1j * b * np.sin(TWO_PI * t)
 
     def dcurve(t):
         t = np.asarray(t, dtype=float)
         return TWO_PI * (-a * np.sin(TWO_PI * t) + 1j * b * np.cos(TWO_PI * t))
 
-    name = f"ellipse({a},{b})" if center == 0 else f"ellipse({a},{b},{center})"
-    return JordanDomain(curve, dcurve, name=name, check_simple=False)
+    return JordanDomain(curve, dcurve, name=f"ellipse({a},{b})", check_simple=False)
 
 
-def wobbly_domain(seed: int, modes: int = 4, amp: float = 0.12,
-                  radius: float = 1.0, center: complex = 0j) -> JordanDomain:
-    """Random star-shaped smooth Jordan domain r(t) = radius * (1 + Fourier wobble)."""
+def wobbly_domain(seed: int) -> JordanDomain:
+    """Random star-shaped smooth Jordan domain r(t) = 1 + Fourier wobble:
+    modes 1..4, coefficients normal(seed) * 0.12 / k."""
     rng = np.random.default_rng(seed)
-    ak = rng.normal(size=modes) * amp / np.arange(1, modes + 1)
-    bk = rng.normal(size=modes) * amp / np.arange(1, modes + 1)
-    ks = np.arange(1, modes + 1)
+    ks = np.arange(1, 5)
+    ak = rng.normal(size=4) * 0.12 / ks
+    bk = rng.normal(size=4) * 0.12 / ks
 
     def rad(t):
         t = np.asarray(t, dtype=float)[..., None]
-        return radius * (1.0 + np.sum(ak * np.cos(TWO_PI * ks * t) + bk * np.sin(TWO_PI * ks * t), axis=-1))
+        return 1.0 + np.sum(ak * np.cos(TWO_PI * ks * t) + bk * np.sin(TWO_PI * ks * t), axis=-1)
 
     def drad(t):
         t = np.asarray(t, dtype=float)[..., None]
-        return radius * TWO_PI * np.sum(ks * (-ak * np.sin(TWO_PI * ks * t) + bk * np.cos(TWO_PI * ks * t)), axis=-1)
+        return TWO_PI * np.sum(ks * (-ak * np.sin(TWO_PI * ks * t) + bk * np.cos(TWO_PI * ks * t)), axis=-1)
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        return center + rad(t) * np.exp(1j * TWO_PI * t)
+        return rad(t) * np.exp(1j * TWO_PI * t)
 
     def dcurve(t):
         t = np.asarray(t, dtype=float)
@@ -729,6 +716,8 @@ def _parse_complex(text):
         _COMPLEX_RE = re.compile(rf"^({num})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
     if isinstance(text, (int, float)):
         return complex(text)
+    if not isinstance(text, str):
+        raise SchemaError(f"expected a complex literal 'a+bi', got {text!r}")
     m = _COMPLEX_RE.match(text.strip())
     if not m:
         raise SchemaError(f"cannot parse complex literal {text!r}; expected 'a+bi'")
@@ -820,13 +809,12 @@ def domain_to_json(domain) -> dict:
                 "w": _fmt_complex(domain.w), "d_w": domain.r_w}
     if isinstance(domain, JordanDomain):
         if domain.name.startswith("ellipse"):
-            axes = domain.name[8:-1].split(",")
-            if len(axes) != 2:
-                raise UnsupportedDomain("only origin-centered ellipses serialize")
-            a, b = axes
+            a, b = domain.name[8:-1].split(",")
             return {"kind": "jordan", "curve": "ellipse", "a": float(a), "b": float(b)}
         if domain.name.startswith("lens"):
             return {"kind": "jordan", "curve": "lens", "rho": float(domain.name[5:-1])}
+        if domain.name.startswith("wobbly"):
+            return {"kind": "jordan", "curve": "wobbly", "seed": int(domain.name[7:-1])}
         raise UnsupportedDomain("only named Jordan curves serialize")
     if isinstance(domain, Ball):
         if any(c != 0 for c in domain.center):

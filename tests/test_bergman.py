@@ -209,6 +209,13 @@ class TestAnnulusBergmanDistance:
         assert v.lo == pytest.approx(lo, rel=1e-12)
         assert v.hi == pytest.approx(hi, rel=1e-12)
 
+    def test_coincident_points_distance_zero(self):
+        dom = Annulus(2.0)
+        v = bergman_distance(dom, 1, 1)
+        assert (v.lo, v.hi, v.error_estimate) == (0.0, 0.0, 0.0)
+        assert v.method == "interval"
+        assert shortest_path_length(bergman_field(dom), 2.0, 1.2 - 0.3j, 1.2 - 0.3j) == 0.0
+
     def test_bergman_metric_vectorized_guard(self):
         dom = Annulus(2.0)
         vals = bergman_metric(dom, np.array([1.0 + 0j, 3.0 + 0j]), 1.0)

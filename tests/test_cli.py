@@ -46,6 +46,20 @@ class TestDist:
         doc = json.loads(out)
         assert doc["value"]["lo"] == pytest.approx(math.atanh(0.5), abs=1e-10)
 
+    @pytest.mark.parametrize("domain, z", [
+        ('{"kind":"disc"}', '["0+0i"]'),                        # vector on a planar domain
+        ('{"kind":"ball","dim":2,"radius":1.0}', '["0+0i"]'),   # too short
+        ('{"kind":"ball","dim":2,"radius":1.0}', '["0+0i","0+0i","0+0i"]'),
+        ('{"kind":"polydisc","radii":[1.0,2.0]}', '["0+0i"]'),
+        ('{"kind":"ball","dim":2,"radius":1.0}', '["0+0i",["0+0i"]]'),
+    ])
+    def test_point_of_the_wrong_shape_exit_2(self, capsys, domain, z):
+        code, out, err = run(capsys, "dist", "--domain", domain, "--kind", "carath",
+                             "--z", z, "--w", z)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "--domain", '{"kind":"disc"}',
                            "--kind", "carath", "--z", "zebra", "--w", "0+0i")
@@ -122,6 +136,23 @@ class TestVerify:
     def test_negative_tolerance_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "prop4", "--tol", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["remark-a", "remark-b", "prop7"])
+    def test_report_states_its_seed(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "8",
+                           "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+
+    def test_timing_adds_runtime(self, capsys):
+        args = ("verify", "--suite", "remark-b", "--samples", "5")
+        _, plain, _ = run(capsys, *args)
+        code, timed, _ = run(capsys, *args, "--timing")
+        assert code == 0
+        doc = json.loads(timed)
+        assert "runtime_seconds" not in json.loads(plain)
+        assert doc.pop("runtime_seconds") > 0
+        assert doc == json.loads(plain)
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "prop99")

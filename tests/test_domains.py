@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,10 +20,11 @@ from invdist.domains import (
     domain_from_json,
     domain_to_json,
     ellipse_domain,
+    lens_domain,
     two_disc_hull,
     wobbly_domain,
 )
-from invdist.errors import DegenerateInput, SchemaError, UnsupportedDomain
+from invdist.errors import DegenerateInput, SchemaError
 
 
 class TestBoundaryDistance:
@@ -221,11 +223,17 @@ class TestJson:
             back = domain_from_json(domain_to_json(dom))
             assert type(back) is type(dom)
 
-    def test_off_center_ellipse_does_not_serialize(self):
-        centred = domain_from_json(domain_to_json(ellipse_domain(2.0, 1.0)))
-        assert centred.contains(1.9 + 0j)
-        with pytest.raises(UnsupportedDomain):
-            domain_to_json(ellipse_domain(2.0, 1.0, center=1 + 1j))
+    @pytest.mark.parametrize("dom, doc", [
+        (wobbly_domain(7), {"kind": "jordan", "curve": "wobbly", "seed": 7}),
+        (ellipse_domain(2.0, 1.0), {"kind": "jordan", "curve": "ellipse", "a": 2.0, "b": 1.0}),
+        (lens_domain(0.75), {"kind": "jordan", "curve": "lens", "rho": 0.75}),
+    ], ids=["wobbly", "ellipse", "lens"])
+    def test_jordan_roundtrip(self, dom, doc):
+        assert domain_to_json(dom) == doc
+        back = domain_from_json(json.dumps(doc))
+        assert back.name == dom.name
+        ts = np.linspace(0.0, 1.0, 64, endpoint=False)
+        np.testing.assert_array_equal(back.point(ts), dom.point(ts))
 
 
 class TestInvariants:
