@@ -49,6 +49,7 @@ from .distances import (
     MetricField,
     annulus_caratheodory,
     caratheodory,
+    chart_distances,
     cn_model_distance,
     green_function,
     halfplane_hyperbolic_distance,

@@ -481,7 +481,9 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
 
     Simply connected planar domains: sqrt(2) times the hyperbolic distance
     of the domain's chart.  Annulus: shortest-path value of the metric field
-    on two grid resolutions; the gap is the reported error (none at z = w).
+    on two grid resolutions, an estimate whose error is the gap between them
+    (none at z = w); shorter paths than the fine grid's exist, so its lo is
+    no lower bound.
     """
     m = chart(domain)
     if m is not None:
@@ -493,10 +495,10 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
         if not (domain.contains(z) and domain.contains(w)):
             raise DomainViolation("points must lie inside the annulus")
         if z == w:
-            return CertifiedValue(0.0, 0.0, "interval", 0.0)
+            return CertifiedValue.exact(0.0, "shortest_path")
         field = bergman_field(domain)
         coarse = shortest_path_length(field, domain.r, z, w, 48, 192)
         fine = shortest_path_length(field, domain.r, z, w, 96, 384)
         err = max(abs(fine - coarse), 1e-6)
-        return CertifiedValue(max(fine - err, 0.0), fine + err, "interval", err)
+        return CertifiedValue.estimate(fine, err, "shortest_path")
     raise UnsupportedDomain(f"bergman distance unsupported on {type(domain).__name__}")

@@ -394,12 +394,14 @@ def experiment_ratio_c_over_l(depths) -> BoundReport:
     tp = lens.param_of_one
     params = lens.params(512, cluster_at=tp, min_gap=2e-5)
     m = riemann_map(lens, 0.85 + 0j, params=params)
+    ws = [complex(1.0 - dw, 0.0) for dw in depths]
+    zs = [complex(1.0 - 10.0 * dw, 0.0) for dw in depths]
+    images = m.evaluate(np.array(zs + ws))
+    n = len(ws)
     rows = []
-    for dw in depths:
-        w = complex(1.0 - dw, 0.0)
-        z = complex(1.0 - 10.0 * dw, 0.0)
+    for dw, z, w, fz, fw in zip(depths, zs, ws, images[:n], images[n:]):
         c = ds.poincare_distance(z, w)
-        l = ds.poincare_distance(complex(m.evaluate(z)), complex(m.evaluate(w)))
+        l = ds.poincare_distance(complex(fz), complex(fw))
         rows.append((dw, c, l, c / l))
     ratios = [r[-1] for r in rows]
     tail = ratios[-5:]
@@ -426,18 +428,14 @@ def boundary_slope_regression(domain, z0, kind: str, depths) -> tuple:
     if len(depths) < 8:
         raise InsufficientSamples("slope regression needs at least 8 samples")
     ws, dvals = _approach_points(domain, depths)
-    xs, ys = [], []
-    for w, d in zip(ws, dvals):
-        if kind == "carath":
-            s = ds.caratheodory(domain, z0, w).value
-        elif kind == "lempert":
-            s = ds.lempert(domain, z0, w).value
-        elif kind == "bergman":
-            s = bg.bergman_distance(domain, z0, w).value / math.sqrt(2.0)
-        else:
-            raise UnsupportedDomain(f"unknown regression kind {kind!r}")
-        xs.append(-math.log(d))
-        ys.append(s)
+    if kind in ("carath", "lempert"):
+        # c = l on the charted domains that have approach points
+        ys = [v.value for v in ds.chart_distances(domain, [z0] * len(ws), ws)]
+    elif kind == "bergman":
+        ys = [bg.bergman_distance(domain, z0, w).value / math.sqrt(2.0) for w in ws]
+    else:
+        raise UnsupportedDomain(f"unknown regression kind {kind!r}")
+    xs = [-math.log(d) for d in dvals]
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.max(np.abs(np.polyval([slope, intercept], xs) - np.asarray(ys))))
     return float(slope), float(intercept), resid
@@ -574,12 +572,10 @@ def _suite_eq_le(samples, seed, domain=None):
     if domain is None:
         domain = ellipse_domain(2.0, 1.0)
     rng = np.random.default_rng(seed)
-    vals = []
-    for z, w in _sample_pairs(domain, samples, rng, d_floor=1e-3, min_sep=1e-6):
-        l = ds.lempert(domain, z, w).value
-        dz = domain.boundary_distance(z)
-        dw = domain.boundary_distance(w)
-        vals.append(l + 0.5 * math.log(dz * dw))
+    pairs = _sample_pairs(domain, samples, rng, d_floor=1e-3, min_sep=1e-6)
+    ls = ds.chart_distances(domain, [z for z, _ in pairs], [w for _, w in pairs])
+    vals = [l.value + 0.5 * math.log(domain.boundary_distance(z) * domain.boundary_distance(w))
+            for (z, w), l in zip(pairs, ls)]
     c = max(vals)
     return BoundReport("eq-le", len(vals), 0 if math.isfinite(c) else 1,
                        min(vals), constants={"c": c})
@@ -611,13 +607,15 @@ def _suite_prop4(samples, seed, domain=None):
     n_anchor = 6
     depths = np.geomspace(1e-3, 0.2, max(samples // n_anchor, 6))
     z0 = 0j if domain.contains(0j) else domain.anchor()
-    resids = []
+    ws, dws = [], []
     for ti in (np.arange(n_anchor) + 0.5) / n_anchor:
         t = (ti + 0.02 * rng.uniform()) % 1.0
         for d in depths:
             w = _inward_point(domain, t, d)
-            dw = domain.boundary_distance(w, tol=min(1e-8, d * 1e-3))
-            resids.append(envelope_residual_pla(ds.caratheodory(domain, z0, w).value, dw))
+            ws.append(w)
+            dws.append(domain.boundary_distance(w, tol=min(1e-8, d * 1e-3)))
+    cs = ds.chart_distances(domain, [z0] * len(ws), ws)
+    resids = [envelope_residual_pla(c.value, dw) for c, dw in zip(cs, dws)]
     c = max(abs(v) for v in resids)
     return BoundReport("prop4", len(resids), 0 if math.isfinite(c) else 1,
                        min(resids), constants={"c": c})
@@ -690,17 +688,20 @@ def _prop6_grid(domain, samples, rng):
                 # far pair: both ends near the boundary on opposite sides,
                 # where the global supremum of the constant is approached
                 pairs.append((_inward_point(domain, (t + 0.5) % 1.0, 6 * d), w))
-    data = []
+    kept = []
     for z, w in pairs:
         if _sep(z, w) < 1e-7:
             continue
         dz = domain.boundary_distance(z)
         dw = domain.boundary_distance(w)
-        if dz <= 0 or dw <= 0:
-            continue
-        mc = math.tanh(ds.caratheodory(domain, z, w).value)
-        ml = math.tanh(ds.lempert(domain, z, w).value)
-        data.append((_sep(z, w), dz, dw, mc, ml))
+        if dz > 0 and dw > 0:
+            kept.append((z, w, dz, dw))
+    # c = l on a charted domain, so one batched evaluation serves both sides
+    vals = ds.chart_distances(domain, [k[0] for k in kept], [k[1] for k in kept])
+    data = []
+    for (z, w, dz, dw), v in zip(kept, vals):
+        m = math.tanh(v.value)
+        data.append((_sep(z, w), dz, dw, m, m))
     return data
 
 

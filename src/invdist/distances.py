@@ -36,11 +36,12 @@ from .domains import (
     TwoDiscHull,
     two_disc_hull,
 )
-from .errors import DomainViolation, UnsupportedDomain
+from .errors import DegenerateInput, DomainViolation, UnsupportedDomain
 
 __all__ = [
     "CertifiedValue",
     "chart",
+    "chart_distances",
     "halfplane_hyperbolic_distance",
     "MetricField",
     "poincare_distance",
@@ -171,7 +172,37 @@ def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
     """c = l through chart m: the hyperbolic distance of the two images, with
     the map's error bound when the chart is numeric."""
     _require_inside(m.source, z, w)
-    fz, fw = complex(m.evaluate(z)), complex(m.evaluate(w))
+    return _image_distance(m, complex(m.evaluate(z)), complex(m.evaluate(w)))
+
+
+def chart_distances(domain, zs, ws) -> list:
+    """c = l of each pair (zs[i], ws[i]) on a domain that `chart` covers,
+    from one array evaluation of the chart at all 2N points.
+
+    Every point is checked with `contains` first (DomainViolation names the
+    first one outside); a domain without a chart raises UnsupportedDomain.
+    The array path of a Jordan chart agrees with the scalar one to ~1e-11,
+    not bitwise.
+    """
+    m = chart(domain)
+    if m is None:
+        raise UnsupportedDomain(f"no conformal chart for {type(domain).__name__}")
+    zs, ws = [complex(z) for z in zs], [complex(w) for w in ws]
+    if len(zs) != len(ws):
+        raise DegenerateInput("chart_distances needs as many z as w points")
+    if not zs:
+        return []
+    for z, w in zip(zs, ws):
+        _require_inside(m.source, z, w)
+    images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
+    n = len(zs)
+    return [_image_distance(m, complex(fz), complex(fw))
+            for fz, fw in zip(images[:n], images[n:])]
+
+
+def _image_distance(m: ConformalMap, fz: complex, fw: complex) -> CertifiedValue:
+    """The hyperbolic distance of two chart images, widened by the map's
+    error when the chart is numeric."""
     if isinstance(m.target, HalfPlane):
         d = halfplane_hyperbolic_distance(fz, fw)
     else:

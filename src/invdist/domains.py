@@ -334,14 +334,17 @@ class JordanDomain(PlanarDomain):
     The parametrization is normalized at construction to be positively
     oriented.  Bounds on |gamma'| and |gamma''| from 1024 samples of dcurve,
     with a 1.5 safety factor, certify the adaptive boundary-distance search
-    and the tangent test of `contains`.
+    and the tangent test of `contains`.  `json_doc` is the JSON description
+    of a catalog curve, which `domain_to_json` writes back; other curves
+    have none and do not serialize.
     """
 
     def __init__(self, curve, dcurve, *, name="jordan", check_simple=True,
-                 corner_params=()):
+                 corner_params=(), json_doc=None):
         self._raw_curve = curve
         self._raw_dcurve = dcurve
         self.name = name
+        self.json_doc = json_doc
         self.corner_params = tuple(float(c) % 1.0 for c in corner_params)
         self._map_cache: dict = {}
 
@@ -552,7 +555,9 @@ def ellipse_domain(a: float, b: float) -> JordanDomain:
         t = np.asarray(t, dtype=float)
         return TWO_PI * (-a * np.sin(TWO_PI * t) + 1j * b * np.cos(TWO_PI * t))
 
-    return JordanDomain(curve, dcurve, name=f"ellipse({a},{b})", check_simple=False)
+    return JordanDomain(curve, dcurve, name=f"ellipse({a},{b})", check_simple=False,
+                        json_doc={"kind": "jordan", "curve": "ellipse",
+                                  "a": float(a), "b": float(b)})
 
 
 def wobbly_domain(seed: int) -> JordanDomain:
@@ -579,7 +584,8 @@ def wobbly_domain(seed: int) -> JordanDomain:
         t = np.asarray(t, dtype=float)
         return (drad(t) + 1j * TWO_PI * rad(t)) * np.exp(1j * TWO_PI * t)
 
-    return JordanDomain(curve, dcurve, name=f"wobbly({seed})", check_simple=False)
+    return JordanDomain(curve, dcurve, name=f"wobbly({seed})", check_simple=False,
+                        json_doc={"kind": "jordan", "curve": "wobbly", "seed": int(seed)})
 
 
 def lens_domain(rho: float) -> JordanDomain:
@@ -621,7 +627,8 @@ def lens_domain(rho: float) -> JordanDomain:
         return out if out.shape else complex(out)
 
     dom = JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
-                       corner_params=(0.0, b1))
+                       corner_params=(0.0, b1),
+                       json_doc={"kind": "jordan", "curve": "lens", "rho": float(rho)})
     dom.param_of_one = b1 / 2.0  # parameter of the boundary point z = 1
     return dom
 
@@ -808,14 +815,9 @@ def domain_to_json(domain) -> dict:
         return {"kind": "hull", "z": _fmt_complex(domain.z), "d_z": domain.r_z,
                 "w": _fmt_complex(domain.w), "d_w": domain.r_w}
     if isinstance(domain, JordanDomain):
-        if domain.name.startswith("ellipse"):
-            a, b = domain.name[8:-1].split(",")
-            return {"kind": "jordan", "curve": "ellipse", "a": float(a), "b": float(b)}
-        if domain.name.startswith("lens"):
-            return {"kind": "jordan", "curve": "lens", "rho": float(domain.name[5:-1])}
-        if domain.name.startswith("wobbly"):
-            return {"kind": "jordan", "curve": "wobbly", "seed": int(domain.name[7:-1])}
-        raise UnsupportedDomain("only named Jordan curves serialize")
+        if domain.json_doc is None:
+            raise UnsupportedDomain("only the catalog Jordan curves serialize")
+        return dict(domain.json_doc)
     if isinstance(domain, Ball):
         if any(c != 0 for c in domain.center):
             raise UnsupportedDomain("only origin-centered balls serialize")

@@ -28,7 +28,7 @@ from invdist.domains import (
     SlitPlane,
     UnitDisc,
 )
-from invdist.errors import DomainViolation
+from invdist.errors import DegenerateInput, DomainViolation, UnsupportedDomain
 
 ATANH_HALF = math.atanh(0.5)
 
@@ -535,3 +535,74 @@ class TestOneChart:
 
         assert chart(Annulus(2.0)) is None
         assert chart(Ball((0j, 0j), 1.0)) is None
+
+
+class TestChartDistances:
+    """The batched chart distance agrees with the scalar one on every chart
+    domain: within roundoff on the closed forms, within the value's error on
+    the Jordan charts (array and scalar zipper arithmetic differ in the last
+    bits)."""
+
+    @staticmethod
+    def _chart_cases(rng):
+        from invdist.domains import HalfPlane
+
+        cases = [(Disc(0.25 - 0.5j, 1.5), [0.3 - 0.2j, -0.9 - 1.1j, 1.2 - 0.5j, 1.7499 - 0.5j]),
+                 (HalfPlane(0.6 + 0.8j), [0.3 + 0.9j, 2.0 - 0.4j, 1e-6 + 0.5j]),
+                 (Sector(0.7), [1.0 + 0j, 0.4 + 0.2j, 2.5 - 1.5j, 1e-5 + 1e-6j]),
+                 (SlitPlane(), [-1.0 + 0j, 0.5 + 0.5j, 2.0 - 1e-3j, 3.0 + 1e-9j])]
+        for dom, jordan, star in _jordan_cases():
+            cases.append((dom, _jordan_points(rng, jordan, star, 5)))
+        return cases
+
+    def test_agrees_with_scalar_caratheodory(self):
+        from invdist.distances import chart_distances
+
+        rng = np.random.default_rng(11)
+        for dom, pts in self._chart_cases(rng):
+            # pairs whose scalar value is refused (an image pushed out of the
+            # disc by the map's error) would make the batch raise as well
+            pairs = [(z, w) for z in pts for w in pts
+                     if z != w and _outcome(lambda: caratheodory(dom, z, w)) != "DomainViolation"]
+            got = chart_distances(dom, [z for z, _ in pairs], [w for _, w in pairs])
+            assert len(got) == len(pairs) >= 6
+            for (z, w), v in zip(pairs, got):
+                ref = caratheodory(dom, z, w)
+                assert v.method == ref.method
+                assert abs(v.value - ref.value) <= ref.error_estimate + 1e-14 * max(1.0, ref.value)
+                assert v.error_estimate == pytest.approx(ref.error_estimate, rel=1e-6)
+
+    def test_one_traversal_per_batch(self, monkeypatch):
+        from invdist.conformal import _GeodesicChain
+        from invdist.distances import chart_distances
+        from invdist.domains import ellipse_domain
+
+        dom = ellipse_domain(2.0, 1.0)
+        riemann_map(dom, dom.anchor())  # warm
+        calls = []
+        original = _GeodesicChain.forward
+        monkeypatch.setattr(_GeodesicChain, "forward",
+                            lambda self, z: calls.append(np.size(z)) or original(self, z))
+        zs = [0.1 * k + 0.05j for k in range(10)]
+        ws = [-0.1 * k - 0.3j for k in range(10)]
+        assert len(chart_distances(dom, zs, ws)) == 10
+        assert calls == [20]
+
+    def test_point_outside_raises(self):
+        from invdist.distances import chart_distances
+        from invdist.domains import ellipse_domain
+
+        with pytest.raises(DomainViolation, match=r"\(2\+0j\)"):
+            chart_distances(Disc(0j, 1.0), [0.1 + 0j, 3.0 + 0j], [2.0 + 0j, 0.2 + 0j])
+        with pytest.raises(DomainViolation):
+            chart_distances(ellipse_domain(2.0, 1.0), [0j], [2.5 + 0j])
+
+    def test_domains_without_chart_and_malformed_input(self):
+        from invdist.distances import chart_distances
+
+        for dom in (Annulus(2.0), Ball((0j, 0j), 1.0)):
+            with pytest.raises(UnsupportedDomain):
+                chart_distances(dom, [1.0 + 0j], [1.5 + 0j])
+        assert chart_distances(Disc(0j, 1.0), [], []) == []
+        with pytest.raises(DegenerateInput):
+            chart_distances(Disc(0j, 1.0), [0.1 + 0j, 0.2 + 0j], [0.3 + 0j])

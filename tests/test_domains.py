@@ -11,6 +11,7 @@ from invdist.domains import (
     Ball,
     Disc,
     HalfPlane,
+    JordanDomain,
     Polydisc,
     Sector,
     SlitPlane,
@@ -24,7 +25,7 @@ from invdist.domains import (
     two_disc_hull,
     wobbly_domain,
 )
-from invdist.errors import DegenerateInput, SchemaError
+from invdist.errors import DegenerateInput, SchemaError, UnsupportedDomain
 
 
 class TestBoundaryDistance:
@@ -234,6 +235,36 @@ class TestJson:
         assert back.name == dom.name
         ts = np.linspace(0.0, 1.0, 64, endpoint=False)
         np.testing.assert_array_equal(back.point(ts), dom.point(ts))
+
+    @pytest.mark.parametrize("name", ["ellipse(3,1)", "lens-ish", "wobbly", "jordan"])
+    def test_user_jordan_curve_does_not_serialize(self, name):
+        # a user curve is not a catalog curve, whatever its name says
+        dom = JordanDomain(lambda t: np.exp(2j * np.pi * np.asarray(t, dtype=float)),
+                           lambda t: 2j * np.pi * np.exp(2j * np.pi * np.asarray(t, dtype=float)),
+                           name=name)
+        with pytest.raises(UnsupportedDomain):
+            domain_to_json(dom)
+
+    def test_hull_chart_domain_does_not_serialize(self):
+        with pytest.raises(UnsupportedDomain):
+            domain_to_json(two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7).as_jordan())
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "disc"},
+        {"kind": "disc", "center": "0.5+0.5i", "radius": 2.0},
+        {"kind": "halfplane", "normal": "0+1i"},
+        {"kind": "sector", "theta": 0.9},
+        {"kind": "slitplane"},
+        {"kind": "annulus", "r": 2.0},
+        {"kind": "hull", "z": "0+0i", "d_z": 1.0, "w": "2.5+0i", "d_w": 0.7},
+        {"kind": "jordan", "curve": "ellipse", "a": 3.0, "b": 1.0},
+        {"kind": "jordan", "curve": "lens", "rho": 1.25},
+        {"kind": "jordan", "curve": "wobbly", "seed": 3},
+        {"kind": "ball", "dim": 2, "radius": 1.0},
+        {"kind": "polydisc", "radii": [1.0, 2.0]},
+    ], ids=lambda d: d.get("curve", d["kind"]))
+    def test_catalog_document_roundtrip(self, doc):
+        assert domain_to_json(domain_from_json(json.dumps(doc))) == doc
 
 
 class TestInvariants:
