@@ -9,11 +9,9 @@ from .annulus import (
     theta_product,
 )
 from .bergman import (
-    annulus_monomial_norm_sq,
     bergman_distance,
     bergman_field,
     bergman_kernel,
-    bergman_kernel_pair,
     bergman_metric,
     integrate_metric,
     shortest_path_length,

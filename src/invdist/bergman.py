@@ -8,30 +8,30 @@ orthonormal series with an explicit geometric tail bound.  On the diagonal
 each point sums the term range of its fixed bin of log|z|, so its value
 does not depend on the batch it comes in; the terms' log-norms and moments
 are read from one table per kernel, grown on demand.  The metric is the
-square root of the Laplacian-type Hessian of log K.  The annulus Bergman
-distance is a shortest path in the metric field: Dijkstra on a polar graph,
-then a corridor dynamic-programming refinement; the coarse/fine grid gap is
-the reported error.
+square root of the Laplacian-type Hessian of log K.  A term range that
+would need more than _NMAX terms raises NonConvergence.  The metric is
+rotation-invariant, so the annulus Bergman distance is the length of a
+Clairaut geodesic: a 1-D shoot in the Clairaut constant with Gauss-Legendre
+quadratures; their N vs 2N gap and the shoot's miss are the reported error.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, chart
-from .domains import Annulus, Disc
+from .domains import Annulus
 from .errors import DomainViolation, NonConvergence, UnsupportedDomain
 
 __all__ = [
     "bergman_kernel",
-    "bergman_kernel_pair",
     "bergman_metric",
     "bergman_distance",
     "bergman_field",
-    "annulus_monomial_norm_sq",
     "integrate_metric",
     "shortest_path_length",
     "AnnulusKernel",
@@ -50,19 +50,10 @@ _NMAX = 4000
 # bin is [k, k + 1) * _BIN_WIDTH in v.  A tail's term count grows like the
 # inverse distance to its circle, and the bins shrink geometrically toward
 # both circles, so a bin's term count exceeds its points' own by ~13% at most.
-# Points on or outside a circle fall in its last bin, whose range is _NMAX.
+# A bin whose tails need more than _NMAX terms raises NonConvergence.
 _BIN_WIDTH = 1.0 / 16.0
 _T_MAX = np.nextafter(1.0, 0.0)
 _TOL = 1e-14     # each Laurent tail is cut where its bound falls to this
-
-
-def annulus_monomial_norm_sq(r: float, n: int) -> float:
-    """L^2(A_r) norm squared of zeta^n: pi (r^{2n+2} - r^{-(2n+2)}) / (n+1),
-    and 4 pi log r for n = -1."""
-    if n == -1:
-        return 4.0 * math.pi * math.log(r)
-    m = n + 1
-    return math.pi * (r ** (2 * m) - r ** (-2 * m)) / m
 
 
 def _log_norm_sq(r: float, ns: np.ndarray) -> np.ndarray:
@@ -105,7 +96,7 @@ class AnnulusKernel:
         ratio_lo = (1.0 / (a_lo * r)) ** 2
         n_hi = _tail_cut(ratio_hi)
         n_lo = _tail_cut(ratio_lo)
-        n = min(max(n_hi, n_lo, 8), _NMAX)
+        n = max(n_hi, n_lo, 8)
         return np.arange(-n - 1, n + 1)
 
     def _bin_range(self, k: int):
@@ -220,9 +211,10 @@ class AnnulusKernel:
 
 
 def _tail_cut(ratio: float) -> int:
-    """First n in 8, 12, ..., _NMAX whose tail bound is at most _TOL."""
-    if ratio >= 1.0:
-        return _NMAX
+    """First n in 8, 12, ..., _NMAX whose tail bound is at most _TOL;
+    NonConvergence if not even _NMAX is."""
+    if ratio >= 1.0 or (_NMAX + 3) * ratio ** (_NMAX + 1) / (1.0 - ratio) ** 2 > _TOL:
+        raise NonConvergence(f"a Laurent tail of ratio {ratio:.9g} needs over {_NMAX} terms")
     # sum_{k>n} (k+1) ratio^k <= (n+3) ratio^{n+1} / (1-ratio)^2 approx.  The
     # bound only rises where it is far above _TOL (past n = 8 it rises only
     # for ratio > exp(-1/11), where it exceeds 600), so the steps above _TOL
@@ -259,18 +251,6 @@ def bergman_kernel(domain, z) -> float:
             raise DomainViolation("point outside the annulus")
         return _annulus_kernel(domain.r).diagonal(complex(z))
     raise UnsupportedDomain(f"bergman kernel unsupported on {type(domain).__name__}")
-
-
-def bergman_kernel_pair(domain, z, w) -> complex:
-    """Off-diagonal kernel K_D(z, w) (disc and annulus)."""
-    if isinstance(domain, Disc):
-        R = domain.radius
-        u = (complex(z) - domain.center) / R
-        v = (complex(w) - domain.center) / R
-        return 1.0 / (math.pi * R * R * (1.0 - u * v.conjugate()) ** 2)
-    if isinstance(domain, Annulus):
-        return _annulus_kernel(domain.r).pair(complex(z), complex(w))
-    raise UnsupportedDomain("pair kernel supports Disc and Annulus")
 
 
 # ---------------------------------------------------------------------------
@@ -322,168 +302,112 @@ def integrate_metric(field: MetricField, path, dpath, n_panels: int = 16) -> flo
     return total
 
 
-def _segment_length(field, a, b):
-    """Metric length of the straight segment [a, b] by 8-node Gauss quadrature."""
-    d = b - a
-    pts = a + (0.5 + 0.5 * _GL_NODES) * d
-    vals = np.asarray(field(pts, d))
-    return float(np.sum(_GL_WEIGHTS * 0.5 * vals))
-
-
 # ---------------------------------------------------------------------------
 # shortest path on the annulus
 # ---------------------------------------------------------------------------
 
-
-def _annulus_graph_path(field, r, z, w, n_r, n_t):
-    """Dijkstra over a polar grid with 8-neighbour stencil; returns node path."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    L = math.log(r)
-    margin = L / (n_r + 1)
-    us = np.linspace(-L + margin, L - margin, n_r)
-    ts = np.arange(n_t) * (2.0 * math.pi / n_t)
-    uu, tt = np.meshgrid(us, ts, indexing="ij")
-    nodes = np.exp(uu) * np.exp(1j * tt)
-    flat = nodes.ravel()
-
-    rows_list, cols_list, vals_list = [], [], []
-    offsets = [(0, 1), (1, 0), (1, 1), (1, -1)]
-    j = np.arange(n_t)
-    for di, dj in offsets:
-        for i in range(n_r):
-            i2 = i + di
-            if i2 < 0 or i2 >= n_r:
-                continue
-            src = i * n_t + j
-            dst = i2 * n_t + (j + dj) % n_t
-            a = flat[src]
-            b = flat[dst]
-            wts = np.asarray(field(0.5 * (a + b), b - a))
-            rows_list.append(src)
-            cols_list.append(dst)
-            vals_list.append(wts)
-    n_nodes = n_r * n_t
-    # connect source and target to their surrounding nodes
-    extra = [complex(z), complex(w)]
-    for e_idx, p in enumerate(extra):
-        nearest = np.argsort(np.abs(flat - p))[:10]
-        rows_list.append(np.full(nearest.size, n_nodes + e_idx))
-        cols_list.append(nearest)
-        vals_list.append(np.array([_segment_length(field, p, flat[k]) for k in nearest]))
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-    g = coo_matrix((vals, (rows, cols)), shape=(n_nodes + 2, n_nodes + 2))
-    dist, pred = dijkstra(g, directed=False, indices=[n_nodes], return_predecessors=True)
-    if not np.isfinite(dist[0, n_nodes + 1]):
-        raise NonConvergence("no graph path between the endpoints")
-    path = [n_nodes + 1]
-    while path[-1] != n_nodes:
-        path.append(int(pred[0, path[-1]]))
-    path.reverse()
-    coords = [extra[0]] + [complex(flat[i]) for i in path[1:-1]] + [extra[1]]
-    return coords
+# Gauss-Legendre rules of the geodesic quadratures: N nodes, and 2N for the gap
+_GEO_N = np.polynomial.legendre.leggauss(32)
+_GEO_2N = np.polynomial.legendre.leggauss(64)
+_GEO_TOL = 1e-6     # largest N vs 2N length gap shortest_path_length accepts
 
 
-def _resample(pts, n):
-    """Resample a polyline to n nodes equally spaced in euclidean arclength."""
-    pts = np.asarray(pts, dtype=complex)
-    seg = np.abs(np.diff(pts))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] == 0.0:
-        return np.full(n, pts[0])
-    ss = np.linspace(0.0, s[-1], n)
-    re = np.interp(ss, s, pts.real)
-    im = np.interp(ss, s, pts.imag)
-    return re + 1j * im
+def _geodesics(field: MetricField, r: float, a: float, b: float):
+    """The geodesics of a rotation-invariant field on A_r between the
+    log-moduli a < b, b > 0, as the shoot bracket (lo, hi) and
+    geodesic(s, rule) -> (c, angle, integral of sqrt(g^2 - c^2) du).
 
-
-def _batched_lengths(field, a, b):
-    """Metric lengths of segments a[...] -> b[...] in one field call."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d = b - a
-    t = 0.5 + 0.5 * _GL_NODES
-    pts = a[..., None] + t * d[..., None]
-    vals = np.asarray(field(pts, d[..., None]))
-    return np.sum(_GL_WEIGHTS * 0.5 * vals, axis=-1)
-
-
-_N_LAT = 15      # candidate points per trellis station
-
-
-def _trellis_refine(field, r, pts, n_stations, width, shrinks):
-    """Shorten the path by dynamic programming over lateral offsets.
-
-    Stations are resampled along the current path; each interior station
-    gets _N_LAT candidate points offset along the local normal.  A DP pass
-    picks the cheapest chain; the corridor then shrinks around it.
+    In log coordinates u + i theta the metric is g(u) |d(u + i theta)|, with
+    g(u) = field(e^u, e^u) even in u and least on the core circle u = 0.
+    Clairaut's relation g sin(psi) = c (psi the angle to the radial
+    direction) gives a geodesic's angle, summed over its monotone runs in u,
+    as the integral of c du / sqrt(g^2 - c^2), and its length as c angle +
+    the integral of sqrt(g^2 - c^2) du.  The angle increases with s:
+      s <= 0       c^2 = g(0)^2 - k s^2, no turning, u = -s sinh t;
+      0 < s <= a   c = g(s), no turning, u = s cosh t;
+      a < s < 2a   c = g(u_t), turning at u_t = 2a - s, u = u_t cosh t;
+    with k = (g(h)^2 - g(0)^2) / h^2, h = log(r) / 4.  Each map makes the
+    integrand smooth at its turning point or at the core circle.
     """
-    margin = 1e-4
+    def g(u):
+        e = np.exp(u)
+        return np.asarray(field(e, e), dtype=float)
 
-    def clamp(arr):
-        mod = np.abs(arr)
-        lo, hi = 1.0 / r + margin, r - margin
-        scale = np.clip(mod, lo, hi) / np.where(mod == 0, 1.0, mod)
-        out = arr * scale
-        return out
+    h = 0.25 * math.log(r)
+    g0, gh = g(np.array([0.0, h]))
+    k = (gh * gh - g0 * g0) / (h * h)
+    if not k > 0.0:
+        raise NonConvergence("the metric density is not least on the core circle")
 
-    pts = clamp(_resample(pts, n_stations))
-    for _ in range(shrinks):
-        normals = np.zeros(n_stations, dtype=complex)
-        tang = np.empty(n_stations, dtype=complex)
-        tang[1:-1] = pts[2:] - pts[:-2]
-        tang[0] = pts[1] - pts[0]
-        tang[-1] = pts[-1] - pts[-2]
-        nz = np.abs(tang) > 0
-        normals[nz] = 1j * tang[nz] / np.abs(tang[nz])
-        offs = np.linspace(-width, width, _N_LAT)
-        cand = pts[:, None] + normals[:, None] * offs[None, :]
-        cand = clamp(cand)
-        cand[0, :] = pts[0]
-        cand[-1, :] = pts[-1]
-        back = np.zeros((n_stations, _N_LAT), dtype=int)
-        cost = np.zeros(_N_LAT)
-        for i in range(1, n_stations):
-            seg = _batched_lengths(field, cand[i - 1][:, None], cand[i][None, :])
-            tot = cost[:, None] + seg
-            back[i] = np.argmin(tot, axis=0)
-            cost = np.min(tot, axis=0)
-        k = int(np.argmin(cost))
-        best = float(cost[k])
-        chain = [k]
-        for i in range(n_stations - 1, 0, -1):
-            chain.append(int(back[i, chain[-1]]))
-        chain.reverse()
-        pts = np.array([cand[i, chain[i]] for i in range(n_stations)])
-        pts = clamp(_resample(pts, n_stations))
-        pts[0], pts[-1] = cand[0, 0], cand[-1, 0]
-        width /= 3.0
-    return best, pts
+    def geodesic(s, rule):
+        x, wt = rule
+        if s <= 0.0:
+            m = max(-s, 1e-300)
+            spans, f, df = [(math.asinh(a / m), math.asinh(b / m))], np.sinh, np.cosh
+        else:
+            m = s if s <= a else 2.0 * a - s
+            ends = (a, b) if s > a else (b,)
+            t0 = 0.0 if s > a else math.acosh(a / m)
+            spans, f, df = [(t0, math.acosh(e / m)) for e in ends], np.cosh, np.sinh
+        t = np.concatenate([0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x for t0, t1 in spans])
+        wq = np.concatenate([0.5 * (t1 - t0) * wt for t0, t1 in spans])
+        u = m * f(t)
+        gu = g(u if s <= 0.0 else np.append(u, m))
+        dc2 = -k * m * m if s <= 0.0 else gu[-1] ** 2 - g0 * g0    # c^2 - g(0)^2
+        c = math.sqrt(max(g0 * g0 + dc2, 0.0))
+        du = wq * m * df(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt((gu[:u.size] ** 2 - g0 * g0) - dc2)      # sqrt(g^2 - c^2)
+            return c, c * float(np.sum(du / sq)), float(np.sum(du * sq))
+
+    return (-g0 / math.sqrt(k), max(2.0 * a, 0.0)), geodesic
 
 
-def shortest_path_length(field: MetricField, r: float, z: complex, w: complex,
-                         n_r: int = 64, n_t: int = 256) -> float:
-    """Length of an approximate metric geodesic from z to w in A_r; 0 at z = w."""
+def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -> CertifiedValue:
+    """Length of the geodesic from z to w in A_r of a rotation-invariant field
+    (see _geodesics).
+
+    dL/dangle = c >= 0, so the lift with the least angle |arg(w / z)| <= pi
+    is the shortest.  Bisection finds its shoot parameter; the error is the
+    N vs 2N length gap plus c times the 2N angle's miss.  NonConvergence
+    when that is above 1e-6 or not finite: far pairs on thin annuli need
+    1 - c / g(0) below ~1e-14, where g^2 - c^2 cancels.
+    """
+    z, w = complex(z), complex(w)
     if z == w:
-        return 0.0
-    pts = _annulus_graph_path(field, r, z, w, n_r, n_t)
-    n_st = max(64, min(int(1.5 * len(pts)), 192))
-    best, pts = _trellis_refine(field, r, pts, n_st, width=0.4, shrinks=8)
-    best, _ = _trellis_refine(field, r, pts, 2 * n_st, width=0.02, shrinks=4)
-    return best
+        return CertifiedValue.exact(0.0, "shortest_path")
+    gap = abs(cmath.phase(w / z))
+    a, b = sorted((math.log(abs(z)), math.log(abs(w))))
+    if b <= 0.0:            # g is even: reflect the ends to b > 0
+        a, b = -b, -a
+    if b == 0.0:            # both on the core circle, itself a geodesic
+        return CertifiedValue.estimate(float(field(1.0, 1.0)) * gap, 0.0, "shortest_path")
+    (lo, hi), geodesic = _geodesics(field, r, a, b)
+    s = lo                  # c = 0: the radial path
+    while gap > 0.0:
+        s = 0.5 * (lo + hi)
+        angle = geodesic(s, _GEO_N)[1]
+        if abs(angle - gap) <= 1e-12 * max(gap, 1.0) or not lo < s < hi:
+            break
+        if angle < gap:
+            lo = s
+        else:
+            hi = s
+    c, _, rest = geodesic(s, _GEO_N)
+    c, angle, rest2 = geodesic(s, _GEO_2N)
+    err = abs(rest2 - rest) + c * abs(angle - gap)
+    if not err <= _GEO_TOL:
+        raise NonConvergence(f"geodesic quadrature gap {err:.3g} above {_GEO_TOL:g}")
+    return CertifiedValue.estimate(c * gap + rest2, err, "shortest_path")
 
 
 def bergman_distance(domain, z, w) -> CertifiedValue:
     """Bergman distance b_D(z, w).
 
     Simply connected planar domains: sqrt(2) times the hyperbolic distance
-    of the domain's chart.  Annulus: shortest-path value of the metric field
-    on two grid resolutions, an estimate whose error is the gap between them
-    (none at z = w); shorter paths than the fine grid's exist, so its lo is
-    no lower bound.
+    of the domain's chart.  Annulus: the Clairaut geodesic's length from
+    shortest_path_length, an estimate whose error is its quadrature gap
+    (none at z = w).
     """
     m = chart(domain)
     if m is not None:
@@ -494,11 +418,5 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
     if isinstance(domain, Annulus):
         if not (domain.contains(z) and domain.contains(w)):
             raise DomainViolation("points must lie inside the annulus")
-        if z == w:
-            return CertifiedValue.exact(0.0, "shortest_path")
-        field = bergman_field(domain)
-        coarse = shortest_path_length(field, domain.r, z, w, 48, 192)
-        fine = shortest_path_length(field, domain.r, z, w, 96, 384)
-        err = max(abs(fine - coarse), 1e-6)
-        return CertifiedValue.estimate(fine, err, "shortest_path")
+        return shortest_path_length(bergman_field(domain), domain.r, z, w)
     raise UnsupportedDomain(f"bergman distance unsupported on {type(domain).__name__}")

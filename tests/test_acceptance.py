@@ -184,7 +184,7 @@ def test_criterion_9_annulus_suite():
     with criterion(9, "annulus: covering vs integral, kernel, c <= k, product fit", 120.0):
         rep = bd.run_suite("annulus", samples=1000, seed=42)
         assert rep.violations == 0
-        assert rep.constants["sp_gap"] < 5e-3
+        assert rep.constants["sp_gap"] < 1e-9
         assert rep.constants["reproducing_residual"] < 1e-6
         assert math.isfinite(rep.constants["prop5_c"])
         assert rep.notes in ("series-mode", "interval-mode")

@@ -1,16 +1,19 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import invdist
+from invdist import bergman as bg
 from invdist.bergman import (
     AnnulusKernel,
-    annulus_monomial_norm_sq,
     bergman_distance,
     bergman_field,
     bergman_kernel,
-    bergman_kernel_pair,
     bergman_metric,
     integrate_metric,
     shortest_path_length,
@@ -25,7 +28,7 @@ from invdist.distances import (
 )
 from invdist.annulus import annulus_kobayashi_distance
 from invdist.domains import Annulus, Disc, UnitDisc
-from invdist.errors import UnsupportedDomain
+from invdist.errors import NonConvergence, UnsupportedDomain
 
 ROOT2 = math.sqrt(2.0)
 
@@ -37,6 +40,15 @@ def monomial_series_kernel(z, terms=4000):
     for n in range(terms):
         s += (n + 1) * a ** n / math.pi
     return s
+
+
+def annulus_monomial_norm_sq(r: float, n: int) -> float:
+    """Oracle: L^2(A_r) norm squared of zeta^n, pi (r^{2n+2} - r^{-(2n+2)}) /
+    (n+1), and 4 pi log r for n = -1."""
+    if n == -1:
+        return 4.0 * math.pi * math.log(r)
+    m = n + 1
+    return math.pi * (r ** (2 * m) - r ** (-2 * m)) / m
 
 
 class TestDiscKernel:
@@ -77,22 +89,28 @@ class TestAnnulusKernel:
             val = 2.0 * math.pi * np.sum(ww * rho ** (2 * n + 1))
             assert annulus_monomial_norm_sq(2.0, n) == pytest.approx(float(val), rel=1e-12)
 
+    def test_kernel_log_norms_match_the_oracle(self):
+        for r in (1.05, 2.0, 5.0):
+            ns = np.arange(-40, 39)
+            want = [math.log(annulus_monomial_norm_sq(r, int(n))) for n in ns]
+            np.testing.assert_allclose(bg._log_norm_sq(r, ns), want, rtol=1e-13, atol=1e-13)
+
     def test_kernel_positive_and_symmetric(self):
-        dom = Annulus(2.0)
+        kern = AnnulusKernel(2.0)
         for z, w in [(1.2 + 0.3j, 0.7 - 0.5j), (0.6 + 0.1j, 1.8 - 0.2j)]:
-            k = bergman_kernel_pair(dom, z, w)
-            assert bergman_kernel_pair(dom, w, z) == pytest.approx(k.conjugate(), abs=1e-14)
-        assert bergman_kernel(dom, 1.0 + 0j) > 0
+            k = kern.pair(z, w)
+            assert kern.pair(w, z) == pytest.approx(k.conjugate(), abs=1e-14)
+        assert bergman_kernel(Annulus(2.0), 1.0 + 0j) > 0
 
     def test_batched_log_diag_hessian_matches_point_calls(self, rng):
-        # moduli up to 0.999 r give thousands of terms, so the batch runs in
-        # several row chunks
+        # moduli up to r^0.85 give thousands of terms on A_1.05, so the batch
+        # runs in several row chunks
         r = 1.05
         kern = AnnulusKernel(r)
-        mod = np.exp(rng.uniform(-0.999, 0.999, (6, 8)) * math.log(r))
-        mod[0, 0] = 0.999 * r
+        mod = np.exp(rng.uniform(-0.85, 0.85, (6, 8)) * math.log(r))
+        mod[0, 0] = r ** 0.85
         z = mod * np.exp(2j * np.pi * rng.uniform(size=(6, 8)))
-        assert 262144 // kern._terms(0.999 * r).size < z.size
+        assert 262144 // kern._terms(r ** 0.85).size < z.size
         batch = kern.log_diag_hessian(z)
         assert batch.shape == z.shape
         points = np.array([[kern.log_diag_hessian(complex(v)) for v in row] for row in z])
@@ -101,17 +119,40 @@ class TestAnnulusKernel:
     def test_point_value_does_not_depend_on_its_batch(self, rng):
         # 500 points over the moduli of three annuli, in one batch and one by
         # one: a term range taken from a batch's largest modulus would cut
-        # the low tail of its small-modulus points
-        for r in (1.05, 2.0, 5.0):
+        # the low tail of its small-modulus points.  Each spread reaches the
+        # last bins whose tails converge within _NMAX terms
+        for r, spread in ((1.05, 0.86), (2.0, 0.99), (5.0, 0.996)):
             kern = AnnulusKernel(r)
             L = math.log(r)
-            z = np.exp(rng.uniform(-0.999, 0.999, 500) * L + 2j * math.pi * rng.uniform(size=500))
+            z = np.exp(rng.uniform(-spread, spread, 500) * L +
+                       2j * math.pi * rng.uniform(size=500))
             for f in (kern.diagonal, kern.log_diag_hessian):
                 points = np.array([f(complex(v)) for v in z])
                 np.testing.assert_allclose(f(z), points, rtol=1e-13, atol=0)
         k = AnnulusKernel(2.0)
         assert k.diagonal(np.array([0.52, 0.9]))[0] == pytest.approx(191.82110254173833,
                                                                       rel=1e-13)
+
+    def test_near_circle_raises_instead_of_truncating(self):
+        # K(0.5001) on A_2 needs ~800k terms; capped at 4000 it read 3.78e6
+        # against 7.96e6
+        with pytest.raises(NonConvergence):
+            bergman_kernel(Annulus(2.0), 0.5001)
+        with pytest.raises(NonConvergence):
+            bergman_metric(Annulus(1.05), 1.049)
+        with pytest.raises(NonConvergence):
+            bergman_metric(Annulus(2.0), np.array([1.0, 1.999j]))
+        with pytest.raises(NonConvergence):
+            AnnulusKernel(2.0).pair(0.5001, 0.5001)
+        # the last bins that converge: A_1.05's bins 0-20 reach |log|z|| =
+        # atanh(21 / 16) log r > 0.85 log r, the benchmark's spread
+        kern = AnnulusKernel(1.05)
+        assert max(max(kern._bin_range(k)) for k in range(21)) == 3728
+        with pytest.raises(NonConvergence):
+            kern._bin_range(21)
+        for r in (1.05, 2.0, 5.0):
+            z = np.array([r ** 0.85, r ** -0.85, 1j * r ** 0.85])
+            assert np.all(np.isfinite(bergman_metric(Annulus(r), z)))
 
     def test_reproducing_property(self):
         residual = bg_reproducing_residual(2.0, 1.2 + 0.4j, range(-5, 6))
@@ -171,25 +212,63 @@ class TestDiscBergmanDistance:
             bergman_distance(Ball((0j, 0j), 1.0), np.array([0j, 0j]), np.array([0.5, 0j]))
 
 
+def log_path_length(r, z, w, alpha, beta, gamma=0.0):
+    """Bergman length of the explicit path exp(log z + s(t) log(w / z) +
+    alpha t(1-t) + gamma t(1-t)(t - 1/2)), s = t + beta t(1-t): an upper
+    bound on the distance that no geodesic solver enters."""
+    lz, d = cmath.log(z), cmath.log(w / z)
+
+    def path(t):
+        return cmath.exp(lz + (t + beta * t * (1 - t)) * d + alpha * t * (1 - t)
+                         + gamma * t * (1 - t) * (t - 0.5))
+
+    def dpath(t):
+        return path(t) * ((1 + beta * (1 - 2 * t)) * d + alpha * (1 - 2 * t)
+                          + gamma * (-3 * t * t + 3 * t - 0.5))
+
+    return integrate_metric(bergman_field(Annulus(r)), path, dpath, n_panels=16)
+
+
+# one pair per Clairaut regime on A_2 and A_5 (crossing the core circle, no
+# turning point, a turning point, radial), and near pairs on A_1.05
+CLAIRAUT_PAIRS = [
+    (2.0, 0.7j, -1.1 + 0.2j), (2.0, 0.8, 1.3 * cmath.exp(3.1j)),
+    (2.0, 1.1, 1.9 * cmath.exp(0.2j)), (2.0, 1.5, 1.6 * cmath.exp(2.5j)),
+    (2.0, 0.6, 0.55 * cmath.exp(-3.0j)), (2.0, 1.2, 1.9),
+    (5.0, 0.7, 2.0 * cmath.exp(0.8j)), (5.0, 1.5, 4.0 * cmath.exp(0.3j)),
+    (5.0, 2.0, 2.5 * cmath.exp(2.0j)), (5.0, 0.3, 0.25 * cmath.exp(-2.9j)), (5.0, 0.25, 3.0),
+    (1.05, 1.01, 1.02 * cmath.exp(0.01j)), (1.05, 0.98, 1.03 * cmath.exp(0.02j)),
+    (1.05, 1.03, 1.03 * cmath.exp(0.05j)), (1.05, 0.97, 0.99 * cmath.exp(-0.004j)),
+    (1.05, 0.97, 1.04),
+]
+
+
 class TestAnnulusBergmanDistance:
     def test_shortest_path_recovers_covering_kobayashi(self):
         dom = Annulus(2.0)
         field = kobayashi_field(dom)
         for z, w in [(1.0 + 0j, 1.5 + 0j), (0.6 + 0j, 1.9j)]:
-            sp = shortest_path_length(field, 2.0, z, w, 48, 192)
+            sp = shortest_path_length(field, 2.0, z, w)
             k = annulus_kobayashi_distance(2.0, z, w)
-            assert abs(sp - k) < 5e-3
+            assert abs(sp.value - k) < 1e-9
+
+    @pytest.mark.parametrize("r, z, w", CLAIRAUT_PAIRS)
+    def test_clairaut_kobayashi_equals_covering_formula(self, r, z, w):
+        z, w = complex(z), complex(w)
+        sp = shortest_path_length(kobayashi_field(Annulus(r)), r, z, w)
+        assert abs(sp.value - annulus_kobayashi_distance(r, z, w)) < 1e-10
+        assert sp.method == "shortest_path" and sp.error_estimate < 1e-9
 
     def test_interval_and_rotation_invariance(self):
         dom = Annulus(2.0)
         v = bergman_distance(dom, 1.0 + 0j, 1.5 + 0j)
-        # a shortest-path estimate, not an enclosure: shorter paths exist
+        # a shortest-path estimate, not an enclosure
         assert v.method == "shortest_path"
         assert v.error_estimate == pytest.approx(0.5 * v.width, rel=1e-12)
         assert v.hi >= v.lo
         rot = cmath.exp(0.9j)
         v2 = bergman_distance(dom, rot, 1.5 * rot)
-        assert abs(v.value - v2.value) < 5e-3
+        assert abs(v.value - v2.value) < 1e-9
 
     def test_comparison_k_le_4b(self):
         dom = Annulus(2.0)
@@ -198,25 +277,52 @@ class TestAnnulusBergmanDistance:
         b = bergman_distance(dom, z, w)
         assert k <= 4.0 * b.hi + 1e-6
 
-    @pytest.mark.parametrize("r, z, w, lo, hi", [
-        # the comp suite's A_2 pairs and the benchmark's A_5 Bergman pair
-        # shape (unrotated, unjittered); lo and hi from the per-batch term
-        # ranges the binned sums replaced, which moved them ~1e-13
-        (2.0, 1.0 + 0j, 1.5 + 0j, 0.7669452968201027, 0.7669472968201028),
-        (2.0, 0.7j, -1.1 + 0.2j, 2.5268501854554315, 2.556077802976804),
-        (5.0, 0.7 + 0j, 2.0 * cmath.exp(0.8j), 0.9563835292452963, 0.9575192410791159),
+    @pytest.mark.parametrize("r, z, w, path, value", [
+        # the benchmark's A_5 Bergman pair shape, an A_2 pair without a
+        # turning point and the comp suite's A_2 pair across the core circle
+        (5.0, 0.7 + 0j, 2.0 * cmath.exp(0.8j), (-0.17, 0.65), 0.9560126),
+        (2.0, 1.2 + 0.1j, 1.3 - 0.4j, (-0.1, 0.16), 0.7530274),
+        (2.0, 0.7j, -1.1 + 0.2j, (0.37, -0.31, -0.58), 2.5249219),
     ])
-    def test_distance_values_pinned(self, r, z, w, lo, hi):
+    def test_distance_below_explicit_paths(self, r, z, w, path, value):
         v = bergman_distance(Annulus(r), z, w)
-        assert v.lo == pytest.approx(lo, rel=1e-12)
-        assert v.hi == pytest.approx(hi, rel=1e-12)
+        upper = log_path_length(r, z, w, *path)
+        assert v.hi < upper < v.value + 5e-4
+        assert v.error_estimate < 1e-9
+        assert v.value == pytest.approx(value, abs=1e-6)
+
+    def test_thin_annulus_far_pair_raises(self):
+        # across the core circle of A_1.05 at angle pi: 1 - c / g(0) falls
+        # below rounding, where g^2 - c^2 cancels
+        with pytest.raises(NonConvergence):
+            bergman_distance(Annulus(1.05), 1.02, -1.0 / 1.03)
+        with pytest.raises(NonConvergence):
+            shortest_path_length(kobayashi_field(Annulus(1.05)), 1.05, 1.02, -1.0 / 1.03)
+
+    @pytest.mark.parametrize("r", [1.05, 2.0, 5.0])
+    def test_shoot_is_monotone_and_core_density_least(self, r):
+        L = math.log(r)
+        field = bergman_field(Annulus(r))
+        u = np.linspace(-0.85 * L, 0.85 * L, 2001)
+        g = field(np.exp(u), np.exp(u))
+        assert np.argmin(g) == 1000
+        for a, b in ((-0.5 * L, 0.6 * L), (0.2 * L, 0.7 * L)):
+            (lo, hi), geodesic = bg._geodesics(field, r, a, b)
+            s = np.linspace(lo, hi, 2003)[1:-1]
+            angles = np.array([geodesic(x, bg._GEO_N)[1] for x in s])
+            assert np.all(np.diff(angles) > 0)
+
+    def test_core_circle_pair(self):
+        dom = Annulus(2.0)
+        v = bergman_distance(dom, 1.0, 1j)
+        assert v.value == pytest.approx(bergman_metric(dom, 1.0) * math.pi / 2, rel=1e-15)
 
     def test_coincident_points_distance_zero(self):
         dom = Annulus(2.0)
         v = bergman_distance(dom, 1, 1)
         assert (v.lo, v.hi, v.error_estimate) == (0.0, 0.0, 0.0)
         assert v.method == "shortest_path"
-        assert shortest_path_length(bergman_field(dom), 2.0, 1.2 - 0.3j, 1.2 - 0.3j) == 0.0
+        assert shortest_path_length(bergman_field(dom), 2.0, 1.2 - 0.3j, 1.2 - 0.3j) == v
 
     def test_bergman_metric_vectorized_guard(self):
         dom = Annulus(2.0)
@@ -297,7 +403,7 @@ class TestAnnulusPairKernel:
     @pytest.mark.parametrize("z, w, want", [(0.52, 0.55, 61.97356058518271147),
                                             (1.9, 1.95, 14.674713295568670912)])
     def test_references(self, z, w, want):
-        got = bergman_kernel_pair(Annulus(2.0), z, w)
+        got = AnnulusKernel(2.0).pair(z, w)
         assert abs(got - want) <= 1e-13 * want
 
     def test_array_matches_scalar_calls(self, rng):
@@ -320,3 +426,18 @@ class TestAnnulusPairKernel:
             w = complex(np.exp(rng.uniform(-0.99, 0.99) * math.log(2.0)))
             assert kern.pair(z, z) == pytest.approx(kern.diagonal(z), rel=1e-13)
             assert kern.pair(w, z) == pytest.approx(kern.pair(z, w).conjugate(), rel=1e-14)
+
+
+def test_no_scipy_module_is_imported():
+    # the annulus Bergman distance and the comp suite in a fresh interpreter
+    code = ("import sys\n"
+            "from invdist import Annulus, bergman_distance\n"
+            "from invdist.bounds import run_suite\n"
+            "bergman_distance(Annulus(2), 0.7j, -1.1 + 0.2j)\n"
+            "run_suite('comp', samples=10, seed=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(invdist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
