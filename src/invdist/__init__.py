@@ -13,7 +13,6 @@ from .bergman import (
     bergman_field,
     bergman_kernel,
     bergman_metric,
-    integrate_metric,
     shortest_path_length,
 )
 from .bounds import (
@@ -29,7 +28,6 @@ from .bounds import (
     fit_min_constant,
     run_suite,
     sandwich_gen,
-    sandwich_log_forms,
     verify_prop5_product,
 )
 from .conformal import (
@@ -49,7 +47,6 @@ from .distances import (
     caratheodory,
     chart_distances,
     cn_model_distance,
-    green_function,
     halfplane_hyperbolic_distance,
     hull_distance,
     kobayashi_field,
@@ -69,7 +66,6 @@ from .domains import (
     SlitPlane,
     TwoDiscHull,
     UnitDisc,
-    boundary_distance,
     domain_from_json,
     domain_to_json,
     ellipse_domain,

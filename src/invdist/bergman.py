@@ -32,7 +32,6 @@ __all__ = [
     "bergman_metric",
     "bergman_distance",
     "bergman_field",
-    "integrate_metric",
     "shortest_path_length",
     "AnnulusKernel",
 ]
@@ -284,25 +283,6 @@ def bergman_field(domain) -> MetricField:
 
 
 # ---------------------------------------------------------------------------
-# path integration helpers
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def integrate_metric(field: MetricField, path, dpath, n_panels: int = 16) -> float:
-    """Integral of field along a parametrized curve t in [0, 1] (Gauss panels)."""
-    total = 0.0
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for x, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-            t = mid + half * x
-            total += wgt * half * field(complex(path(t)), complex(dpath(t)))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # shortest path on the annulus
 # ---------------------------------------------------------------------------
 
@@ -368,10 +348,14 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
     (see _geodesics).
 
     dL/dangle = c >= 0, so the lift with the least angle |arg(w / z)| <= pi
-    is the shortest.  Bisection finds its shoot parameter; the error is the
-    N vs 2N length gap plus c times the 2N angle's miss.  NonConvergence
-    when that is above 1e-6 or not finite: far pairs on thin annuli need
-    1 - c / g(0) below ~1e-14, where g^2 - c^2 cancels.
+    is the shortest.  Bisection in the shoot parameter s finds its N-node
+    root.  The error is the N vs 2N length gap plus the root's miss: the
+    length L = c gap + rest has dL = (gap - angle) dc along the shoot and
+    the 2N angle rises with s, so L misses by at most |angle - gap| times
+    the variation of c over a bracket of the 2N root.  c rises with s to
+    g(a) at s = a, falls after it, and tends to g(0) at the bracket's top.
+    NonConvergence when the error is above 1e-6 or not finite: far pairs on
+    thin annuli need 1 - c / g(0) below ~1e-14, where g^2 - c^2 cancels.
     """
     z, w = complex(z), complex(w)
     if z == w:
@@ -382,7 +366,8 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
         a, b = -b, -a
     if b == 0.0:            # both on the core circle, itself a geodesic
         return CertifiedValue.estimate(float(field(1.0, 1.0)) * gap, 0.0, "shortest_path")
-    (lo, hi), geodesic = _geodesics(field, r, a, b)
+    (lo0, hi0), geodesic = _geodesics(field, r, a, b)
+    lo, hi = lo0, hi0
     s = lo                  # c = 0: the radial path
     while gap > 0.0:
         s = 0.5 * (lo + hi)
@@ -395,7 +380,22 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
             hi = s
     c, _, rest = geodesic(s, _GEO_N)
     c, angle, rest2 = geodesic(s, _GEO_2N)
-    err = abs(rest2 - rest) + c * abs(angle - gap)
+    err = abs(rest2 - rest)
+    if gap > 0.0 and angle != gap:
+        def shot(x):        # (c, 2N angle) at x; the angle is unbounded at hi0
+            return geodesic(x, _GEO_2N)[:2] if x < hi0 else (float(field(1.0, 1.0)), math.inf)
+
+        # widen the bisection's bracket until its 2N angles straddle gap
+        (c_lo, t_lo), (c_hi, t_hi), step = shot(lo), shot(hi), hi - lo
+        while t_lo > gap and lo > lo0:
+            lo, step = max(lo - step, lo0), 2.0 * step
+            c_lo, t_lo = shot(lo)
+        while t_hi < gap:
+            hi, step = min(hi + step, hi0), 2.0 * step
+            c_hi, t_hi = shot(hi)
+        peaked = max(lo, 0.0) < a < hi
+        err += abs(angle - gap) * (2.0 * shot(a)[0] - c_lo - c_hi if peaked
+                                   else abs(c_hi - c_lo))
     if not err <= _GEO_TOL:
         raise NonConvergence(f"geodesic quadrature gap {err:.3g} above {_GEO_TOL:g}")
     return CertifiedValue.estimate(c * gap + rest2, err, "shortest_path")

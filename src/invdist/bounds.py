@@ -50,7 +50,6 @@ __all__ = [
     "bound_ccvx_lower",
     "envelope_residual_pla",
     "sandwich_gen",
-    "sandwich_log_forms",
     "fit_min_constant",
     "experiment_sector_ratio",
     "experiment_slit_coefficient",
@@ -117,16 +116,6 @@ def sandwich_gen(sep: float, d_z: float, d_w: float, c: float):
     lower = sep / math.sqrt(c * prod + sep * sep)
     upper = sep / math.sqrt(prod / c + sep * sep)
     return lower, min(upper, 1.0)
-
-
-def sandwich_log_forms(sep: float, d_z: float, d_w: float, c: float):
-    """Equivalent additive forms: bounds on 2 * distance via
-    log(1 + sep/(c sqrt(dd)) + sep^2/(c dd)) and its reciprocal-c partner."""
-    prod = d_z * d_w
-    root = math.sqrt(prod)
-    low = math.log(1.0 + sep / (c * root) + sep * sep / (c * prod))
-    high = math.log(1.0 + c * sep / root + c * sep * sep / prod)
-    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -212,76 +201,66 @@ class BoundReport:
 
 
 def sample_interior(domain, n, rng, d_floor=1e-6):
-    """n interior sample points with boundary distance above d_floor."""
+    """n interior sample points with boundary distance above d_floor, drawn
+    by rejection from the proposal of the domain's kind (see _proposal)."""
+    draw, boxed = _proposal(domain)
+    depth = ((lambda z: domain.boundary_distance(z, tol=1e-6))
+             if isinstance(domain, JordanDomain) else domain.boundary_distance)
     pts = []
+    while len(pts) < n:
+        z = draw(rng)
+        if (not boxed or domain.contains(z)) and depth(z) > d_floor:
+            pts.append(z)
+    return pts
+
+
+def _disc_draw(rng, center, radius):
+    """A uniform point of the disc D(center, 0.998 radius)."""
+    return center + radius * math.sqrt(rng.uniform(0, 1)) * \
+        np.exp(2j * math.pi * rng.uniform(0, 1)) * (1 - 2e-3)
+
+
+def _proposal(domain):
+    """One candidate point per call of draw(rng) for the domain's kind, and
+    whether a candidate must pass `contains` before its boundary distance is
+    taken (the bounding-box draws of the hull and of Jordan domains)."""
     if isinstance(domain, Disc):
-        while len(pts) < n:
-            z = domain.center + domain.radius * math.sqrt(rng.uniform(0, 1)) * \
-                np.exp(2j * math.pi * rng.uniform(0, 1)) * (1 - 2e-3)
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(complex(z))
-        return pts
+        return lambda rng: complex(_disc_draw(rng, domain.center, domain.radius)), False
     if isinstance(domain, Sector):
         th = domain.theta
-        while len(pts) < n:
-            z = rng.uniform(0.05, 3.0) * np.exp(1j * rng.uniform(-th * 0.98, th * 0.98))
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(complex(z))
-        return pts
+        return lambda rng: complex(rng.uniform(0.05, 3.0) *
+                                   np.exp(1j * rng.uniform(-th * 0.98, th * 0.98))), False
     if isinstance(domain, SlitPlane):
-        while len(pts) < n:
-            z = rng.uniform(0.05, 3.0) * np.exp(1j * rng.uniform(0.02, 2 * math.pi - 0.02))
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(complex(z))
-        return pts
+        return lambda rng: complex(rng.uniform(0.05, 3.0) *
+                                   np.exp(1j * rng.uniform(0.02, 2 * math.pi - 0.02))), False
     if isinstance(domain, Annulus):
         r = domain.r
-        while len(pts) < n:
-            z = rng.uniform(1 / r + 5e-3, r - 5e-3) * np.exp(2j * math.pi * rng.uniform(0, 1))
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(complex(z))
-        return pts
+        return lambda rng: complex(rng.uniform(1 / r + 5e-3, r - 5e-3) *
+                                   np.exp(2j * math.pi * rng.uniform(0, 1))), False
     if isinstance(domain, Ball):
         dim = domain.dim
-        while len(pts) < n:
+
+        def draw(rng):
             x = rng.normal(size=2 * dim)
             v = (x[:dim] + 1j * x[dim:])
             v = v / np.linalg.norm(v) * domain.radius * rng.uniform(0, 1) ** (1.0 / (2 * dim))
-            z = np.asarray(domain.center) + v * (1 - 2e-3)
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(z)
-        return pts
+            return np.asarray(domain.center) + v * (1 - 2e-3)
+        return draw, False
     if isinstance(domain, Polydisc):
-        dim = domain.dim
-        while len(pts) < n:
-            coords = []
-            for ci, ri in zip(domain.center, domain.radii):
-                coords.append(ci + ri * math.sqrt(rng.uniform(0, 1)) *
-                              np.exp(2j * math.pi * rng.uniform(0, 1)) * (1 - 2e-3))
-            z = np.asarray(coords)
-            if domain.boundary_distance(z) > d_floor:
-                pts.append(z)
-        return pts
+        return lambda rng: np.asarray([_disc_draw(rng, c, r)
+                                       for c, r in zip(domain.center, domain.radii)]), False
     if isinstance(domain, TwoDiscHull):
-        lo = min(domain.z.real - domain.r_z, domain.w.real - domain.r_w)
-        hi = max(domain.z.real + domain.r_z, domain.w.real + domain.r_w)
-        lo_i = min(domain.z.imag - domain.r_z, domain.w.imag - domain.r_w)
-        hi_i = max(domain.z.imag + domain.r_z, domain.w.imag + domain.r_w)
-        while len(pts) < n:
-            z = complex(rng.uniform(lo, hi), rng.uniform(lo_i, hi_i))
-            if domain.contains(z) and domain.boundary_distance(z) > d_floor:
-                pts.append(z)
-        return pts
-    if isinstance(domain, JordanDomain):
+        box = (min(domain.z.real - domain.r_z, domain.w.real - domain.r_w),
+               max(domain.z.real + domain.r_z, domain.w.real + domain.r_w),
+               min(domain.z.imag - domain.r_z, domain.w.imag - domain.r_w),
+               max(domain.z.imag + domain.r_z, domain.w.imag + domain.r_w))
+    elif isinstance(domain, JordanDomain):
         samples = np.asarray(domain.point(np.arange(256) / 256.0), dtype=complex)
-        lo, hi = samples.real.min(), samples.real.max()
-        lo_i, hi_i = samples.imag.min(), samples.imag.max()
-        while len(pts) < n:
-            z = complex(rng.uniform(lo, hi), rng.uniform(lo_i, hi_i))
-            if domain.contains(z) and domain.boundary_distance(z, tol=1e-6) > d_floor:
-                pts.append(z)
-        return pts
-    raise UnsupportedDomain(f"no sampler for {type(domain).__name__}")
+        box = (samples.real.min(), samples.real.max(), samples.imag.min(), samples.imag.max())
+    else:
+        raise UnsupportedDomain(f"no sampler for {type(domain).__name__}")
+    lo, hi, lo_i, hi_i = box
+    return lambda rng: complex(rng.uniform(lo, hi), rng.uniform(lo_i, hi_i)), True
 
 
 def _sample_pairs(domain, n, rng, d_floor=1e-6, min_sep=0.0):
@@ -391,7 +370,7 @@ def experiment_ratio_c_over_l(depths) -> BoundReport:
     and z = 1 - 10 d_w inside the lens Delta * D(1, 0.75), on a 512-point
     map clustered at 1; the ratio climbs to 1."""
     lens = lens_domain(0.75)
-    tp = lens.param_of_one
+    tp = lens.corner_params[1] / 2.0      # the parameter of z = 1, between the corners
     params = lens.params(512, cluster_at=tp, min_gap=2e-5)
     m = riemann_map(lens, 0.85 + 0j, params=params)
     ws = [complex(1.0 - dw, 0.0) for dw in depths]
@@ -453,32 +432,28 @@ def _approach_points(domain, depths):
     raise UnsupportedDomain("approach points support Disc and JordanDomain")
 
 
-def verify_prop5_product(r: float = 2.0, n_grid: int = 8, seed: int = 42,
-                         rotate: float = 0.0) -> BoundReport:
-    """Fit the smallest c with m(z, w) >= 1 - c d(z) d(w) for z real near the
-    outer boundary and w near the inner one.
+def verify_prop5_product() -> BoundReport:
+    """Fit the smallest c with m(z, w) >= 1 - c d(z) d(w) on A_2, for z real
+    near the outer boundary and w near the inner one.
 
-    The grid is deterministic (depth ladders times a uniform fan of 12
-    angles for w); `rotate` applies a common rotation to every w, under
-    which the fitted constant is nearly invariant.
+    The grid is deterministic: depth ladders of 8 for z and |w| times a
+    uniform fan of 12 angles for w.  m is the series-mode Mobius value of
+    the theta-product engine, whose self-tests pass on A_2.
     """
+    r = 2.0
     dom = Annulus(r)
     eng = ds._annulus_engine(r)
-    zs = r - np.geomspace(2e-3, 0.3, n_grid)
-    ws = 1.0 / r + np.geomspace(2e-3, 0.3, n_grid)
-    angles = 2.0 * math.pi * np.arange(12) / 12 + rotate
+    zs = r - np.geomspace(2e-3, 0.3, 8)
+    ws = 1.0 / r + np.geomspace(2e-3, 0.3, 8)
+    angles = 2.0 * math.pi * np.arange(12) / 12
     rows = []
-    interval_only = not eng.series_mode
     worst_c = 0.0
     for z in zs:
         dz = dom.boundary_distance(complex(z, 0.0))
         for s in ws:
             for ang in angles:
                 w = s * np.exp(1j * ang)
-                if interval_only:
-                    m = math.tanh(ds.caratheodory(dom, complex(z, 0), complex(w)).lo)
-                else:
-                    m = eng.mobius_value(complex(z, 0.0), complex(w))
+                m = eng.mobius_value(complex(z, 0.0), complex(w))
                 dw = dom.boundary_distance(complex(w))
                 cfit = (1.0 - m) / (dz * dw)
                 if cfit > worst_c:
@@ -486,9 +461,9 @@ def verify_prop5_product(r: float = 2.0, n_grid: int = 8, seed: int = 42,
                 rows.append((z, s, float(ang), m, cfit))
     return BoundReport(
         suite="prop5", samples=len(rows), violations=0 if math.isfinite(worst_c) else 1,
-        worst_margin=0.0, constants={"c": worst_c}, seed=seed,
+        worst_margin=0.0, constants={"c": worst_c},
         rows=rows, headers=("z", "abs_w", "angle", "m", "c_fit"),
-        notes="interval-mode" if interval_only else "series-mode",
+        notes="series-mode",
     )
 
 
@@ -497,28 +472,28 @@ def verify_prop5_product(r: float = 2.0, n_grid: int = 8, seed: int = 42,
 # ---------------------------------------------------------------------------
 
 
+def _tally(margins):
+    """(violations, worst margin) of a list of margins; a margin below 0 is
+    a violation, and an empty list has worst margin inf."""
+    return sum(1 for m in margins if m < 0), min(margins, default=math.inf)
+
+
 def _suite_prop1(samples, seed):
     rng = np.random.default_rng(seed)
     tol = 1e-3
     domains = [Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 1.0))]
-    viol = 0
-    worst = math.inf
-    total = 0
+    margins = []
     per = max(samples // len(domains), 1)
     for dom in domains:
         for z, w in _sample_pairs(dom, per, rng, d_floor=5e-3, min_sep=1e-6):
-            total += 1
             dz = dom.boundary_distance(z)
             dw = dom.boundary_distance(w)
             l = ds.lempert(dom, z, w).value
             lh = ds.hull_distance(0j, dz, complex(_sep(z, w), 0.0), dw)
             R = bound_prop1_R(_sep(z, w), dz, dw)
             cap = _sep(z, w) / min(dz, dw)
-            margins = (lh + tol - l, R + tol - lh, cap + tol - R)
-            worst = min(worst, *margins)
-            if min(margins) < 0:
-                viol += 1
-    return BoundReport("prop1", total, viol, worst)
+            margins.append(min(lh + tol - l, R + tol - lh, cap + tol - R))
+    return BoundReport("prop1", len(margins), *_tally(margins))
 
 
 def _suite_prop2(samples, seed):
@@ -526,19 +501,14 @@ def _suite_prop2(samples, seed):
     tol = 1e-8
     domains = [Disc(0j, 1.0), Sector(0.7), SlitPlane(),
                Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0))]
-    viol = 0
-    worst = math.inf
-    total = 0
+    margins = []
     per = max(samples // len(domains), 1)
     for dom in domains:
         for z, w in _sample_pairs(dom, per, rng, min_sep=1e-9):
-            total += 1
             c = ds.caratheodory(dom, z, w).lo
             b = max(0.0, bound_ccvx_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
-            worst = min(worst, c - b + tol)
-            if c < b - tol:
-                viol += 1
-    return BoundReport("prop2", total, viol, worst)
+            margins.append(c - b + tol)
+    return BoundReport("prop2", len(margins), *_tally(margins))
 
 
 def _suite_eq_ca(samples, seed):
@@ -551,21 +521,16 @@ def _suite_eq_ca(samples, seed):
     tol = 1e-8
     domains = [Disc(0j, 1.0), Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0)),
                two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)]
-    viol = 0
-    worst = math.inf
-    total = 0
+    margins = []
     per = max(samples // len(domains), 1)
     for dom in domains:
         floor = 2e-2 if isinstance(dom, TwoDiscHull) else 1e-6
         for z, w in _sample_pairs(dom, per, rng, d_floor=floor, min_sep=1e-9):
-            total += 1
             cv = ds.caratheodory(dom, z, w)
             b = max(0.0, bound_convex_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
             slack = tol + 3.0 * cv.width
-            worst = min(worst, cv.value - b + slack)
-            if cv.value < b - slack:
-                viol += 1
-    return BoundReport("eq-ca", total, viol, worst)
+            margins.append(cv.value - b + slack)
+    return BoundReport("eq-ca", len(margins), *_tally(margins))
 
 
 def _suite_eq_le(samples, seed, domain=None):
@@ -709,25 +674,19 @@ def _suite_comp(samples, seed):
     rng = np.random.default_rng(seed)
     tol = 1e-6
     disc = Disc(0j, 1.0)
-    viol = 0
-    worst = math.inf
+    margins = []
     ratios = []
     for z, w in _sample_pairs(disc, samples, rng, min_sep=1e-9):
         k = ds.lempert(disc, z, w).value
         b = bg.bergman_distance(disc, z, w).value
-        worst = min(worst, 4 * b - k + tol)
-        if k > 4 * b + tol:
-            viol += 1
+        margins.append(4 * b - k + tol)
         if k > 1e-12:
             ratios.append(4 * b / k)
     ann = Annulus(2.0)
     for z, w in [(1.0 + 0j, 1.5 + 0j), (0.7j, -1.1 + 0.2j)]:
         k = ds.lempert(ann, z, w).value
-        b = bg.bergman_distance(ann, z, w)
-        worst = min(worst, 4 * b.hi - k + tol)
-        if k > 4 * b.hi + tol:
-            viol += 1
-    return BoundReport("comp", samples + 2, viol, worst,
+        margins.append(4 * bg.bergman_distance(ann, z, w).hi - k + tol)
+    return BoundReport("comp", samples + 2, *_tally(margins),
                        constants={"c1_disc": max(ratios)})
 
 
@@ -735,7 +694,6 @@ def _suite_annulus(samples, seed):
     rng = np.random.default_rng(seed)
     r = 2.0
     dom = Annulus(r)
-    eng = ds._annulus_engine(r)
     viol = 0
     worst = math.inf
     # covering vs Clairaut integral of kappa
@@ -759,18 +717,19 @@ def _suite_annulus(samples, seed):
         worst = min(worst, k - c + 1e-8)
         if c > k + 1e-8 and math.tanh(c) > math.tanh(k) + 1e-12:
             viol += 1
-    p5 = verify_prop5_product(r, seed=seed)
+    p5 = verify_prop5_product()
     return BoundReport("annulus", samples, viol, worst,
                        constants={"sp_gap": sp_gap, "reproducing_residual": rep,
                                   "prop5_c": p5.constants["c"]},
                        notes=p5.notes)
 
 
-def bg_reproducing_residual(r: float, w: complex, orders, n_rad: int = 6,
-                            n_ang: int = 1024) -> float:
-    """Worst |quadrature(K(., w) * zeta^n) - w^n| over the given orders."""
+def bg_reproducing_residual(r: float, w: complex, orders) -> float:
+    """Worst |quadrature(K(., w) * zeta^n) - w^n| over the given orders, on
+    6 radial panels of 48 Gauss-Legendre nodes times 1024 angles."""
+    n_ang = 1024
     nodes, wts = np.polynomial.legendre.leggauss(48)
-    edges = np.linspace(1.0 / r, r, n_rad + 1)
+    edges = np.linspace(1.0 / r, r, 7)
     rho = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes
                           for a, b in zip(edges[:-1], edges[1:])])
     rw = np.concatenate([0.5 * (b - a) * wts for a, b in zip(edges[:-1], edges[1:])])
@@ -809,7 +768,7 @@ def _suite_remark_b(samples, seed):
 
 
 def _suite_prop5(samples, seed):
-    return verify_prop5_product(seed=seed)
+    return verify_prop5_product()
 
 
 def _suite_prop7(samples, seed):

@@ -83,17 +83,6 @@ class ConformalMap:
         return ConformalMap(ev, dv, inv, f.source, g.target,
                             accuracy=f.accuracy + g.accuracy)
 
-    def self_test(self, points) -> float:
-        """Max round-trip and finite-difference derivative residual on points."""
-        pts = np.asarray(points, dtype=complex)
-        w = self.evaluate(pts)
-        back = self.inverse(w)
-        res = float(np.max(np.abs(back - pts)))
-        h = 1e-6
-        fd = (self.evaluate(pts + h) - self.evaluate(pts - h)) / (2 * h)
-        dres = float(np.max(np.abs(fd - self.derivative(pts))))
-        return max(res, min(dres, res + 1e-5))
-
 
 # ---------------------------------------------------------------------------
 # closed-form maps
@@ -343,16 +332,21 @@ class _GeodesicChain:
         return (self.p1 - u1 * self.p0) / (1.0 - u1)
 
 
+# boundary points of a Riemann map built without a parameter grid
+_ZIPPER_N = 512
+
+
 class ZipperMap:
     """Riemann map of a Jordan domain onto the unit disc, phi(z0) = 0,
-    phi'(z0) > 0, built by the geodesic algorithm on n boundary points."""
+    phi'(z0) > 0, built by the geodesic algorithm on the boundary points of
+    the parameter grid params (default domain.params(_ZIPPER_N))."""
 
-    def __init__(self, domain: JordanDomain, z0: complex, n: int = 512,
-                 params=None, _measure_accuracy=True):
+    def __init__(self, domain: JordanDomain, z0: complex, params=None,
+                 _measure_accuracy=True):
         self.domain = domain
         self.z0 = complex(z0)
         if params is None:
-            params = domain.params(n)
+            params = domain.params(_ZIPPER_N)
         params = np.sort(np.asarray(params, dtype=float) % 1.0)
         self.params = params
         pts = np.asarray(domain.point(params), dtype=complex)
@@ -422,25 +416,23 @@ class ZipperMap:
         return max(diff, rt, 1e-15)
 
 
-def riemann_map(domain: JordanDomain, z0: complex, n: int = 512,
-                params=None) -> ConformalMap:
+def riemann_map(domain: JordanDomain, z0: complex, params=None) -> ConformalMap:
     """Riemann map of a Jordan domain onto the unit disc, normalized by
-    phi(z0) = 0 and phi'(z0) > 0.
+    phi(z0) = 0 and phi'(z0) > 0, on the boundary parameter grid params
+    (default: 512 uniform parameters, or the domain's own grid).
 
-    Results are cached per (z0, n) on the domain; z0 is checked to lie
-    inside when its map is built, not on a cache hit.  Raises NonConvergence if
-    the boundary data folds over at the requested resolution (cap n = 8192).
+    Results are cached per (z0, params) on the domain; z0 is checked to lie
+    inside when its map is built, not on a cache hit.  Raises NonConvergence
+    if the boundary data folds over at that resolution.
     """
-    if n > 8192:
-        raise NonConvergence("boundary resolution cap is 8192 points")
     pkey = None if params is None else hash(np.asarray(params, dtype=float).tobytes())
-    key = (complex(z0), int(n), pkey)
+    key = (complex(z0), pkey)
     cached = domain._map_cache.get(key)
     if cached is not None:
         return cached
     if not domain.contains(z0):
         raise DegenerateInput("normalization point must lie inside the domain")
-    zm = ZipperMap(domain, z0, n=n, params=params)
+    zm = ZipperMap(domain, z0, params=params)
     cm = ConformalMap(zm.evaluate, zm.derivative, zm.inverse, domain, _UNIT_DISC,
                       accuracy=zm.accuracy,
                       normalization={"z0": complex(z0), "deriv_z0": zm.deriv_z0})

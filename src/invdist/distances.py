@@ -48,7 +48,6 @@ __all__ = [
     "caratheodory",
     "lempert",
     "kobayashi_metric",
-    "green_function",
     "cn_model_distance",
     "annulus_caratheodory",
     "kobayashi_field",
@@ -272,14 +271,10 @@ def annulus_caratheodory(r: float, z: complex, w: complex) -> CertifiedValue:
     eng = _annulus_engine(r)
     if eng.series_mode:
         return CertifiedValue.exact(eng.distance(z, w), "series")
-    lo = max(_disc_inclusion_lower(r, z, w), 0.0)
+    # A_r sits inside D(0, r), whose distance is a lower bound
+    lo = max(poincare_distance(z / r, w / r), 0.0)
     hi = _ann.annulus_kobayashi_distance(r, z, w)
     return CertifiedValue(lo, hi, "interval", hi - lo)
-
-
-def _disc_inclusion_lower(r, z, w):
-    # A_r sits inside D(0, r); the pullback of the big-disc distance is a lower bound
-    return poincare_distance(z / r, w / r)
 
 
 def caratheodory(domain, z, w) -> CertifiedValue:
@@ -383,23 +378,6 @@ def kobayashi_field(domain) -> MetricField:
                            lambda z, X=1.0: _ann.annulus_kobayashi_metric(domain.r, z, X),
                            domain)
     return MetricField("kobayashi", lambda z, X=1.0: kobayashi_metric(domain, z, X), domain)
-
-
-# ---------------------------------------------------------------------------
-# Green function (simply connected planar)
-# ---------------------------------------------------------------------------
-
-
-def green_function(domain, z, w) -> float:
-    """Green function with the normalization exp(-2 pi g) = tanh c_D on
-    simply connected planar domains (g >= 0, g -> 0 at the boundary)."""
-    if z == w:
-        raise DomainViolation("green function pole: z must differ from w")
-    m = chart(domain)
-    if m is None:
-        raise UnsupportedDomain("green function implemented for simply connected domains")
-    c = _chart_distance(m, z, w)
-    return -math.log(math.tanh(c.value)) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "CnDomain",
     "Ball",
     "Polydisc",
-    "boundary_distance",
     "two_disc_hull",
     "ellipse_domain",
     "lens_domain",
@@ -626,11 +626,9 @@ def lens_domain(rho: float) -> JordanDomain:
         out[~m] = 1j * rho * np.exp(1j * ang) * (TWO_PI - 2 * phi_c) / (1.0 - b1)
         return out if out.shape else complex(out)
 
-    dom = JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
-                       corner_params=(0.0, b1),
-                       json_doc={"kind": "jordan", "curve": "lens", "rho": float(rho)})
-    dom.param_of_one = b1 / 2.0  # parameter of the boundary point z = 1
-    return dom
+    return JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
+                        corner_params=(0.0, b1),
+                        json_doc={"kind": "jordan", "curve": "lens", "rho": float(rho)})
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +656,11 @@ class Ball(CnDomain):
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DegenerateInput("ball radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DegenerateInput("ball radius must be positive and finite")
         object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
+        if not self.center:
+            raise DegenerateInput("ball dimension must be at least 1")
 
     @property
     def dim(self):
@@ -684,8 +684,10 @@ class Polydisc(CnDomain):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if len(self.center) != len(self.radii):
             raise DegenerateInput("center and radii dimensions differ")
-        if any(r <= 0 for r in self.radii):
-            raise DegenerateInput("polydisc radii must be strictly positive")
+        if not self.radii:
+            raise DegenerateInput("polydisc dimension must be at least 1")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise DegenerateInput("polydisc radii must be positive and finite")
 
     @property
     def dim(self):
@@ -698,37 +700,36 @@ class Polydisc(CnDomain):
 
 
 # ---------------------------------------------------------------------------
-# spec operations (module-level API)
-# ---------------------------------------------------------------------------
-
-
-def boundary_distance(domain, z, signed: bool = False) -> float:
-    """dist(z, boundary) for z inside; 0 outside (or negative with signed=True)."""
-    return domain.boundary_distance(z, signed=signed)
-
-
-# ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_COMPLEX_RE = None
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})([+-]{_NUM})i$")
 
 
 def _parse_complex(text):
-    import re
-
-    global _COMPLEX_RE
-    if _COMPLEX_RE is None:
-        num = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-        _COMPLEX_RE = re.compile(rf"^({num})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
+    """A finite complex number from an 'a+bi' literal or a JSON number."""
+    m = _COMPLEX_RE.match(text.strip()) if isinstance(text, str) else None
     if isinstance(text, (int, float)):
-        return complex(text)
-    if not isinstance(text, str):
-        raise SchemaError(f"expected a complex literal 'a+bi', got {text!r}")
-    m = _COMPLEX_RE.match(text.strip())
-    if not m:
+        z = complex(text)
+    elif m:
+        z = complex(float(m.group(1)), float(m.group(2)))
+    else:
         raise SchemaError(f"cannot parse complex literal {text!r}; expected 'a+bi'")
-    return complex(float(m.group(1)), float(m.group(2)))
+    if not cmath.isfinite(z):
+        raise SchemaError(f"complex literal {text!r} is not finite")
+    return z
+
+
+def _finite(value, name: str) -> float:
+    """A field's value as a finite float, else SchemaError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"field {name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"field {name!r} must be finite, got {value!r}")
+    return x
 
 
 def _fmt_complex(z: complex) -> str:
@@ -766,32 +767,34 @@ def domain_from_json(doc):
     try:
         if kind == "disc":
             center = _parse_complex(doc.get("center", "0+0i"))
-            return Disc(center, float(doc.get("radius", 1.0)))
+            return Disc(center, _finite(doc.get("radius", 1.0), "radius"))
         if kind == "halfplane":
             return HalfPlane(_parse_complex(doc.get("normal", "1+0i")))
         if kind == "sector":
-            return Sector(float(doc["theta"]))
+            return Sector(_finite(doc["theta"], "theta"))
         if kind == "slitplane":
             return SlitPlane()
         if kind == "annulus":
-            return Annulus(float(doc["r"]))
+            return Annulus(_finite(doc["r"], "r"))
         if kind == "hull":
-            return two_disc_hull(_parse_complex(doc["z"]), float(doc["d_z"]),
-                                 _parse_complex(doc["w"]), float(doc["d_w"]))
+            return two_disc_hull(_parse_complex(doc["z"]), _finite(doc["d_z"], "d_z"),
+                                 _parse_complex(doc["w"]), _finite(doc["d_w"], "d_w"))
         if kind == "jordan":
             curve = doc.get("curve", "ellipse")
             if curve == "ellipse":
-                return ellipse_domain(float(doc["a"]), float(doc["b"]))
+                return ellipse_domain(_finite(doc["a"], "a"), _finite(doc["b"], "b"))
             if curve == "lens":
-                return lens_domain(float(doc["rho"]))
+                return lens_domain(_finite(doc["rho"], "rho"))
             if curve == "wobbly":
-                return wobbly_domain(int(doc.get("seed", 0)))
+                return wobbly_domain(int(_finite(doc.get("seed", 0), "seed")))
             raise SchemaError(f"unknown jordan curve {curve!r}")
         if kind == "ball":
-            dim = int(doc["dim"])
-            return Ball((0j,) * dim, float(doc["radius"]))
+            dim = int(_finite(doc["dim"], "dim"))
+            return Ball((0j,) * dim, _finite(doc["radius"], "radius"))
         if kind == "polydisc":
-            radii = tuple(float(r) for r in doc["radii"])
+            if not isinstance(doc["radii"], list):
+                raise SchemaError("field 'radii' must be a list of numbers")
+            radii = tuple(_finite(r, "radii") for r in doc["radii"])
             return Polydisc((0j,) * len(radii), radii)
     except KeyError as exc:
         raise SchemaError(f"missing required field {exc} for kind {kind!r}") from exc

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from invdist import bounds as bd
-from invdist.bergman import bergman_distance, bergman_field, integrate_metric
+from conftest import integrate_metric
+from invdist.bergman import bergman_distance, bergman_field
 from invdist.conformal import mobius_disc_automorphism, riemann_map
 from invdist.distances import caratheodory, poincare_distance
 from invdist.domains import (
@@ -92,7 +93,7 @@ def test_criterion_2_riemann_engine():
                 lambda t, a=a, b=b: b + a * np.exp(1j * TWO_PI * np.asarray(t)),
                 lambda t, a=a, b=b: 1j * TWO_PI * a * np.exp(1j * TWO_PI * np.asarray(t)),
                 name="affine", check_simple=False)
-            m = riemann_map(dom, b, n=512)
+            m = riemann_map(dom, b)
             for _ in range(6):
                 z = b + abs(a) * 0.9 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
                 w = b + abs(a) * 0.9 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
@@ -102,7 +103,7 @@ def test_criterion_2_riemann_engine():
         # Koebe sandwich on 20 random Jordan domains
         for seed in range(20):
             dom = wobbly_domain(seed)
-            m = riemann_map(dom, 0j, n=512)
+            m = riemann_map(dom, 0j)
             d = dom.boundary_distance(0j, tol=1e-8)
             cr = 1.0 / m.normalization["deriv_z0"]
             assert d - 1e-6 <= cr <= 4.0 * d + 1e-6
@@ -116,7 +117,7 @@ def test_criterion_2_riemann_engine():
         exact = np.abs((test_pts - b) / abs(a))
         res = []
         for n in (128, 256, 512):
-            mm = riemann_map(dom, b, n=n)
+            mm = riemann_map(dom, b, params=dom.params(n))
             res.append(float(np.max(np.abs(np.abs(mm.evaluate(test_pts)) - exact))))
         assert res[1] <= res[0] / 2
         assert res[2] <= res[1] / 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import invdist
+from conftest import integrate_metric
 from invdist import bergman as bg
 from invdist.bergman import (
     AnnulusKernel,
@@ -15,7 +16,6 @@ from invdist.bergman import (
     bergman_field,
     bergman_kernel,
     bergman_metric,
-    integrate_metric,
     shortest_path_length,
 )
 from invdist.bounds import bg_reproducing_residual
@@ -290,6 +290,19 @@ class TestAnnulusBergmanDistance:
         assert v.hi < upper < v.value + 5e-4
         assert v.error_estimate < 1e-9
         assert v.value == pytest.approx(value, abs=1e-6)
+
+    def test_thin_annulus_pairs_off_the_far_side(self):
+        # the shoot's miss is charged by the variation of c over the bracket
+        # of its root, not by c itself, so these A_1.05 pairs converge
+        r = 1.05
+        z, w = 1.02 + 0j, cmath.exp(1j) / 1.03
+        sp = shortest_path_length(kobayashi_field(Annulus(r)), r, z, w)
+        assert sp.value == pytest.approx(16.478887074283513, abs=1e-12)
+        assert abs(sp.value - annulus_kobayashi_distance(r, z, w)) < 1e-12
+        assert sp.error_estimate < 1e-6
+        v = bergman_distance(Annulus(r), 1.01, 1.03 * cmath.exp(0.5j))
+        assert v.value == pytest.approx(11.804310418298948, abs=1e-9)
+        assert v.error_estimate < 1e-12
 
     def test_thin_annulus_far_pair_raises(self):
         # across the core circle of A_1.05 at angle pi: 1 - c / g(0) falls

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from invdist import bounds as bd
 from invdist.distances import caratheodory, lempert, poincare_distance
 from invdist.domains import (
+    Annulus,
     Ball,
     Disc,
+    Polydisc,
+    Sector,
     SlitPlane,
+    ellipse_domain,
     two_disc_hull,
 )
 from invdist.errors import (
@@ -99,14 +103,89 @@ class TestFormulas:
     @settings(max_examples=60, deadline=None)
     def test_sandwich_implies_log_forms(self, sep, dz, dw, c):
         # the two families of bounds are equivalent up to adjusting the
-        # constant: the tanh form at c implies the additive form at c below
-        # and at 4c above
+        # constant: the tanh form at c implies the additive form
+        # log(1 + sep / (c sqrt(dd)) + sep^2 / (c dd)) at c below and its
+        # reciprocal-c partner at 4c above
+        def log_forms(c):
+            dd = dz * dw
+            return (math.log(1.0 + sep / (c * math.sqrt(dd)) + sep * sep / (c * dd)),
+                    math.log(1.0 + c * sep / math.sqrt(dd) + c * sep * sep / dd))
+
         lo, hi = bd.sandwich_gen(sep, dz, dw, c)
-        log_lo, _ = bd.sandwich_log_forms(sep, dz, dw, c)
-        _, log_hi4 = bd.sandwich_log_forms(sep, dz, dw, 4.0 * c)
+        log_lo, _ = log_forms(c)
+        _, log_hi4 = log_forms(4.0 * c)
         assert 2.0 * math.atanh(min(lo, 1 - 1e-12)) >= log_lo - 1e-9
         if hi < 1.0:
             assert 2.0 * math.atanh(hi) <= log_hi4 + 1e-9
+
+
+# sample_interior(domain, 4, default_rng(0)) of each domain kind, as the
+# float.hex of the coordinates' real and imaginary parts
+SAMPLER_DRAWS = {
+    "disc": (Disc(0j, 1.0), [
+        '-0x1.948efa61fa03dp-4', '0x1.94a96966c6fe4p-1',
+        '0x1.9b7f1e827c959p-3', '0x1.5717cffe86c8ep-6',
+        '0x1.8949a4bad66a2p-1', '-0x1.e0473b6c2b4fep-2',
+        '-0x1.9908a2cff54bap-4', '-0x1.8aaf5d6b194a5p-1']),
+    "sector": (Sector(0.7), [
+        '0x1.d5678a12e3b53p+0', '-0x1.32cbc9f967d94p-1',
+        '0x1.13bd56c6f463fp-3', '-0x1.aef35fe201606p-4',
+        '0x1.088d60a7a1699p+1', '0x1.5062666ec522cp+0',
+        '0x1.bfc7649dbf3a9p+0', '0x1.23b00079a2cbcp-1']),
+    "slitplane": (SlitPlane(), [
+        '-0x1.06fcc29591c58p-2', '0x1.e96ff13da1a0dp+0',
+        '0x1.5b4b3a7eba36ap-3', '0x1.57fe3f4a2dac8p-6',
+        '0x1.08d2efaf6cfd9p+1', '-0x1.4f87304c11a0bp+0',
+        '-0x1.0324759c41523p-2', '-0x1.d2742c6fb9288p+0']),
+    "annulus": (Annulus(2.0), [
+        '-0x1.71467e0eb5f92p-3', '0x1.715e9ee5d3508p+0',
+        '0x1.2041af6d3ddc8p-1', '0x1.e0adc0f8e1efap-5',
+        '0x1.77192cc3ef9f9p+0', '-0x1.ca10cec75bc02p-1',
+        '-0x1.72b0a1f8406f0p-3', '-0x1.65afb3d71caf7p+0']),
+    "ball": (Ball((0j, 0j), 1.0), [
+        '0x1.6a0624075f8c9p-3', '0x1.cd00eef4f4900p-1',
+        '-0x1.7c6102cb912dfp-3', '0x1.2e0bdfd70013bp-3',
+        '0x1.94cc726ef5015p-3', '0x1.090f46b9bff10p-1',
+        '0x1.6cf35ea79c71bp-1', '-0x1.89e8b09c1687dp-2',
+        '-0x1.e70c10a7b346ep-3', '-0x1.c636bea310cf8p-1',
+        '0x1.02590a8936576p-6', '-0x1.55f125944e629p-4',
+        '-0x1.1f68ab4812ea5p-1', '-0x1.f094ac2fd6715p-3',
+        '-0x1.ab3bf95d54701p-2', '0x1.431f86504012ap-2']),
+    "polydisc": (Polydisc((0j, 0j), (1.0, 2.0)), [
+        '-0x1.948efa61fa03dp-4', '0x1.94a96966c6fe4p-1',
+        '0x1.9b7f1e827c959p-2', '0x1.5717cffe86c8ep-5',
+        '0x1.8949a4bad66a2p-1', '-0x1.e0473b6c2b4fep-2',
+        '-0x1.9908a2cff54bap-3', '-0x1.8aaf5d6b194a5p+0',
+        '0x1.59d465b047773p-1', '-0x1.2aef22aa311c5p-2',
+        '0x1.cd780140db85fp+0', '0x1.fc3a2121642f9p-6',
+        '0x1.cea5ee32c98f7p-1', '0x1.8c6c11059c0f0p-3',
+        '0x1.891a86a0f355ep-1', '0x1.85b7100337c0dp+0']),
+    "hull": (two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7), [
+        '0x1.acdc780292976p+0', '-0x1.d77a103be9318p-2',
+        '0x1.8c4139a983e66p+0', '0x1.d6024affc414cp-2',
+        '0x1.084344c3819adp+1', '-0x1.4c20eed89d1b8p-1',
+        '0x1.500b846063335p+1', '0x1.53a67b20b50f0p-4']),
+    "jordan": (ellipse_domain(2.0, 1.0), [
+        '0x1.187f5e7ece140p-1', '-0x1.d77a103be9318p-2',
+        '0x1.b4c7b7180edb0p-2', '0x1.d6024affc414cp-2',
+        '0x1.65603cf43b8f0p-3', '0x1.bd83a01e3d5aep-1',
+        '0x1.d655983e1e7e8p-1', '-0x1.4c20eed89d1b8p-1']),
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("kind", sorted(SAMPLER_DRAWS))
+    def test_draws_are_pinned(self, kind):
+        dom, want = SAMPLER_DRAWS[kind]
+        pts = bd.sample_interior(dom, 4, np.random.default_rng(0))
+        assert len(pts) == 4
+        coords = np.asarray(pts, dtype=complex).ravel()
+        got = [x.hex() for z in coords for x in (float(z.real), float(z.imag))]
+        assert got == want
+
+    def test_unsupported_kind(self):
+        with pytest.raises(UnsupportedDomain):
+            bd.sample_interior(object(), 1, np.random.default_rng(0))
 
 
 class TestFitMinConstant:
@@ -193,15 +272,16 @@ class TestExperiments:
         assert rep.passed
 
     def test_prop5_product_fit(self):
-        rep = bd.verify_prop5_product(2.0, n_grid=6, seed=1)
+        rep = bd.verify_prop5_product()
         assert rep.passed
-        assert math.isfinite(rep.constants["c"])
+        assert rep.samples == len(rep.rows) == 768
         assert rep.notes == "series-mode"
-        # a common rotation of the w fan leaves the fitted constant in place
-        # (fan-multiple rotation keeps the sample set, so this isolates the
-        # engine's handling of rotated arguments)
-        rep2 = bd.verify_prop5_product(2.0, n_grid=6, seed=1, rotate=2.0 * math.pi / 4)
-        assert rep2.constants["c"] == pytest.approx(rep.constants["c"], abs=1e-3)
+        assert rep.constants["c"] == max(row[-1] for row in rep.rows)
+        assert math.isfinite(rep.constants["c"])
+        # z is real, so conjugating w leaves m in place: the fan's angles
+        # k and 12 - k give the same value
+        fan = np.asarray([row[3] for row in rep.rows]).reshape(8, 8, 12)
+        assert np.allclose(fan[..., 1:], fan[..., :0:-1], rtol=0.0, atol=1e-12)
 
     def test_prop5_additivity_on_real_geodesic(self):
         # the proof splits c(z, |w|) at an intermediate radius

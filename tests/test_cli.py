@@ -60,6 +60,30 @@ class TestDist:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("domain, z", [
+        ('{"kind":"hull","z":"0+0i","d_z":"nan","w":"2.5+0i","d_w":0.7}', "0+0i"),
+        ('{"kind":"hull","z":"0+0i","d_z":"inf","w":"2.5+0i","d_w":0.7}', "0+0i"),
+        ('{"kind":"jordan","curve":"ellipse","a":"inf","b":1.0}', "0+0i"),
+        ('{"kind":"jordan","curve":"wobbly","seed":"x"}', "0+0i"),
+        ('{"kind":"annulus","r":Infinity}', "1+0i"),
+        ('{"kind":"disc","radius":"inf"}', "0+0i"),
+        ('{"kind":"disc","center":NaN}', "0+0i"),
+        ('{"kind":"ball","dim":2,"radius":NaN}', '["0+0i","0+0i"]'),
+        ('{"kind":"ball","dim":"nan","radius":1.0}', '["0+0i","0+0i"]'),
+        ('{"kind":"ball","dim":0,"radius":1.0}', "[]"),
+        ('{"kind":"polydisc","radii":[NaN]}', '["0+0i"]'),
+        ('{"kind":"polydisc","radii":[1.0,"inf"]}', '["0+0i","0+0i"]'),
+        ('{"kind":"polydisc","radii":[]}', "[]"),
+        ('{"kind":"polydisc","radii":2.0}', '["0+0i"]'),
+    ])
+    def test_bad_domain_parameter_exit_2(self, capsys, domain, z):
+        # the document is refused, whatever the points
+        code, out, err = run(capsys, "dist", "--domain", domain, "--kind", "carath",
+                             "--z", z, "--w", z)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "inside" not in err
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "--domain", '{"kind":"disc"}',
                            "--kind", "carath", "--z", "zebra", "--w", "0+0i")

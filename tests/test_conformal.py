@@ -19,7 +19,7 @@ from invdist.conformal import (
 )
 from invdist.distances import poincare_distance
 from invdist.domains import JordanDomain, wobbly_domain
-from invdist.errors import BranchViolation, DegenerateInput, NonConvergence
+from invdist.errors import BranchViolation, DegenerateInput
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,35 +116,38 @@ class TestClosedMaps:
         assert slit_sqrt_map().evaluate(-4.0 + 0j) == pytest.approx(2j)
         assert disc_scale_map(0j, 2.0).evaluate(1.0 + 0j) == pytest.approx(0.5)
 
-    def test_self_test_residuals(self):
-        grid = 0.4 * np.exp(2j * np.pi * np.arange(16) / 16) + 1.2
+    def test_round_trip_and_derivative_residuals(self):
+        pts = 0.4 * np.exp(2j * np.pi * np.arange(16) / 16) + 1.2 + 0.6j
+        h = 1e-6
         for m in (sector_map(0.8), cayley_map()):
-            assert m.self_test(grid + 0.6j) < 1e-6
+            assert np.max(np.abs(m.inverse(m.evaluate(pts)) - pts)) < 1e-12
+            fd = (m.evaluate(pts + h) - m.evaluate(pts - h)) / (2 * h)
+            assert np.max(np.abs(fd - m.derivative(pts))) < 1e-6
 
 
 class TestRiemannEngine:
     def test_disc_identity(self):
         dom = circle_domain()
-        m = riemann_map(dom, 0j, n=256)
+        m = riemann_map(dom, 0j, params=dom.params(256))
         zs = np.array([0.3 + 0.2j, -0.5j, 0.7 - 0.1j])
         assert np.max(np.abs(m.evaluate(zs) - zs)) < 5e-6
         assert m.normalization["deriv_z0"] == pytest.approx(1.0, abs=1e-5)
 
     def test_scaled_disc(self):
         dom = circle_domain(radius=2.0)
-        m = riemann_map(dom, 0j, n=256)
+        m = riemann_map(dom, 0j, params=dom.params(256))
         assert complex(m.evaluate(1.0 + 0j)) == pytest.approx(0.5 + 0j, abs=1e-6)
         assert m.normalization["deriv_z0"] == pytest.approx(0.5, abs=1e-5)
 
     def test_normalization_positive_derivative(self, ellipse):
-        m = riemann_map(ellipse, 0j, n=512)
+        m = riemann_map(ellipse, 0j)
         assert abs(complex(m.evaluate(0j))) < 1e-9
         d = complex(m.derivative(0j))
         assert d.imag == pytest.approx(0.0, abs=1e-6 * abs(d))
         assert d.real > 0
 
     def test_roundtrip_and_derivative(self, ellipse):
-        m = riemann_map(ellipse, 0j, n=512)
+        m = riemann_map(ellipse, 0j)
         zs = np.array([0.5 + 0.3j, -1.5 + 0.2j, 1.8 + 0.05j])
         assert np.max(np.abs(m.inverse(m.evaluate(zs)) - zs)) < 1e-8
         h = 1e-6
@@ -153,14 +156,14 @@ class TestRiemannEngine:
             assert complex(m.derivative(z)) == pytest.approx(fd, rel=1e-4)
 
     def test_koebe_sandwich_ellipse(self, ellipse):
-        m = riemann_map(ellipse, 0j, n=512)
+        m = riemann_map(ellipse, 0j)
         conformal_radius = 1.0 / m.normalization["deriv_z0"]
         d = 1.0  # boundary distance of the center
         assert d <= conformal_radius <= 4.0 * d
 
     def test_conformal_radius_two_resolutions(self, ellipse):
-        m1 = riemann_map(ellipse, 0j, n=512)
-        m2 = riemann_map(ellipse, 0j, n=1024)
+        m1 = riemann_map(ellipse, 0j)
+        m2 = riemann_map(ellipse, 0j, params=ellipse.params(1024))
         r1 = 1.0 / m1.normalization["deriv_z0"]
         r2 = 1.0 / m2.normalization["deriv_z0"]
         assert abs(r1 - r2) < 1e-5
@@ -177,20 +180,20 @@ class TestRiemannEngine:
         exact = np.abs((test - b) / abs(a))
         residuals = []
         for n in (128, 256, 512):
-            m = riemann_map(dom, b, n=n)
+            m = riemann_map(dom, b, params=dom.params(n))
             residuals.append(float(np.max(np.abs(np.abs(m.evaluate(test)) - exact))))
         assert residuals[1] <= residuals[0] / 2
         assert residuals[2] <= residuals[1] / 2
 
     def test_boundary_extension_unimodular(self, ellipse):
-        m = riemann_map(ellipse, 0j, n=512)
+        m = riemann_map(ellipse, 0j)
         ts = np.arange(64) / 64.0 + 1.0 / 128.0
         vals = m.evaluate(np.asarray(ellipse.point(ts), dtype=complex))
         assert np.max(np.abs(np.abs(vals) - 1.0)) < max(10 * m.accuracy, 1e-6)
 
     def test_accuracy_estimate_is_honest(self, ellipse):
-        m = riemann_map(ellipse, 0j, n=512)
-        m_fine = riemann_map(ellipse, 0j, n=2048)
+        m = riemann_map(ellipse, 0j)
+        m_fine = riemann_map(ellipse, 0j, params=ellipse.params(2048))
         grid = 0j + 0.6 * np.asarray(ellipse.point(np.arange(32) / 32.0), dtype=complex)
         true_err = float(np.max(np.abs(m.evaluate(grid) - m_fine.evaluate(grid))))
         assert true_err <= 10 * m.accuracy + 1e-9
@@ -199,15 +202,18 @@ class TestRiemannEngine:
         with pytest.raises(DegenerateInput):
             riemann_map(ellipse, 5.0 + 0j)
 
-    def test_resolution_cap(self, ellipse):
-        with pytest.raises(NonConvergence):
-            riemann_map(ellipse, 0j, n=9000)
+    def test_default_grid_is_512_uniform_parameters(self, ellipse):
+        zs = np.array([0.5 + 0.3j, -1.5 + 0.2j])
+        m = riemann_map(ellipse, 0j)
+        m512 = riemann_map(ellipse, 0j, params=np.arange(512) / 512.0)
+        assert m512 is not m
+        assert np.array_equal(m.evaluate(zs), m512.evaluate(zs))
 
     def test_wobbly_koebe(self):
         for seed in range(5):
             dom = wobbly_domain(seed)
             z0 = 0j
-            m = riemann_map(dom, z0, n=512)
+            m = riemann_map(dom, z0)
             d = dom.boundary_distance(z0, tol=1e-8)
             cr = 1.0 / m.normalization["deriv_z0"]
             assert d - 1e-6 <= cr <= 4.0 * d + 1e-6

@@ -12,7 +12,6 @@ from invdist.distances import (
     CertifiedValue,
     caratheodory,
     cn_model_distance,
-    green_function,
     halfplane_hyperbolic_distance,
     hull_distance,
     kobayashi_metric,
@@ -224,17 +223,15 @@ class TestKobayashiMetric:
             pytest.approx(1.0)
 
 
-class TestGreenFunction:
+class TestMobiusScale:
     def test_disc_chain_value(self):
-        g = green_function(UnitDisc(), 0j, 0.5 + 0j)
-        assert math.exp(-2.0 * math.pi * g) == pytest.approx(0.5, abs=1e-12)
+        assert caratheodory(UnitDisc(), 0j, 0.5 + 0j).mobius() == pytest.approx(0.5, abs=1e-12)
 
-    def test_positive_and_vanishing_at_boundary(self):
-        vals = [green_function(UnitDisc(), 0j, complex(t, 0.0))
-                for t in (0.5, 0.7, 0.9, 0.99, 0.999)]
-        assert all(v > 0 for v in vals)
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1e-3
+    def test_rises_to_one_at_boundary(self):
+        # tanh c(0, t) = t on the unit disc, up to the boundary
+        ts = [0.5, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-9]
+        vals = [caratheodory(UnitDisc(), 0j, complex(t, 0.0)).mobius() for t in ts]
+        assert vals == pytest.approx(ts, abs=1e-12)
 
     def test_mobius_invariance(self, rng):
         m = mobius_disc_automorphism(0.3 + 0.4j)
@@ -242,9 +239,9 @@ class TestGreenFunction:
             z, w = disc_points(rng, 2, rmax=0.9)
             if abs(z - w) < 1e-3:
                 continue
-            g1 = green_function(UnitDisc(), z, w)
-            g2 = green_function(UnitDisc(), complex(m.evaluate(z)), complex(m.evaluate(w)))
-            assert g1 == pytest.approx(g2, abs=1e-12)
+            t1 = caratheodory(UnitDisc(), z, w).mobius()
+            t2 = caratheodory(UnitDisc(), complex(m.evaluate(z)), complex(m.evaluate(w))).mobius()
+            assert t1 == pytest.approx(t2, abs=1e-12)
 
     def test_chain_brackets_on_annulus_endpoints(self):
         # tanh c <= exp(-2 pi g) <= tanh l collapses to equality on simply
@@ -337,7 +334,7 @@ class TestKoebeBoundInvariant:
         for seed in range(4):
             dom = wobbly_domain(seed)
             z0 = 0j
-            m = riemann_map(dom, z0, n=512)
+            m = riemann_map(dom, z0)
             psi_prime = 1.0 / m.normalization["deriv_z0"]
             for _ in range(40):
                 w = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))

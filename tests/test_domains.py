@@ -17,7 +17,6 @@ from invdist.domains import (
     SlitPlane,
     TwoDiscHull,
     UnitDisc,
-    boundary_distance,
     domain_from_json,
     domain_to_json,
     ellipse_domain,
@@ -30,19 +29,19 @@ from invdist.errors import DegenerateInput, SchemaError, UnsupportedDomain
 
 class TestBoundaryDistance:
     def test_unit_disc_radial(self):
-        assert boundary_distance(UnitDisc(), 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert UnitDisc().boundary_distance(0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_annulus_min_of_sides(self):
-        assert boundary_distance(Annulus(2.0), 1.0 + 0j) == pytest.approx(0.5, abs=1e-15)
-        assert boundary_distance(Annulus(2.0), 1.8 + 0j) == pytest.approx(0.2, abs=1e-15)
+        assert Annulus(2.0).boundary_distance(1.0 + 0j) == pytest.approx(0.5, abs=1e-15)
+        assert Annulus(2.0).boundary_distance(1.8 + 0j) == pytest.approx(0.2, abs=1e-15)
 
     def test_ball_c2(self):
         b = Ball((0j, 0j), 1.0)
-        assert boundary_distance(b, np.array([0.6, 0.0])) == pytest.approx(0.4, abs=1e-15)
+        assert b.boundary_distance(np.array([0.6, 0.0])) == pytest.approx(0.4, abs=1e-15)
 
     def test_outside_clamps_to_zero(self):
-        assert boundary_distance(UnitDisc(), 2.0 + 0j) == 0.0
-        assert boundary_distance(UnitDisc(), 2.0 + 0j, signed=True) == pytest.approx(-1.0)
+        assert UnitDisc().boundary_distance(2.0 + 0j) == 0.0
+        assert UnitDisc().boundary_distance(2.0 + 0j, signed=True) == pytest.approx(-1.0)
 
     def test_sector_ray_distance(self):
         d = Sector(0.3)
