@@ -220,18 +220,22 @@ def half_plane_map(normal: complex) -> ConformalMap:
 class _GeodesicChain:
     """Composed elementary maps taking the Jordan region onto the upper
     half-plane.  Step parameters (x, h) define g(w) = sqrt_cut(m(w)^2 + h^2)
-    with m(w) = x w / (x - w) (m = identity for a vertical slit, x = None)."""
+    with m(w) = x w / (x - w) (m = identity for a vertical slit, x = None).
 
-    def __init__(self, pts: np.ndarray, z0: complex):
+    The build is one pass through the steps: the interior points `carry`
+    ride along with z0 behind the boundary tail, and `carried` holds their
+    images, bitwise those of `forward(carry)`."""
+
+    def __init__(self, pts: np.ndarray, z0: complex, carry=()):
         self.p0 = complex(pts[0])
         self.p1 = complex(pts[1])
         self.steps: list = []
 
-        q = self._base(pts[2:])
-        z = self._base(np.array([z0], dtype=complex))[0]
+        n = len(pts)
+        q = self._base(np.concatenate((np.asarray(pts[2:], dtype=complex), [complex(z0)],
+                                       np.asarray(carry, dtype=complex))))
         p0_img = None  # at infinity until a finite Moebius moves it
 
-        n = len(pts)
         for k in range(n - 2):
             a = q[k]
             if not (a.imag > 0):
@@ -241,9 +245,7 @@ class _GeodesicChain:
             x = a2 / a.real if abs(a.real) > 1e-300 * a2 else None
             h = a2 / a.imag
             self.steps.append((x, h))
-            tail = q[k + 1:]
-            q[k + 1:] = self._g(tail, x, h)
-            z = complex(self._g(np.array([z]), x, h)[0])
+            q[k + 1:] = self._g(q[k + 1:], x, h)
             p0_img = self._g_point_or_inf(p0_img, x, h)
         if p0_img is None:
             raise NonConvergence("base point image remained at infinity")
@@ -252,11 +254,13 @@ class _GeodesicChain:
             raise NonConvergence("degenerate closing configuration")
         # closing: the half-disc over [0, xi] is the zipped curve's last gap;
         # the region lies on one side, detected with the tracked z0 image
+        z = complex(q[n - 2])
         nu = self.xi * z / (self.xi - z)
         self.sgn = 1.0 if (nu * nu).imag > 0 else -1.0
         self.z0_img = self.sgn * nu * nu
         if not self.z0_img.imag > 0:
             raise NonConvergence("interior point image left the half-plane")
+        self.carried = self._close(q[n - 1:])
 
     @staticmethod
     def _g(w, x, h):
@@ -294,6 +298,10 @@ class _GeodesicChain:
         w = w.real + 1j * np.abs(w.imag)
         for x, h in self.steps:
             w = self._g(w, x, h)
+        return self._close(w)
+
+    def _close(self, w):
+        """The closing map of the zipped half-plane onto the upper half-plane."""
         nu = self.xi * w / (self.xi - w)
         return self.sgn * nu * nu
 
@@ -335,48 +343,59 @@ class _GeodesicChain:
 # boundary points of a Riemann map built without a parameter grid
 _ZIPPER_N = 512
 
+# the Cauchy circle of the derivative at z0: 64 equispaced nodes
+_CIRCLE_TS = np.arange(64) / 64.0
+
 
 class ZipperMap:
     """Riemann map of a Jordan domain onto the unit disc, phi(z0) = 0,
     phi'(z0) > 0, built by the geodesic algorithm on the boundary points of
-    the parameter grid params (default domain.params(_ZIPPER_N))."""
+    the parameter grid params (default domain.params(_ZIPPER_N)).
 
-    def __init__(self, domain: JordanDomain, z0: complex, params=None,
-                 _measure_accuracy=True):
+    The build carries the Cauchy circle of phi'(z0) and the accuracy test
+    grid through the chain's own pass; the half-resolution map that the
+    accuracy compares against does the same, and the round trip is one
+    inverse pass over the grid."""
+
+    def __init__(self, domain: JordanDomain, z0: complex, params=None):
         self.domain = domain
         self.z0 = complex(z0)
         if params is None:
             params = domain.params(_ZIPPER_N)
         params = np.sort(np.asarray(params, dtype=float) % 1.0)
         self.params = params
-        pts = np.asarray(domain.point(params), dtype=complex)
-        self.n = len(pts)
-        self.chain = _GeodesicChain(pts, self.z0)
-
-        zeta = self.chain.z0_img
-        self._zeta = zeta
-        # derivative at z0 by a Cauchy integral mean over a small circle
         rho = min(0.1, 0.5 * domain.boundary_distance(self.z0, tol=1e-6))
-        ts = np.arange(64) / 64.0
-        circle = self.z0 + rho * np.exp(2j * math.pi * ts)
-        vals = self._unrotated(circle)
-        d0 = np.sum(vals * np.exp(-2j * math.pi * ts)) / (64.0 * rho)
+        grid = self._test_grid()
+        self.chain, self.rot, self.deriv_z0, vals = self._build(params, rho, grid)
+        self._zeta = self.chain.z0_img
+        _, _, _, coarse = self._build(params[::2], rho, grid)
+        diff = float(np.max(np.abs(vals - coarse)))
+        rt = float(np.max(np.abs(self.inverse(vals) - grid)))
+        self.accuracy = max(diff, rt, 1e-15)
+
+    def _build(self, params, rho, grid):
+        """(chain, rot, |phi'(z0)|, phi(grid)) from one chain pass over the
+        boundary points of params; phi'(z0) is a Cauchy integral mean over
+        the circle of radius rho about z0."""
+        pts = np.asarray(self.domain.point(params), dtype=complex)
+        circle = self.z0 + rho * np.exp(2j * math.pi * _CIRCLE_TS)
+        chain = _GeodesicChain(pts, self.z0, np.concatenate((circle, grid)))
+        vals = self._cayley(chain.carried, chain.z0_img)
+        d0 = np.sum(vals[:64] * np.exp(-2j * math.pi * _CIRCLE_TS)) / (64.0 * rho)
         if d0 == 0:
             raise NonConvergence("vanishing derivative estimate at the base point")
-        self.rot = complex(d0.conjugate() / abs(d0))
-        self.deriv_z0 = abs(d0)
-        self.accuracy = math.nan
-        if _measure_accuracy:
-            self.accuracy = self._estimate_accuracy()
+        rot = complex(d0.conjugate() / abs(d0))
+        return chain, rot, abs(d0), rot * vals[64:]
 
-    def _unrotated(self, z):
-        w = self.chain.forward(z)
-        zeta = self._zeta
+    @staticmethod
+    def _cayley(w, zeta):
+        """The upper half-plane onto the unit disc, zeta -> 0."""
         return (w - zeta) / (w - zeta.conjugate())
 
     def evaluate(self, z):
         scalar = np.isscalar(z)
-        out = self.rot * self._unrotated(np.asarray(z, dtype=complex))
+        out = self.rot * self._cayley(self.chain.forward(np.asarray(z, dtype=complex)),
+                                      self._zeta)
         return complex(out) if scalar else out
 
     def evaluate_with_derivative(self, z):
@@ -385,7 +404,7 @@ class ZipperMap:
         scalar = np.isscalar(z)
         w, dw = self.chain.forward_with_derivative(np.asarray(z, dtype=complex))
         zeta = self._zeta
-        val = self.rot * ((w - zeta) / (w - zeta.conjugate()))
+        val = self.rot * self._cayley(w, zeta)
         dcay = 2j * zeta.imag / (w - zeta.conjugate()) ** 2
         der = self.rot * dcay * dw
         return (complex(val), complex(der)) if scalar else (val, der)
@@ -405,15 +424,6 @@ class ZipperMap:
         pts = np.asarray(self.domain.point(np.arange(64) / 64.0), dtype=complex)
         grid = [self.z0 + s * (pts - self.z0) for s in (0.35, 0.7)]
         return np.concatenate(grid)
-
-    def _estimate_accuracy(self):
-        grid = self._test_grid()
-        coarse = ZipperMap(self.domain, self.z0, params=self.params[::2],
-                           _measure_accuracy=False)
-        diff = float(np.max(np.abs(self.evaluate(grid) - coarse.evaluate(grid))))
-        w = self.evaluate(grid)
-        rt = float(np.max(np.abs(self.inverse(w) - grid)))
-        return max(diff, rt, 1e-15)
 
 
 def riemann_map(domain: JordanDomain, z0: complex, params=None) -> ConformalMap:

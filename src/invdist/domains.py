@@ -732,6 +732,21 @@ def _finite(value, name: str) -> float:
     return x
 
 
+# the largest dimension a ball or polydisc document may declare
+_MAX_DIM = 4096
+
+
+def _whole(value, name: str, cap: float = math.inf) -> int:
+    """A field's value as a whole number (0, 1, 2, ...) at most cap, else
+    SchemaError."""
+    x = _finite(value, name)
+    if x < 0 or x != math.floor(x):
+        raise SchemaError(f"field {name!r} must be a whole number, got {value!r}")
+    if x > cap:
+        raise SchemaError(f"field {name!r} must be at most {cap}, got {value!r}")
+    return int(value) if isinstance(value, int) else int(x)  # a JSON integer stays exact
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
@@ -786,14 +801,16 @@ def domain_from_json(doc):
             if curve == "lens":
                 return lens_domain(_finite(doc["rho"], "rho"))
             if curve == "wobbly":
-                return wobbly_domain(int(_finite(doc.get("seed", 0), "seed")))
+                return wobbly_domain(_whole(doc.get("seed", 0), "seed"))
             raise SchemaError(f"unknown jordan curve {curve!r}")
         if kind == "ball":
-            dim = int(_finite(doc["dim"], "dim"))
+            dim = _whole(doc["dim"], "dim", _MAX_DIM)
             return Ball((0j,) * dim, _finite(doc["radius"], "radius"))
         if kind == "polydisc":
             if not isinstance(doc["radii"], list):
                 raise SchemaError("field 'radii' must be a list of numbers")
+            if len(doc["radii"]) > _MAX_DIM:
+                raise SchemaError(f"field 'radii' lists more than {_MAX_DIM} radii")
             radii = tuple(_finite(r, "radii") for r in doc["radii"])
             return Polydisc((0j,) * len(radii), radii)
     except KeyError as exc:

@@ -75,6 +75,12 @@ class TestDist:
         ('{"kind":"polydisc","radii":[1.0,"inf"]}', '["0+0i","0+0i"]'),
         ('{"kind":"polydisc","radii":[]}', "[]"),
         ('{"kind":"polydisc","radii":2.0}', '["0+0i"]'),
+        ('{"kind":"ball","dim":100000000,"radius":1.0}', '["0+0i","0+0i"]'),
+        ('{"kind":"ball","dim":4097,"radius":1.0}', '["0+0i","0+0i"]'),
+        ('{"kind":"ball","dim":2.5,"radius":1.0}', '["0+0i","0+0i"]'),
+        ('{"kind":"polydisc","radii":[%s]}' % ",".join(["1.0"] * 4097), '["0+0i"]'),
+        ('{"kind":"jordan","curve":"wobbly","seed":7.9}', "0+0i"),
+        ('{"kind":"jordan","curve":"wobbly","seed":-1}', "0+0i"),
     ])
     def test_bad_domain_parameter_exit_2(self, capsys, domain, z):
         # the document is refused, whatever the points

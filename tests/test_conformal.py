@@ -220,6 +220,111 @@ class TestRiemannEngine:
 
 
 
+def _catalog_maps():
+    """The four catalog Jordan curves the suites and the CLI map."""
+    from invdist.domains import ellipse_domain, lens_domain, two_disc_hull
+
+    return {"ellipse": ellipse_domain(2.0, 1.0), "wobbly": wobbly_domain(7),
+            "lens": lens_domain(0.75),
+            "hull": two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7).as_jordan()}
+
+
+def _hex(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+# (accuracy, deriv_z0, rot, xi, z0_img) of riemann_map(dom, dom.anchor()),
+# bit for bit those of a build that traverses the chain once per point set
+BUILD_PINS = {
+    "ellipse": ('0x1.80a6e3ff90099p-19', '0x1.a67109c983d4fp-1',
+                ('0x1.ffffffffeb95cp-1', '-0x1.212c58c1a2adfp-18'), '0x1.c7e1e1a1c9089p+9',
+                ('-0x1.6db4fa877127cp+1', '0x1.25a95ea2ff1b0p-9')),
+    "wobbly": ('0x1.a3d1651386504p-21', '0x1.02a133c84b6d9p+0',
+               ('0x1.fff5d372bcd96p-1', '-0x1.9845431909368p-7'), '0x1.cc7eff2174bbcp+10',
+               ('-0x1.3ccab3a234140p+0', '0x1.0ee2528318198p-7')),
+    "lens": ('0x1.50a7f6ee8e5f0p-20', '0x1.24401912d5302p+1',
+             ('0x1.5960618eb870ep-6', '-0x1.ffe2dfdd3945dp-1'), '0x1.740787aaa2286p+3',
+             ('-0x1.ac02e19a54574p+2', '0x1.1913f2d4b205ap-10')),
+    "hull": ('0x1.f36369c348629p-17', '0x1.cce80fc7605cfp-1',
+             ('-0x1.d4fbdafb3d0f8p-1', '0x1.9ad80c79239b1p-2'), '0x1.b5cd5a8c40e67p+11',
+             ('-0x1.4f1a4817dc8fcp+2', '0x1.0a51dd3708ff4p-8')),
+}
+
+# hull_distance(0, d_z, sep, d_w) on (d_z, sep, d_w)
+HULL_PINS = {(1.0, 2.5, 0.7): '0x1.3342c87ba884dp+1', (0.5, 1.2, 0.9): '0x1.6f7e0356aed35p+0',
+             (0.2, 0.6, 0.3): '0x1.f964f314efae4p+0', (1.5, 3.0, 0.4): '0x1.6c0a1e8efb8e0p+1',
+             (0.8, 0.5, 0.6): '0x1.3d8ba26f4ed80p-1'}
+
+
+class TestOnePassBuild:
+    """A map build is one chain pass per resolution, carrying the Cauchy
+    circle, the accuracy grid and z0, plus one inverse pass."""
+
+    @pytest.mark.parametrize("name", sorted(BUILD_PINS))
+    def test_carried_images_are_forward_images(self, name):
+        from invdist.conformal import _GeodesicChain
+
+        dom = _catalog_maps()[name]
+        z0 = dom.anchor()
+        zm = riemann_map(dom, z0).engine
+        pts = np.asarray(dom.point(zm.params), dtype=complex)
+        carry = np.concatenate((zm._test_grid(), z0 + 0.05 * np.exp(0.3j * np.arange(7))))
+        chain = _GeodesicChain(pts, z0, carry)
+        assert chain.carried.tobytes() == chain.forward(carry).tobytes()
+        # the carried points leave the build itself unchanged
+        assert chain.steps == zm.chain.steps
+        assert (_hex(chain.xi), chain.sgn, _hex(chain.z0_img)) == \
+            (_hex(zm.chain.xi), zm.chain.sgn, _hex(zm.chain.z0_img))
+
+    @pytest.mark.parametrize("name", sorted(BUILD_PINS))
+    def test_build_is_pinned(self, name):
+        dom = _catalog_maps()[name]
+        zm = riemann_map(dom, dom.anchor()).engine
+        got = (zm.accuracy.hex(), zm.deriv_z0.hex(), _hex(zm.rot), zm.chain.xi.hex(),
+               _hex(zm.chain.z0_img))
+        assert got == BUILD_PINS[name]
+
+    def test_hull_distance_is_pinned(self):
+        from invdist.distances import hull_distance
+
+        for (dz, sep, dw), want in HULL_PINS.items():
+            assert hull_distance(0j, dz, complex(sep, 0.0), dw).hex() == want
+
+    @staticmethod
+    def _count(monkeypatch):
+        from invdist.conformal import _GeodesicChain
+
+        counts = dict.fromkeys(("__init__", "forward", "forward_with_derivative", "inverse"), 0)
+        for name in counts:
+            original = getattr(_GeodesicChain, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(_GeodesicChain, name, counted)
+        return counts
+
+    def test_traversals_per_build(self, monkeypatch):
+        from invdist.distances import hull_distance
+
+        counts = self._count(monkeypatch)
+        for name, dom in _catalog_maps().items():
+            counts.update(dict.fromkeys(counts, 0))
+            first = riemann_map(dom, dom.anchor())
+            # the full and the half-resolution chain, and the round trip
+            assert counts == {"__init__": 2, "forward": 0, "forward_with_derivative": 0,
+                              "inverse": 1}, name
+            counts.update(dict.fromkeys(counts, 0))
+            assert riemann_map(dom, dom.anchor()) is first
+            assert not any(counts.values()), name
+        counts.update(dict.fromkeys(counts, 0))
+        hull_distance(0j, 1.0, 2.5 + 0j, 0.7)
+        assert counts == {"__init__": 1, "forward": 0, "forward_with_derivative": 0,
+                          "inverse": 0}
+
+
 class TestAnnulusCover:
     def test_lift_and_deck(self):
         cov = AnnulusCover(2.0)

@@ -205,6 +205,16 @@ class TestJson:
         dom = domain_from_json('{"kind": "jordan", "curve": "ellipse", "a": 2.0, "b": 1.0}')
         assert dom.contains(1.9 + 0j)
 
+    def test_whole_number_fields(self):
+        # the largest dimension is accepted, and a whole float is its integer
+        assert domain_from_json('{"kind": "ball", "dim": 4096, "radius": 1.0}').dim == 4096
+        radii = ", ".join(["1.0"] * 4096)
+        assert domain_from_json('{"kind": "polydisc", "radii": [%s]}' % radii).dim == 4096
+        assert domain_from_json('{"kind": "ball", "dim": 2.0, "radius": 1.0}').dim == 2
+        seven = domain_from_json('{"kind": "jordan", "curve": "wobbly", "seed": 7}')
+        whole = domain_from_json('{"kind": "jordan", "curve": "wobbly", "seed": 7.0}')
+        assert complex(whole.point(0.3)) == complex(seven.point(0.3))
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(SchemaError):
             domain_from_json('{"kind": "annulus", "r": 2.0, "extra": 1}')
