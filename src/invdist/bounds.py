@@ -202,15 +202,24 @@ class BoundReport:
 
 def sample_interior(domain, n, rng, d_floor=1e-6):
     """n interior sample points with boundary distance above d_floor, drawn
-    by rejection from the proposal of the domain's kind (see _proposal)."""
+    by rejection from the proposal of the domain's kind (see _proposal).
+
+    Each round draws one candidate per missing point, one at a time, so the
+    draws and the generator's state afterwards are those of testing each
+    candidate as it is drawn.  A Jordan domain tests a round's candidates
+    with one `contains` and one `boundary_distance` call."""
     draw, boxed = _proposal(domain)
-    depth = ((lambda z: domain.boundary_distance(z, tol=1e-6))
-             if isinstance(domain, JordanDomain) else domain.boundary_distance)
     pts = []
     while len(pts) < n:
-        z = draw(rng)
-        if (not boxed or domain.contains(z)) and depth(z) > d_floor:
-            pts.append(z)
+        cands = [draw(rng) for _ in range(n - len(pts))]
+        if isinstance(domain, JordanDomain):
+            cands = np.array(cands)
+            cands = cands[domain.contains(cands)]
+            depth = domain.boundary_distance(cands, tol=1e-6)
+            pts += [complex(z) for z, d in zip(cands, depth) if d > d_floor]
+        else:
+            pts += [z for z in cands
+                    if (not boxed or domain.contains(z)) and domain.boundary_distance(z) > d_floor]
     return pts
 
 
@@ -427,8 +436,8 @@ def _approach_points(domain, depths):
         return ws, list(depths)
     if isinstance(domain, JordanDomain):
         ws = [_inward_point(domain, 0.13, d) for d in depths]
-        return ws, [domain.boundary_distance(w, tol=min(1e-8, d * 1e-3))
-                    for w, d in zip(ws, depths)]
+        tols = np.minimum(1e-8, np.asarray(depths) * 1e-3)
+        return ws, domain.boundary_distance(np.array(ws), tol=tols).tolist()
     raise UnsupportedDomain("approach points support Disc and JordanDomain")
 
 
@@ -525,8 +534,12 @@ def _suite_eq_ca(samples, seed):
     per = max(samples // len(domains), 1)
     for dom in domains:
         floor = 2e-2 if isinstance(dom, TwoDiscHull) else 1e-6
-        for z, w in _sample_pairs(dom, per, rng, d_floor=floor, min_sep=1e-9):
-            cv = ds.caratheodory(dom, z, w)
+        pairs = _sample_pairs(dom, per, rng, d_floor=floor, min_sep=1e-9)
+        if ds.chart(dom) is None:
+            cvs = [ds.caratheodory(dom, z, w) for z, w in pairs]
+        else:   # the disc and the hull: one pass through the chart
+            cvs = ds.chart_distances(dom, [z for z, _ in pairs], [w for _, w in pairs])
+        for (z, w), cv in zip(pairs, cvs):
             b = max(0.0, bound_convex_lower(dom.boundary_distance(z), dom.boundary_distance(w)))
             slack = tol + 3.0 * cv.width
             margins.append(cv.value - b + slack)
@@ -538,9 +551,11 @@ def _suite_eq_le(samples, seed, domain=None):
         domain = ellipse_domain(2.0, 1.0)
     rng = np.random.default_rng(seed)
     pairs = _sample_pairs(domain, samples, rng, d_floor=1e-3, min_sep=1e-6)
-    ls = ds.chart_distances(domain, [z for z, _ in pairs], [w for _, w in pairs])
-    vals = [l.value + 0.5 * math.log(domain.boundary_distance(z) * domain.boundary_distance(w))
-            for (z, w), l in zip(pairs, ls)]
+    zs, ws = [z for z, _ in pairs], [w for _, w in pairs]
+    ls = ds.chart_distances(domain, zs, ws)
+    depth = domain.boundary_distance(np.array(zs + ws)).tolist()
+    vals = [l.value + 0.5 * math.log(dz * dw)
+            for l, dz, dw in zip(ls, depth[:len(zs)], depth[len(zs):])]
     c = max(vals)
     return BoundReport("eq-le", len(vals), 0 if math.isfinite(c) else 1,
                        min(vals), constants={"c": c})
@@ -572,13 +587,12 @@ def _suite_prop4(samples, seed, domain=None):
     n_anchor = 6
     depths = np.geomspace(1e-3, 0.2, max(samples // n_anchor, 6))
     z0 = 0j if domain.contains(0j) else domain.anchor()
-    ws, dws = [], []
+    ws = []
     for ti in (np.arange(n_anchor) + 0.5) / n_anchor:
         t = (ti + 0.02 * rng.uniform()) % 1.0
-        for d in depths:
-            w = _inward_point(domain, t, d)
-            ws.append(w)
-            dws.append(domain.boundary_distance(w, tol=min(1e-8, d * 1e-3)))
+        ws += [_inward_point(domain, t, d) for d in depths]
+    tols = np.minimum(1e-8, np.tile(depths, n_anchor) * 1e-3)
+    dws = domain.boundary_distance(np.array(ws), tol=tols).tolist()
     cs = ds.chart_distances(domain, [z0] * len(ws), ws)
     resids = [envelope_residual_pla(c.value, dw) for c, dw in zip(cs, dws)]
     c = max(abs(v) for v in resids)
@@ -653,14 +667,12 @@ def _prop6_grid(domain, samples, rng):
                 # far pair: both ends near the boundary on opposite sides,
                 # where the global supremum of the constant is approached
                 pairs.append((_inward_point(domain, (t + 0.5) % 1.0, 6 * d), w))
-    kept = []
-    for z, w in pairs:
-        if _sep(z, w) < 1e-7:
-            continue
-        dz = domain.boundary_distance(z)
-        dw = domain.boundary_distance(w)
-        if dz > 0 and dw > 0:
-            kept.append((z, w, dz, dw))
+    pairs = [(z, w) for z, w in pairs if _sep(z, w) >= 1e-7]
+    ends = [p for pair in pairs for p in pair]
+    depth = (domain.boundary_distance(np.array(ends)).tolist()
+             if isinstance(domain, JordanDomain) else [domain.boundary_distance(p) for p in ends])
+    kept = [(z, w, dz, dw) for (z, w), dz, dw in zip(pairs, depth[0::2], depth[1::2])
+            if dz > 0 and dw > 0]
     # c = l on a charted domain, so one batched evaluation serves both sides
     vals = ds.chart_distances(domain, [k[0] for k in kept], [k[1] for k in kept])
     data = []
@@ -724,10 +736,27 @@ def _suite_annulus(samples, seed):
                        notes=p5.notes)
 
 
+def _aliasing_angles(r: float, w: complex, n_max: int) -> int:
+    """The angular count of the reproducing quadrature: the smallest power of
+    two N with q^(N - n_max) <= 1e-17, q = max(|w| / r, 1 / (|w| r)).
+
+    K(zeta, w) zeta^n on a circle is a Laurent series in e^(i theta) whose
+    coefficients fall off as q^|k|; the trapezoidal rule with N angles is
+    exact for every frequency but the multiples of N, so its first alias of
+    order n lies N - |n| terms out."""
+    q = max(abs(w) / r, 1.0 / (abs(w) * r))
+    n_ang = 2
+    while q ** (n_ang - n_max) > 1e-17:
+        n_ang *= 2
+    return n_ang
+
+
 def bg_reproducing_residual(r: float, w: complex, orders) -> float:
     """Worst |quadrature(K(., w) * zeta^n) - w^n| over the given orders, on
-    6 radial panels of 48 Gauss-Legendre nodes times 1024 angles."""
-    n_ang = 1024
+    6 radial panels of 48 Gauss-Legendre nodes times the angles that
+    _aliasing_angles sizes to the orders."""
+    orders = list(orders)
+    n_ang = _aliasing_angles(r, w, max(abs(n) for n in orders))
     nodes, wts = np.polynomial.legendre.leggauss(48)
     edges = np.linspace(1.0 / r, r, 7)
     rho = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes

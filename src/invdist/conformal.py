@@ -129,7 +129,9 @@ def sector_map(theta: float) -> ConformalMap:
     """Sector {|arg z| < theta} onto the right half-plane via z^(pi / 2 theta).
 
     Principal branch; the negative real ray is the cut and raises
-    BranchViolation.
+    BranchViolation.  On a narrow sector the power is huge and an image can
+    leave the floats: one beyond them comes out infinite or NaN, one below
+    them zero or subnormal.
     """
     if not 0.0 < theta < math.pi:
         raise DegenerateInput("sector half-angle must lie in (0, pi)")
@@ -142,7 +144,12 @@ def sector_map(theta: float) -> ConformalMap:
 
     def ev(z):
         _check(z)
-        return np.asarray(z, dtype=complex) ** p if not np.isscalar(z) else z ** p
+        if not np.isscalar(z):
+            return np.asarray(z, dtype=complex) ** p
+        try:
+            return z ** p
+        except OverflowError:      # python's complex power raises past the floats
+            return complex(math.inf, 0.0)
 
     def dv(z):
         _check(z)

@@ -9,7 +9,9 @@ estimates are more natural.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +110,10 @@ class MetricField:
         return self.eval(z, X)
 
 
+# the smallest normal float: a smaller image has lost bits to underflow
+_TINY = sys.float_info.min
+
+
 # ---------------------------------------------------------------------------
 # Poincare distance on the disc
 # ---------------------------------------------------------------------------
@@ -137,6 +143,24 @@ def halfplane_hyperbolic_distance(a: complex, b: complex) -> float:
         raise DomainViolation("half-plane distance needs Im > 0")
     s = abs(a - b.conjugate()) + abs(a - b)
     return math.log(s / 2.0) - 0.5 * (math.log(a.imag) + math.log(b.imag))
+
+
+def _halfplane_log_distance(la: complex, lb: complex) -> float:
+    """The hyperbolic distance of i exp(la) and i exp(lb) on the upper
+    half-plane, |Im la|, |Im lb| < pi / 2, without forming either point.
+
+    With A = (la - conj lb) / 2, B = (la - lb) / 2 and s = |Re A| = |Re B|,
+    halfplane_hyperbolic_distance reduces to
+        log(|cosh A| + |sinh B|) - (log cos Im la + log cos Im lb) / 2,
+    and |cosh A| + |sinh B| = (e^s / 2) (|1 + e^(-2 sA)| + |1 - e^(-2 sB)|)
+    with the sign of Re A folded in, so no term overflows."""
+    a = 0.5 * (la - lb.conjugate())
+    b = 0.5 * (la - lb)
+    sign = 1.0 if a.real >= 0.0 else -1.0
+    s = sign * a.real
+    both = abs(1.0 + cmath.exp(-2.0 * sign * a)) + abs(1.0 - cmath.exp(-2.0 * sign * b))
+    return (s + math.log(0.5 * both)
+            - 0.5 * (math.log(math.cos(la.imag)) + math.log(math.cos(lb.imag))))
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +195,18 @@ def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
     """c = l through chart m: the hyperbolic distance of the two images, with
     the map's error bound when the chart is numeric."""
     _require_inside(m.source, z, w)
-    return _image_distance(m, complex(m.evaluate(z)), complex(m.evaluate(w)))
+    return _image_distance(m, z, w, complex(m.evaluate(z)), complex(m.evaluate(w)))
 
 
 def chart_distances(domain, zs, ws) -> list:
     """c = l of each pair (zs[i], ws[i]) on a domain that `chart` covers,
     from one array evaluation of the chart at all 2N points.
 
-    Every point is checked with `contains` first (DomainViolation names the
-    first one outside); a domain without a chart raises UnsupportedDomain.
-    The array path of a Jordan chart agrees with the scalar one to ~1e-11,
-    not bitwise.
+    Every point is checked with `contains` first, in the order z0, w0, z1,
+    w1, ... (DomainViolation names the first one outside; a Jordan domain
+    checks them all in one call); a domain without a chart raises
+    UnsupportedDomain.  The array path of a Jordan chart agrees with the
+    scalar one to ~1e-11, not bitwise.
     """
     m = chart(domain)
     if m is None:
@@ -191,19 +216,25 @@ def chart_distances(domain, zs, ws) -> list:
         raise DegenerateInput("chart_distances needs as many z as w points")
     if not zs:
         return []
-    for z, w in zip(zs, ws):
-        _require_inside(m.source, z, w)
+    _require_inside(m.source, *(p for pair in zip(zs, ws) for p in pair))
     images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
     n = len(zs)
-    return [_image_distance(m, complex(fz), complex(fw))
-            for fz, fw in zip(images[:n], images[n:])]
+    return [_image_distance(m, z, w, complex(fz), complex(fw))
+            for z, w, fz, fw in zip(zs, ws, images[:n], images[n:])]
 
 
-def _image_distance(m: ConformalMap, fz: complex, fw: complex) -> CertifiedValue:
-    """The hyperbolic distance of two chart images, widened by the map's
-    error when the chart is numeric."""
+def _image_distance(m: ConformalMap, z, w, fz: complex, fw: complex) -> CertifiedValue:
+    """The hyperbolic distance of the images fz, fw of z, w, widened by the
+    map's error when the chart is numeric.  When a narrow sector's power
+    map puts an image out of the normal floats (NaN fails the test too), the
+    distance comes from the logs of the images, p log z, instead."""
     if isinstance(m.target, HalfPlane):
-        d = halfplane_hyperbolic_distance(fz, fw)
+        if isinstance(m.source, Sector) and not all(_TINY <= abs(f) < math.inf
+                                                    for f in (fz, fw)):
+            p = math.pi / (2.0 * m.source.theta)
+            d = _halfplane_log_distance(p * cmath.log(z), p * cmath.log(w))
+        else:
+            d = halfplane_hyperbolic_distance(fz, fw)
     else:
         d = poincare_distance(fz, fw)
     if m.accuracy == 0.0:
@@ -249,8 +280,12 @@ def _map_error_to_distance(m: ConformalMap, image_a: complex, image_b: complex) 
 
 
 def _require_inside(domain, *pts):
-    for p in pts:
-        if not domain.contains(p):
+    """DomainViolation naming the first of pts outside the domain; a Jordan
+    domain tests them all in one `contains` call."""
+    inside = (domain.contains(np.array(pts, dtype=complex))
+              if isinstance(domain, JordanDomain) else map(domain.contains, pts))
+    for p, ok in zip(pts, inside):
+        if not ok:
             raise DomainViolation(f"point {p} is not inside the domain")
 
 

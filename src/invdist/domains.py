@@ -296,6 +296,31 @@ def _segment_distance(q: complex, a: complex, b: complex) -> float:
     return abs(q - (a + t * u))
 
 
+# complex entries in one (points x samples) array of the batched Jordan
+# geometry, so a batch's working set does not grow with its size
+_BATCH_ELEMS = 1 << 13
+
+# initial parameter intervals of the boundary-distance branch and bound
+_BB_NODES = 256
+
+
+def _winding(pts, zs):
+    """The winding number of the closed polyline pts about each point of zs,
+    and each point's distance to the nearest vertex.  The (points x n)
+    angles are summed along the contiguous axis, so each row adds up as a
+    lone point's would."""
+    wind = np.empty(zs.size)
+    near = np.empty(zs.size)
+    rows = max(1, _BATCH_ELEMS // len(pts))
+    for lo in range(0, zs.size, rows):
+        rel = pts[None, :] - zs[lo:lo + rows, None]
+        near[lo:lo + rows] = np.abs(rel).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a point on a vertex
+            ang = np.angle(np.roll(rel, -1, axis=1) / rel)
+        wind[lo:lo + rows] = ang.sum(axis=1) / TWO_PI
+    return wind, near
+
+
 def _nearest_param(curve, t0, w, h):
     """Parameter in [t0 - h, t0 + h] (mod 1) of the curve point nearest w,
     by ternary search."""
@@ -401,27 +426,40 @@ class JordanDomain(PlanarDomain):
     def contains(self, z):
         """Winding number of the sampled polyline (512, 1024, ... points,
         until two resolutions agree); within the polyline's sag of the curve
-        the side of the tangent at the nearest curve point decides."""
+        the side of the tangent at the nearest curve point decides.
+
+        z is a point (answer: a bool) or an array of points (a bool array
+        of its shape); a point is a batch of one.  Each resolution runs for
+        every point whose winding number has not settled yet.
+        """
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
+        inside = np.zeros(flat.shape, dtype=bool)
+        todo = np.arange(flat.size)     # points still unresolved
+        last = np.full(flat.size, np.nan)  # their winding at the previous resolution
         n = 512
-        last = None
         for _ in range(6):
+            if not todo.size:
+                break
             ts = np.linspace(0.0, 1.0, n, endpoint=False)
             pts = self.point(ts)
-            rel = pts - z
-            near = float(np.min(np.abs(rel)))
-            if near < 1e-14:
-                return False
-            ang = np.angle(np.roll(rel, -1) / rel)
-            wind = float(np.sum(ang)) / TWO_PI
-            k = round(wind)
-            if abs(wind - k) < 0.25 and last == k:
-                return self._tangent_side(z, ts, rel, near, k == 1)
-            last = k
+            wind, near = _winding(pts, flat[todo])
+            k = np.rint(wind)
+            off = near < 1e-14          # on the polyline: outside
+            settled = ~off & (np.abs(wind - k) < 0.25) & (last == k)
+            if settled.any():
+                sel = todo[settled]
+                inside[sel] = self._tangent_side(flat[sel], ts, pts, near[settled],
+                                                 k[settled] == 1)
+            keep = ~(off | settled)
+            todo, last = todo[keep], k[keep]
             n *= 2
-        raise NonConvergence("winding number did not stabilize")
+        if todo.size:
+            raise NonConvergence("winding number did not stabilize")
+        return bool(inside[0]) if zs.ndim == 0 else inside.reshape(zs.shape)
 
-    def _tangent_side(self, z, ts, rel, near, winding_inside):
-        """Membership of z given the polyline's winding answer.
+    def _tangent_side(self, zs, ts, pts, near, winding_inside):
+        """Membership of the points zs given the polyline's winding answers.
 
         On a parameter step dt the curve stays within the sag
         M2 dt^2 / 8 of its chord, so farther from the polyline the winding
@@ -431,22 +469,28 @@ class JordanDomain(PlanarDomain):
         """
         dt = ts[1]
         sag = self.second_deriv_bound * dt * dt / 8.0
+        out = winding_inside.copy()
         # a chord is at most deriv_bound * dt long, so its points lie at
         # least near - deriv_bound * dt / 2 from z
-        if near - 0.5 * self.deriv_bound * dt > sag:
-            return winding_inside
-        chord = np.roll(rel, -1) - rel
-        s = np.clip(-(rel * chord.conj()).real / (np.abs(chord) ** 2 + 1e-300), 0.0, 1.0)
-        dist = np.abs(rel + s * chord)
-        i = int(np.argmin(dist))
-        if dist[i] > sag:
-            return winding_inside
-        tm = ts[i] + 0.5 * dt
-        if any(abs((tm - c + 0.5) % 1.0 - 0.5) <= dt for c in self.corner_params):
-            return winding_inside
-        t = _nearest_param(self.point, tm, z, dt)
-        p = complex(self.point(t))
-        return ((z - p) * complex(self.tangent(t)).conjugate()).imag > 0.0
+        close = np.flatnonzero(~(near - 0.5 * self.deriv_bound * dt > sag))
+        rows = max(1, _BATCH_ELEMS // len(pts))
+        for lo in range(0, close.size, rows):
+            idx = close[lo:lo + rows]
+            rel = pts[None, :] - zs[idx, None]
+            chord = np.roll(rel, -1, axis=1) - rel
+            s = np.clip(-(rel * chord.conj()).real / (np.abs(chord) ** 2 + 1e-300), 0.0, 1.0)
+            dist = np.abs(rel + s * chord)
+            for row, (j, i) in enumerate(zip(idx, np.argmin(dist, axis=1))):
+                if dist[row, i] > sag:
+                    continue
+                tm = ts[i] + 0.5 * dt
+                if any(abs((tm - c + 0.5) % 1.0 - 0.5) <= dt for c in self.corner_params):
+                    continue
+                z = complex(zs[j])
+                t = _nearest_param(self.point, tm, z, dt)
+                p = complex(self.point(t))
+                out[j] = ((z - p) * complex(self.tangent(t)).conjugate()).imag > 0.0
+        return out
 
     def boundary_distance(self, z, signed=False, tol=1e-8):
         """Distance from z to the boundary curve, certified within tol.
@@ -455,42 +499,60 @@ class JordanDomain(PlanarDomain):
         width h around t the curve stays within M2 * h^2 / 2 of its tangent
         segment, so the point-to-segment distance minus that correction is a
         certified lower bound for the distance on the interval.  More than
-        2e6 curve evaluations raise NonConvergence.
+        2e6 curve evaluations for one point raise NonConvergence.
+
+        z is a point (answer: a float) or an array of points (a float array
+        of its shape), tol a number or an array that broadcasts against z;
+        a point is a batch of one.
         """
-        n0 = 256
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
+        tols = np.broadcast_to(np.asarray(tol, dtype=float), zs.shape).reshape(-1)
+        d = np.empty(flat.shape)
+        rows = _BATCH_ELEMS // _BB_NODES
+        for lo in range(0, flat.size, rows):
+            d[lo:lo + rows] = self._curve_distance(flat[lo:lo + rows], tols[lo:lo + rows])
+        d = np.where(self.contains(flat), d, -d if signed else 0.0)
+        return float(d[0]) if zs.ndim == 0 else d.reshape(zs.shape)
+
+    def _curve_distance(self, zs, tols):
+        """The certified curve distance of each point of zs (see
+        boundary_distance).  All points advance one interval halving per
+        level; a point leaves once none of its intervals can beat its best
+        distance by more than its tol."""
         m2 = self.second_deriv_bound
-        half = 0.5 / n0
-        tc = np.linspace(0.0, 1.0, n0, endpoint=False) + half
-        best = float(np.min(np.abs(self.point(tc) - z)))
-        evals = n0
+        corners = np.asarray(self.corner_params)
+        half = 0.5 / _BB_NODES
+        tc = np.tile(np.linspace(0.0, 1.0, _BB_NODES, endpoint=False) + half, zs.size)
+        owner = np.repeat(np.arange(zs.size), _BB_NODES)
+        best = np.full(zs.size, np.inf)
+        evals = np.full(zs.size, _BB_NODES)
         for _ in range(64):
+            zo = zs[owner]
             a = self.point(tc)
             u = self.tangent(tc)
-            s = np.clip(((z - a) * np.conj(u)).real / (np.abs(u) ** 2 + 1e-300), -half, half)
-            d_mid = np.abs(a - z)
-            lower = np.abs(z - a - s * u) - 0.5 * m2 * half * half
-            if self.corner_params:
+            s = np.clip(((zo - a) * np.conj(u)).real / (np.abs(u) ** 2 + 1e-300), -half, half)
+            d_mid = np.abs(a - zo)
+            lower = np.abs(zo - a - s * u) - 0.5 * m2 * half * half
+            if corners.size:
                 # intervals straddling a corner only support the Lipschitz bound
-                straddle = np.zeros(tc.shape, dtype=bool)
-                for c in self.corner_params:
-                    gap = np.abs((tc - c + 0.5) % 1.0 - 0.5)
-                    straddle |= gap <= half
+                straddle = np.any(np.abs((tc[:, None] - corners + 0.5) % 1.0 - 0.5) <= half,
+                                  axis=1)
                 lower = np.where(straddle, d_mid - self.deriv_bound * half, lower)
-            best = min(best, float(d_mid.min()))
-            active = lower < best - tol
-            if not np.any(active) or half < 1e-14:
+            np.minimum.at(best, owner, d_mid)
+            active = lower < (best - tols)[owner]
+            if not active.any() or half < 1e-14:
                 break
             half /= 2.0
-            tc = np.concatenate([tc[active] - half, tc[active] + half]) % 1.0
-            evals += len(tc)
-            if evals > 2_000_000:
+            ta, owner = tc[active], owner[active]
+            tc = np.concatenate([ta - half, ta + half]) % 1.0
+            evals += 2 * np.bincount(owner, minlength=zs.size)
+            owner = np.concatenate([owner, owner])
+            if evals.max() > 2_000_000:
                 raise NonConvergence("boundary-distance refinement exceeded node cap")
         else:
             raise NonConvergence("boundary-distance refinement did not certify")
-        d_curve = best
-        if signed:
-            return d_curve if self.contains(z) else -d_curve
-        return d_curve if self.contains(z) else 0.0
+        return best
 
     def anchor(self) -> complex:
         """A fixed interior point (cached); used to key shared conformal charts."""

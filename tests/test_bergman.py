@@ -158,6 +158,25 @@ class TestAnnulusKernel:
         residual = bg_reproducing_residual(2.0, 1.2 + 0.4j, range(-5, 6))
         assert residual < 1e-6
 
+    @pytest.mark.parametrize("w, n_ang", [(1.2 + 0.4j, 128), (1.5 + 0.5j, 256)])
+    def test_reproducing_quadrature_against_1024_angles(self, w, n_ang):
+        # oracle: the same radial rule on 1024 angles, far past the first alias
+        from invdist.bounds import _aliasing_angles
+
+        r, orders = 2.0, range(-5, 6)
+        assert _aliasing_angles(r, w, 5) == n_ang
+        nodes, wts = np.polynomial.legendre.leggauss(48)
+        edges = np.linspace(1.0 / r, r, 7)
+        rho = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes
+                              for a, b in zip(edges[:-1], edges[1:])])
+        rw = np.concatenate([0.5 * (b - a) * wts for a, b in zip(edges[:-1], edges[1:])])
+        zgrid = rho[:, None] * np.exp(2j * math.pi * np.arange(1024) / 1024)[None, :]
+        kern = AnnulusKernel(r).pair(zgrid, w)
+        dA = rw[:, None] * rho[:, None] * (2.0 * math.pi / 1024)
+        oracle = max(abs(complex(np.sum(zgrid ** n * np.conj(kern) * dA)) - w ** n)
+                     for n in orders)
+        assert abs(bg_reproducing_residual(r, w, orders) - oracle) <= 1e-15
+
     def test_metric_matches_log_kernel_hessian_fd(self):
         dom = Annulus(2.0)
         z0, h = 1.0, 1e-4

@@ -12,6 +12,7 @@ from invdist.domains import (
     Annulus,
     Ball,
     Disc,
+    JordanDomain,
     Polydisc,
     Sector,
     SlitPlane,
@@ -186,6 +187,25 @@ class TestSampler:
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedDomain):
             bd.sample_interior(object(), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["hull", "jordan", "sector"])
+    def test_rounds_match_testing_each_draw(self, kind):
+        # reference: test each candidate as it is drawn; the points and the
+        # generator's state afterwards must be the same
+        dom = SAMPLER_DRAWS[kind][0]
+        draw, boxed = bd._proposal(dom)
+        tol = {"tol": 1e-6} if isinstance(dom, JordanDomain) else {}
+        ref = np.random.default_rng(3)
+        want = []
+        while len(want) < 25:
+            z = draw(ref)
+            if (not boxed or dom.contains(z)) and dom.boundary_distance(z, **tol) > 0.05:
+                want.append(z)
+        rng = np.random.default_rng(3)
+        got = bd.sample_interior(dom, 25, rng, d_floor=0.05)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+            [(z.real.hex(), z.imag.hex()) for z in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestFitMinConstant:
@@ -395,6 +415,41 @@ class TestSuites:
             bd.run_suite("eq-le", samples=4, domain=Disc(0j, 1.0))
         with pytest.raises(UnsupportedDomain):
             bd.run_suite("prop2", samples=4, domain=Disc(0j, 1.0))
+
+
+# default reports of the planar Jordan suites, recorded with one
+# `contains` / `boundary_distance` call per point: the array calls the suites
+# make must reproduce every byte
+PINNED_REPORTS = [
+    ("prop6", 8, True,
+     '{"schema":1,"suite":"prop6","samples":68,"violations":0,'
+     '"worst_margin":-9.9999997171806854e-10,"constants":{"c":8.1364700433926913,'
+     '"c_fresh":8.1364700433926913,"disc_l_minus_c":0},"seed":42,"passed":true}'),
+    ("eq-le", 6, True,
+     '{"schema":1,"suite":"eq-le","samples":6,"violations":0,'
+     '"worst_margin":-0.42542151059866273,"constants":{"c":1.7428584915078802},'
+     '"seed":42,"passed":true}'),
+    ("prop4", 12, True,
+     '{"schema":1,"suite":"prop4","samples":36,"violations":0,'
+     '"worst_margin":0.152151224687466,"constants":{"c":1.1935125764831853},'
+     '"seed":42,"passed":true}'),
+    ("boundary-slope", None, True,
+     '{"schema":1,"suite":"boundary-slope","samples":6,"violations":0,'
+     '"worst_margin":0.048147329385931248,"constants":{"disc_carath":0.50015971537096637,'
+     '"disc_lempert":0.50015971537096637,"disc_bergman":0.50015971537096637,'
+     '"ellipse_carath":0.50185267061406424,"ellipse_lempert":0.50185267061406424,'
+     '"ellipse_bergman":0.5018526706140688},"seed":42,"passed":true}'),
+    ("prop6", 40, False,
+     '{"schema":1,"suite":"prop6","samples":84,"violations":0,'
+     '"worst_margin":-9.999894245993346e-10,"constants":{"c":3.9983869716980855,'
+     '"c_fresh":3.9983869716980855,"disc_l_minus_c":0},"seed":42,"passed":true}'),
+]
+
+
+@pytest.mark.parametrize("suite, samples, on_ellipse, want", PINNED_REPORTS)
+def test_jordan_suite_reports_are_pinned(suite, samples, on_ellipse, want):
+    dom = ellipse_domain(2.0, 1.0) if on_ellipse else None
+    assert bd.run_suite(suite, samples=samples, domain=dom).to_json() == want
 
 
 class TestProp2ProjectionChain:

@@ -38,6 +38,13 @@ class TestDist:
         doc = json.loads(out)
         assert doc["value"]["lo"] == pytest.approx(math.sqrt(2) * math.atanh(0.5), abs=1e-9)
 
+    def test_narrow_sector(self, capsys):
+        code, out, _ = run(capsys, "dist", "--domain", '{"kind":"sector","theta":0.001}',
+                           "--kind", "carath", "--z", "0.5+0i", "--w", "0.6+0i")
+        assert code == 0
+        want = math.pi / 0.004 * math.log(1.2)
+        assert json.loads(out)["value"]["lo"] == pytest.approx(want, rel=1e-12)
+
     def test_ball_vector_points(self, capsys):
         code, out, _ = run(capsys, "dist", "--domain", '{"kind":"ball","dim":2,"radius":1.0}',
                            "--kind", "carath", "--z", '["0+0i","0+0i"]',

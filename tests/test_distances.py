@@ -594,6 +594,19 @@ class TestChartDistances:
         with pytest.raises(DomainViolation):
             chart_distances(ellipse_domain(2.0, 1.0), [0j], [2.5 + 0j])
 
+    def test_first_point_outside_in_input_order(self):
+        from invdist.distances import chart_distances
+        from invdist.domains import ellipse_domain, two_disc_hull
+
+        # the points are checked in the order z0, w0, z1, w1: here w0
+        for dom in (ellipse_domain(2.0, 1.0), two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)):
+            with pytest.raises(DomainViolation,
+                               match=r"^point \(-3\+0j\) is not inside the domain$"):
+                chart_distances(dom, [0.1j, 3.5 + 0j], [-3.0 + 0j, 0.2j])
+            with pytest.raises(DomainViolation,
+                               match=r"^point \(3\.5\+0j\) is not inside the domain$"):
+                caratheodory(dom, 3.5 + 0j, -3.0 + 0j)
+
     def test_domains_without_chart_and_malformed_input(self):
         from invdist.distances import chart_distances
 
@@ -603,3 +616,45 @@ class TestChartDistances:
         assert chart_distances(Disc(0j, 1.0), [], []) == []
         with pytest.raises(DegenerateInput):
             chart_distances(Disc(0j, 1.0), [0.1 + 0j, 0.2 + 0j], [0.3 + 0j])
+
+
+class TestNarrowSector:
+    """On a narrow sector the chart's power z^p under- or overflows; the
+    distance then comes from p log z."""
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-4])
+    def test_closed_form_on_the_axis(self, theta):
+        from invdist.bergman import bergman_distance
+
+        dom = Sector(theta)
+        # z^p underflows for the first pair and overflows for the second
+        for z, w in ((0.5 + 0j, 0.6 + 0j), (2.0 + 0j, 3.0 + 0j)):
+            want = math.pi / (4.0 * theta) * math.log(w.real / z.real)
+            for fn, scale in ((caratheodory, 1.0), (lempert, 1.0),
+                              (bergman_distance, math.sqrt(2.0))):
+                v = fn(dom, z, w)
+                assert (v.method, v.width) == ("conformal_pullback", 0.0)
+                assert v.value == pytest.approx(scale * want, rel=1e-12)
+
+    def test_log_form_matches_the_power_map(self):
+        from invdist.distances import _halfplane_log_distance
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            la, lb = (complex(rng.uniform(-40.0, 40.0), rng.uniform(-1.5, 1.5))
+                      for _ in range(2))
+            want = halfplane_hyperbolic_distance(1j * cmath.exp(la), 1j * cmath.exp(lb))
+            assert _halfplane_log_distance(la, lb) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_wide_sector_values_pinned(self):
+        from invdist.bergman import bergman_distance
+
+        dom = Sector(0.7)
+        cases = [(1.0 + 0.2j, 0.3 - 0.1j, "0x1.878bdd56e3398p+0", "0x1.14dd75a726250p+1"),
+                 (2.0 + 0j, 0.01 + 0.001j, "0x1.7ce9194f92762p+2", "0x1.0d582c68410c0p+3"),
+                 (0.5 + 0j, 0.6 + 0j, "0x1.a2f29cb2c4028p-3", "0x1.283da296315dbp-2"),
+                 (1e-5 + 1e-6j, 3.0 - 0.5j, "0x1.c6a52c7849e3ap+3", "0x1.417b92f0d5fecp+4")]
+        for z, w, c_hex, b_hex in cases:
+            for fn, want in ((caratheodory, c_hex), (lempert, c_hex), (bergman_distance, b_hex)):
+                v = fn(dom, z, w)
+                assert (v.lo.hex(), v.hi.hex()) == (want, want)

@@ -24,7 +24,7 @@ from invdist.domains import (
     two_disc_hull,
     wobbly_domain,
 )
-from invdist.errors import DegenerateInput, SchemaError, UnsupportedDomain
+from invdist.errors import DegenerateInput, NonConvergence, SchemaError, UnsupportedDomain
 
 
 class TestBoundaryDistance:
@@ -187,6 +187,67 @@ class TestJordanDomains:
             inward = 1j * tang / abs(tang)
             assert ellipse.contains(p + 1e-2 * inward)
             assert not ellipse.contains(p - 1e-2 * inward)
+
+
+def _batch_probe_points(dom, rng):
+    """Interior points, points at depths 1e-4 ... 1e-6 on both sides of the
+    curve, and points within one 1024-sample step of each declared corner."""
+    anchor = dom.anchor()
+    pts = [anchor + rng.uniform(0.05, 0.95) * (complex(dom.point(rng.uniform())) - anchor)
+           for _ in range(12)]
+    for depth in (1e-4, 1e-5, 1e-6):
+        for side in (1.0, -1.0):
+            for t in rng.uniform(size=3):
+                tang = complex(dom.tangent(t))
+                pts.append(complex(dom.point(t)) + side * depth * 1j * tang / abs(tang))
+    for c in dom.corner_params:
+        for _ in range(8):
+            t = c + rng.uniform(-1.0, 1.0) / 1024
+            tang = complex(dom.tangent(t))
+            pts.append(complex(dom.point(t))
+                       + rng.choice([1.0, -1.0]) * 10 ** rng.uniform(-6, -3) * 1j * tang / abs(tang))
+    return pts
+
+
+class TestJordanBatch:
+    """`contains` and `boundary_distance` on an array of points give, bit for
+    bit, what one call per point gives."""
+
+    @pytest.mark.parametrize("name", ["ellipse", "wobbly", "lens", "hull"])
+    def test_array_equals_one_by_one(self, name, ellipse, lens):
+        dom = {"ellipse": ellipse, "wobbly": wobbly_domain(7), "lens": lens,
+               "hull": two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7).as_jordan()}[name]
+        rng = np.random.default_rng(7)
+        pts = _batch_probe_points(dom, rng)
+        tols = np.where(np.arange(len(pts)) % 3 == 0, 1e-6, 1e-8)
+        inside = dom.contains(np.array(pts))
+        assert inside.dtype == bool
+        assert list(inside) == [dom.contains(z) for z in pts]
+        assert 0 < inside.sum() < len(pts)
+        got = dom.boundary_distance(np.array(pts))
+        assert [x.hex() for x in got] == [dom.boundary_distance(z).hex() for z in pts]
+        got = dom.boundary_distance(np.array(pts), signed=True, tol=tols)
+        want = [dom.boundary_distance(z, signed=True, tol=t) for z, t in zip(pts, tols)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_shapes_and_scalars(self, ellipse):
+        grid = np.array([[0j, 0.5 + 0.5j], [3.0 + 0j, -1.9 + 0j]])
+        assert ellipse.contains(grid).shape == (2, 2)
+        assert ellipse.boundary_distance(grid).shape == (2, 2)
+        assert ellipse.contains(np.array([], dtype=complex)).shape == (0,)
+        assert type(ellipse.contains(0.5 + 0.5j)) is bool
+        assert type(ellipse.boundary_distance(0.5 + 0.5j)) is float
+        assert ellipse.boundary_distance(np.array([3.0 + 0j]))[0] == 0.0
+
+    def test_non_convergence_of_one_point_propagates(self):
+        # at the centre of a circle every interval stays a candidate at
+        # tol = 0, so the refinement hits its node cap
+        circle = ellipse_domain(1.0, 1.0)
+        with pytest.raises(NonConvergence, match="node cap"):
+            circle.boundary_distance(0j, tol=0.0)
+        with pytest.raises(NonConvergence, match="node cap"):
+            circle.boundary_distance(np.array([0.5 + 0j, 0j]), tol=np.array([1e-8, 0.0]))
+        assert circle.boundary_distance(np.array([0.5 + 0j]), tol=0.0)[0] == pytest.approx(0.5)
 
 
 class TestJson:
