@@ -35,6 +35,9 @@ __all__ = [
 _UNIT_DISC = UnitDisc()
 _UPPER_HALF_PLANE = HalfPlane(1j)
 
+# point types whose branch-cut test is two float comparisons, not a numpy pass
+_SCALARS = (complex, float, int, np.generic)
+
 
 def _sqrt_cut_pos(s):
     """Square root with branch cut along the nonnegative real axis; maps
@@ -46,6 +49,12 @@ def _sqrt_cut_pos(s):
     s = np.asarray(s, dtype=complex)
     out = 1j * np.sqrt(-(s + 0.0))
     return out if out.shape else complex(out)
+
+
+def _sqrt_cut_pos_scalar(s) -> complex:
+    """_sqrt_cut_pos of one point, bitwise: numpy's scalar sqrt runs the
+    same complex square root without building a 0-d array."""
+    return complex(1j * np.sqrt(-(np.complex128(s) + 0.0)))
 
 
 @dataclass
@@ -138,13 +147,17 @@ def sector_map(theta: float) -> ConformalMap:
     p = math.pi / (2.0 * theta)
 
     def _check(z):
-        arr = np.asarray(z, dtype=complex)
-        if np.any((arr.imag == 0) & (arr.real <= 0)):
+        if isinstance(z, _SCALARS):
+            on_cut = z.imag == 0 and z.real <= 0
+        else:
+            arr = np.asarray(z, dtype=complex)
+            on_cut = np.any((arr.imag == 0) & (arr.real <= 0))
+        if on_cut:
             raise BranchViolation("input on the branch cut of the sector power map")
 
     def ev(z):
         _check(z)
-        if not np.isscalar(z):
+        if not isinstance(z, _SCALARS):
             return np.asarray(z, dtype=complex) ** p
         try:
             return z ** p
@@ -166,17 +179,20 @@ def slit_sqrt_map() -> ConformalMap:
     root with cut on the nonnegative real ray."""
 
     def _check(z):
-        arr = np.asarray(z, dtype=complex)
-        if np.any((arr.imag == 0) & (arr.real >= 0)):
+        if isinstance(z, _SCALARS):
+            on_cut = z.imag == 0 and z.real >= 0
+        else:
+            arr = np.asarray(z, dtype=complex)
+            on_cut = np.any((arr.imag == 0) & (arr.real >= 0))
+        if on_cut:
             raise BranchViolation("input on the branch cut [0, inf)")
 
     def ev(z):
         _check(z)
-        return _sqrt_cut_pos(z)
+        return _sqrt_cut_pos_scalar(z) if isinstance(z, _SCALARS) else _sqrt_cut_pos(z)
 
     def dv(z):
-        _check(z)
-        return 0.5 / _sqrt_cut_pos(z)
+        return 0.5 / ev(z)
 
     def inv(w):
         return np.asarray(w, dtype=complex) ** 2 if not np.isscalar(w) else w * w

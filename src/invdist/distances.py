@@ -113,6 +113,14 @@ class MetricField:
 # the smallest normal float: a smaller image has lost bits to underflow
 _TINY = sys.float_info.min
 
+# the Bergman kernel squares a chart's jet (f', 2 Im f); on a sector with
+# power p, |f'| = p |f| / |z|, so the squares stay normal floats while
+# 2^-500 <= |f| <= 2^500 / p
+_JET_LO, _JET_HI = 2.0 ** -500, 2.0 ** 500
+
+# numpy's floating-point warnings silenced on a sector chart's array pass
+_SECTOR_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 # ---------------------------------------------------------------------------
 # Poincare distance on the disc
@@ -175,20 +183,30 @@ def chart(domain) -> ConformalMap | None:
     domains by their shared Riemann map, normalized at the anchor).  The
     half-plane, sector and slit plane map onto the upper half-plane, whose
     distance stays accurate for points at hugely different scales.
+
+    A closed-form chart is built on the first call and kept on the domain
+    object (as `_chart`, outside its fields, so equality, hash, repr and
+    JSON do not see it); later calls return that same map.
     """
+    m = getattr(domain, "_chart", None)
+    if m is not None:
+        return m
     if isinstance(domain, Disc):
-        return disc_scale_map(domain.center, domain.radius)
-    if isinstance(domain, HalfPlane):
-        return half_plane_map(domain.normal)
-    if isinstance(domain, Sector):
-        return sector_map(domain.theta).then(half_plane_map(1.0 + 0j))
-    if isinstance(domain, SlitPlane):
-        return slit_sqrt_map()
-    if isinstance(domain, TwoDiscHull):
-        domain = domain.as_jordan()
-    if isinstance(domain, JordanDomain):
-        return riemann_map(domain, domain.anchor())
-    return None
+        m = disc_scale_map(domain.center, domain.radius)
+    elif isinstance(domain, HalfPlane):
+        m = half_plane_map(domain.normal)
+    elif isinstance(domain, Sector):
+        m = sector_map(domain.theta).then(half_plane_map(1.0 + 0j))
+    elif isinstance(domain, SlitPlane):
+        m = slit_sqrt_map()
+    else:
+        if isinstance(domain, TwoDiscHull):
+            domain = domain.as_jordan()
+        if isinstance(domain, JordanDomain):
+            return riemann_map(domain, domain.anchor())
+        return None
+    object.__setattr__(domain, "_chart", m)
+    return m
 
 
 def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
@@ -217,7 +235,11 @@ def chart_distances(domain, zs, ws) -> list:
     if not zs:
         return []
     _require_inside(m.source, *(p for pair in zip(zs, ws) for p in pair))
-    images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
+    # a narrow sector's power can leave the floats (an inf, then inf * 0 in
+    # the rotation); _image_distance takes the log form there, so the
+    # overflow is expected and numpy's warnings about it are noise
+    with np.errstate(**(_SECTOR_QUIET if isinstance(m.source, Sector) else {})):
+        images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
     n = len(zs)
     return [_image_distance(m, z, w, complex(fz), complex(fw))
             for z, w, fz, fw in zip(zs, ws, images[:n], images[n:])]
@@ -229,8 +251,8 @@ def _image_distance(m: ConformalMap, z, w, fz: complex, fw: complex) -> Certifie
     map puts an image out of the normal floats (NaN fails the test too), the
     distance comes from the logs of the images, p log z, instead."""
     if isinstance(m.target, HalfPlane):
-        if isinstance(m.source, Sector) and not all(_TINY <= abs(f) < math.inf
-                                                    for f in (fz, fw)):
+        if isinstance(m.source, Sector) and not (_TINY <= abs(fz) < math.inf
+                                                 and _TINY <= abs(fw) < math.inf):
             p = math.pi / (2.0 * m.source.theta)
             d = _halfplane_log_distance(p * cmath.log(z), p * cmath.log(w))
         else:
@@ -248,16 +270,29 @@ def _chart_jet(m: ConformalMap, z) -> tuple:
     the half-plane, so that kappa = |f'| |X| / q.  A Riemann map gives f and
     f' from one zipper pass.
 
+    On a sector, f = i z^p; where |f| leaves [_JET_LO, _JET_HI / p] (every
+    image that `_image_distance` sends to the log form, and the bands where
+    the kernel's squares would overflow) the jet is (p / |z|, 2 cos(p arg z)),
+    f' and q divided by |f|: kappa = p |X| / (2 |z| cos(p arg z)).
+
     Raises DomainViolation when q <= 0: the map's error put f(z) outside the
     target, where the pulled-back metrics would come out negative or infinite.
     """
     _require_inside(m.source, z)
-    engine = getattr(m, "engine", None)
-    if engine is not None:
-        fz, df = engine.evaluate_with_derivative(complex(z))
+    if isinstance(m.source, Sector):
+        p = math.pi / (2.0 * m.source.theta)
+        fz = complex(m.evaluate(z))
+        if _JET_LO <= abs(fz) <= _JET_HI / p:
+            df, q = complex(m.derivative(z)), 2.0 * fz.imag
+        else:
+            df, q = p / abs(z), 2.0 * math.cos(p * cmath.phase(z))
     else:
-        fz, df = complex(m.evaluate(z)), complex(m.derivative(z))
-    q = 2.0 * fz.imag if isinstance(m.target, HalfPlane) else 1.0 - abs(fz) ** 2
+        engine = getattr(m, "engine", None)
+        if engine is not None:
+            fz, df = engine.evaluate_with_derivative(complex(z))
+        else:
+            fz, df = complex(m.evaluate(z)), complex(m.derivative(z))
+        q = 2.0 * fz.imag if isinstance(m.target, HalfPlane) else 1.0 - abs(fz) ** 2
     if not q > 0:
         raise DomainViolation(f"image of {z} left the chart's target; the map is too coarse here")
     return df, q
@@ -314,20 +349,24 @@ def annulus_caratheodory(r: float, z: complex, w: complex) -> CertifiedValue:
 
 def caratheodory(domain, z, w) -> CertifiedValue:
     """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
+    if isinstance(domain, (Ball, Polydisc)):
+        _require_inside(domain, z, w)
+        return CertifiedValue.exact(cn_model_distance(domain, z, w))
     m = chart(domain)
     if m is not None:
         return _chart_distance(m, z, w)
     _require_inside(domain, z, w)
     if isinstance(domain, Annulus):
         return annulus_caratheodory(domain.r, z, w)
-    if isinstance(domain, (Ball, Polydisc)):
-        return CertifiedValue.exact(cn_model_distance(domain, z, w))
     raise UnsupportedDomain(f"caratheodory unsupported on {type(domain).__name__}")
 
 
 def lempert(domain, z, w) -> CertifiedValue:
     """Lempert function l_D(z, w); equals the Kobayashi distance on all
     planar catalog variants and on Ball / Polydisc."""
+    if isinstance(domain, (Ball, Polydisc)):
+        _require_inside(domain, z, w)
+        return CertifiedValue.exact(cn_model_distance(domain, z, w))
     m = chart(domain)
     if m is not None:
         return _chart_distance(m, z, w)
@@ -335,8 +374,6 @@ def lempert(domain, z, w) -> CertifiedValue:
     if isinstance(domain, Annulus):
         return CertifiedValue.exact(_ann.annulus_kobayashi_distance(domain.r, z, w),
                                     "covering")
-    if isinstance(domain, (Ball, Polydisc)):
-        return CertifiedValue.exact(cn_model_distance(domain, z, w))
     raise UnsupportedDomain(f"lempert unsupported on {type(domain).__name__}")
 
 
@@ -390,13 +427,13 @@ def _cn_kobayashi_metric(domain, z, X):
     z = np.asarray(z, dtype=complex)
     X = np.asarray(X, dtype=complex)
     if isinstance(domain, Ball):
-        u = (z - np.asarray(domain.center)) / domain.radius
+        u = (z - domain._center) / domain.radius
         V = X / domain.radius
-        nu2 = float(np.real(np.vdot(u, u)))
+        nu2 = float(np.vdot(u, u).real)
         if nu2 >= 1.0:
             raise DomainViolation("point outside the ball")
         ip = complex(np.vdot(u, V))  # <V, u>
-        nv2 = float(np.real(np.vdot(V, V)))
+        nv2 = float(np.vdot(V, V).real)
         val = (nv2 * (1.0 - nu2) + abs(ip) ** 2) / (1.0 - nu2) ** 2
         return math.sqrt(val)
     if isinstance(domain, Polydisc):
@@ -428,10 +465,10 @@ def cn_model_distance(domain, z, w) -> float:
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if isinstance(domain, Ball):
-        u = (z - np.asarray(domain.center)) / domain.radius
-        v = (w - np.asarray(domain.center)) / domain.radius
-        nu = float(np.real(np.vdot(u, u)))
-        nv = float(np.real(np.vdot(v, v)))
+        u = (z - domain._center) / domain.radius
+        v = (w - domain._center) / domain.radius
+        nu = float(np.vdot(u, u).real)
+        nv = float(np.vdot(v, v).real)
         if nu >= 1.0 or nv >= 1.0:
             raise DomainViolation("points must lie in the open ball")
         ip = complex(np.vdot(v, u))  # <u, v>

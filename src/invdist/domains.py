@@ -67,6 +67,13 @@ class PlanarDomain:
     def contains(self, z: complex) -> bool:
         return self.boundary_distance(z, signed=True) > 0.0
 
+    def __getstate__(self):
+        """The instance state without the chart `distances.chart` keeps as
+        `_chart`: its closures do not pickle, and it is rebuilt on use."""
+        state = dict(self.__dict__)
+        state.pop("_chart", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Disc(PlanarDomain):
@@ -712,6 +719,14 @@ class CnDomain:
         return self.boundary_distance(np.asarray(z, dtype=complex), signed=True) > 0.0
 
 
+def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only array of a C^n domain's tuple field, built once so the
+    per-call formulas skip the conversion."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Ball(CnDomain):
     center: tuple
@@ -723,17 +738,18 @@ class Ball(CnDomain):
         object.__setattr__(self, "center", tuple(complex(c) for c in self.center))
         if not self.center:
             raise DegenerateInput("ball dimension must be at least 1")
+        object.__setattr__(self, "_center", _frozen_array(self.center, complex))
 
     @property
     def dim(self):
         return len(self.center)
 
-    def _c(self):
-        return np.asarray(self.center, dtype=complex)
-
     def boundary_distance(self, z, signed=False):
-        d = self.radius - float(np.linalg.norm(np.asarray(z, dtype=complex) - self._c()))
-        return _clamp0(d, signed)
+        # np.linalg.norm of the offset, without its dispatch
+        x = (np.asarray(z, dtype=complex) - self._center).ravel()
+        re, im = x.real, x.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+        return _clamp0(self.radius - norm, signed)
 
 
 @dataclass(frozen=True)
@@ -750,15 +766,16 @@ class Polydisc(CnDomain):
             raise DegenerateInput("polydisc dimension must be at least 1")
         if not all(math.isfinite(r) and r > 0 for r in self.radii):
             raise DegenerateInput("polydisc radii must be positive and finite")
+        object.__setattr__(self, "_center", _frozen_array(self.center, complex))
+        object.__setattr__(self, "_radii", _frozen_array(self.radii, float))
 
     @property
     def dim(self):
         return len(self.radii)
 
     def boundary_distance(self, z, signed=False):
-        z = np.asarray(z, dtype=complex)
-        margins = np.asarray(self.radii) - np.abs(z - np.asarray(self.center))
-        return _clamp0(float(margins.min()), signed)
+        margins = self._radii - np.abs(np.asarray(z, dtype=complex) - self._center)
+        return _clamp0(float(np.minimum.reduce(margins)), signed)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,32 @@ class TestClosedMaps:
         with pytest.raises(BranchViolation):
             sector_map(0.9).evaluate(-1.0 + 0j)
 
+    @pytest.mark.parametrize("kind", [complex, float, int, np.complex128, np.float64])
+    def test_branch_cut_raises_for_every_scalar_type(self, kind):
+        # the scalar test is two float comparisons; it must refuse the same
+        # points as the array test, whatever the point's type
+        for m, on_cut, off_cut in ((sector_map(0.9), (-1.0, 0.0), (2.0,)),
+                                   (slit_sqrt_map(), (2.0, 0.0), (-2.0,))):
+            for x in on_cut:
+                for fn in (m.evaluate, m.derivative):
+                    with pytest.raises(BranchViolation):
+                        fn(kind(x))
+            for x in off_cut:
+                assert np.isfinite(complex(m.evaluate(kind(x))))
+        with pytest.raises(BranchViolation):
+            sector_map(0.9).evaluate(complex(-1.0, -0.0))
+        with pytest.raises(BranchViolation):
+            slit_sqrt_map().evaluate(complex(2.0, -0.0))
+
+    def test_branch_cut_raises_for_arrays(self):
+        for m, bad, good in ((sector_map(0.9), -1.0 + 0j, 1.0 + 0.1j),
+                             (slit_sqrt_map(), 2.0 + 0j, -1.0 + 0j)):
+            for pts in (np.array([good, bad]), np.array(bad), [good, bad]):
+                for fn in (m.evaluate, m.derivative):
+                    with pytest.raises(BranchViolation):
+                        fn(pts)
+            assert np.all(np.isfinite(m.evaluate(np.array([good, good]))))
+
     def test_cayley(self):
         m = cayley_map()
         assert m.evaluate(1j) == pytest.approx(0j)

@@ -490,6 +490,17 @@ class TestJordanOnePass:
                 assert counts["n"] == want, (fn.__name__, jordan.name)
 
 
+def _two_points(domain):
+    """Two points inside a closed-form chart domain."""
+    if isinstance(domain, Disc):
+        return domain.center, domain.center + 0.3 * domain.radius
+    if isinstance(domain, SlitPlane):
+        return -1.0 + 0j, 0.5 + 0.5j
+    if isinstance(domain, Sector):
+        return 1.0 + 0j, 0.5 + 0.1 * domain.theta * 1j
+    return domain.normal, 2.0 * domain.normal + 1j * domain.normal
+
+
 class TestOneChart:
     """c = l and b = sqrt(2) c on every simply connected planar domain come
     from one pullback through the domain's chart."""
@@ -525,6 +536,43 @@ class TestOneChart:
                           (SlitPlane(), -1.0 + 0j, -2.0 + 0j)):
             v = caratheodory(dom, z, w)
             assert (v.method, v.width) == ("conformal_pullback", 0.0)
+
+    def test_closed_chart_built_once_per_domain(self):
+        from invdist.distances import chart
+        from invdist.domains import HalfPlane, domain_to_json
+
+        doms = [Disc(0.25 - 0.5j, 1.5), HalfPlane(0.6 + 0.8j), Sector(0.7), Sector(0.5),
+                SlitPlane()]
+        before = [(d, hash(d), repr(d), domain_to_json(d)) for d in doms]
+        charts = [chart(d) for d in doms]
+        for d, m in zip(doms, charts):
+            assert chart(d) is m
+            caratheodory(d, *_two_points(d))
+            assert chart(d) is m
+        assert charts[2] is not charts[3]
+        assert charts[2].evaluate(1.0 + 0.5j) != charts[3].evaluate(1.0 + 0.5j)
+        # a second equal domain object builds its own chart, with the same values
+        twin = Sector(0.7)
+        assert chart(twin) is not charts[2]
+        assert chart(twin).evaluate(1.0 + 0.5j) == charts[2].evaluate(1.0 + 0.5j)
+        for d, (same, h, r, doc) in zip(doms, before):
+            assert d == same and hash(d) == h and repr(d) == r and domain_to_json(d) == doc
+        assert twin == doms[2] and hash(twin) == hash(doms[2])
+
+    def test_queried_domain_pickles(self):
+        import copy
+        import pickle
+
+        from invdist.distances import chart
+        from invdist.domains import HalfPlane
+
+        for d in (Disc(0.25 - 0.5j, 1.5), HalfPlane(0.6 + 0.8j), Sector(0.7), SlitPlane()):
+            z, w = _two_points(d)
+            want = caratheodory(d, z, w)
+            for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+                assert twin == d and caratheodory(twin, z, w) == want
+                assert chart(twin) is not chart(d)
+            assert "_chart" in vars(d)
 
     def test_chart_is_none_off_the_simply_connected_planar_domains(self):
         from invdist.distances import chart
@@ -645,6 +693,42 @@ class TestNarrowSector:
                       for _ in range(2))
             want = halfplane_hyperbolic_distance(1j * cmath.exp(la), 1j * cmath.exp(lb))
             assert _halfplane_log_distance(la, lb) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-4])
+    def test_pulled_back_metrics(self, theta):
+        from invdist.bergman import bergman_kernel, bergman_metric
+
+        dom = Sector(theta)
+        p = math.pi / (2.0 * theta)
+        # |z^p| underflows at 0.5, overflows at 2 and 3, and in between
+        # lies in the bands where the kernel's squares would leave the floats
+        pts = [0.5 + 0j, 0.75 + 0j, 0.999 + 0j, 1.0 + 0j, 1.3 + 0j, 2.0 + 0j,
+               3.0 * cmath.exp(0.5j * theta), 0.6 * cmath.exp(-0.9j * theta),
+               1.0005 * cmath.exp(0.3j * theta)]
+        for z in pts:
+            kappa = p / (2.0 * abs(z) * math.cos(p * cmath.phase(z)))
+            for X in (1.0, 0.3 - 2.0j):
+                assert kobayashi_metric(dom, z, X) == pytest.approx(kappa * abs(X), rel=1e-12)
+                assert bergman_metric(dom, z, X) == pytest.approx(
+                    math.sqrt(2.0) * kappa * abs(X), rel=1e-12)
+            assert bergman_kernel(dom, z) == pytest.approx(kappa ** 2 / math.pi, rel=1e-12)
+        assert kobayashi_metric(Sector(1e-3), 0.5) == pytest.approx(1570.796326794897,
+                                                                   rel=1e-12)
+
+    def test_chart_distances_silent(self):
+        import warnings
+
+        from invdist.distances import chart_distances
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, = chart_distances(Sector(0.001), [2.0 + 0j], [3.0 + 0j])
+            batch = chart_distances(Sector(1e-4), [0.5 + 0j, 2.0 + 0j, 1.0 + 0j],
+                                    [0.6 + 0j, 1e-3 + 0j, 5.0 + 0j])
+        assert v.value == pytest.approx(318.4515512299, rel=1e-12)
+        assert v.value == caratheodory(Sector(0.001), 2.0 + 0j, 3.0 + 0j).value
+        for cv, (z, w) in zip(batch, ((0.5, 0.6), (2.0, 1e-3), (1.0, 5.0))):
+            assert cv.value == pytest.approx(math.pi / 4e-4 * abs(math.log(w / z)), rel=1e-12)
 
     def test_wide_sector_values_pinned(self):
         from invdist.bergman import bergman_distance
