@@ -1,34 +1,19 @@
 """Invariant distances (Caratheodory, Kobayashi/Lempert, Bergman) on model
 planar and several-variable domains, with verification suites for the
-boundary estimates that relate them."""
+boundary estimates that relate them.
+
+The Bergman layer and the verification suites load on first access to one
+of their names (see _LAZY), so that a process that only computes a
+Caratheodory or Kobayashi distance does not import them.
+"""
+
+import importlib as _importlib
 
 from .annulus import (
     AnnulusCaratheodory,
     annulus_kobayashi_distance,
     annulus_kobayashi_metric,
     theta_product,
-)
-from .bergman import (
-    bergman_distance,
-    bergman_field,
-    bergman_kernel,
-    bergman_metric,
-    shortest_path_length,
-)
-from .bounds import (
-    BoundReport,
-    bound_ccvx_lower,
-    bound_convex_lower,
-    bound_prop1_R,
-    boundary_slope_regression,
-    envelope_residual_pla,
-    experiment_ratio_c_over_l,
-    experiment_sector_ratio,
-    experiment_slit_coefficient,
-    fit_min_constant,
-    run_suite,
-    sandwich_gen,
-    verify_prop5_product,
 )
 from .conformal import (
     AnnulusCover,
@@ -87,3 +72,29 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+# public names of the modules that load on first access
+_LAZY = {
+    **dict.fromkeys(("bergman_distance", "bergman_field", "bergman_kernel", "bergman_metric",
+                     "shortest_path_length"), "bergman"),
+    **dict.fromkeys(("BoundReport", "bound_ccvx_lower", "bound_convex_lower", "bound_prop1_R",
+                     "boundary_slope_regression", "envelope_residual_pla",
+                     "experiment_ratio_c_over_l", "experiment_sector_ratio",
+                     "experiment_slit_coefficient", "fit_min_constant", "run_suite",
+                     "sandwich_gen", "verify_prop5_product"), "bounds"),
+}
+
+
+def __getattr__(name):
+    if name == "__all__":   # `from invdist import *` binds the lazy names too
+        return [n for n in __dir__() if not n.startswith("_")]
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -18,14 +18,16 @@ quadratures; their N vs 2N gap and the shoot's miss are the reported error.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, chart
 from .domains import Annulus
-from .errors import DomainViolation, NonConvergence, UnsupportedDomain
+from .errors import DegenerateInput, DomainViolation, NonConvergence, UnsupportedDomain
 
 __all__ = [
     "bergman_kernel",
@@ -239,12 +241,28 @@ def _annulus_kernel(r: float) -> AnnulusKernel:
     return k
 
 
+# |f'| and q whose squares are normal floats
+_SQ_LO, _SQ_HI = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+
 def bergman_kernel(domain, z) -> float:
-    """Bergman kernel on the diagonal K_D(z)."""
+    """Bergman kernel on the diagonal K_D(z).
+
+    On a chart, K = |f'|^2 / (pi q^2); where a square would leave the normal
+    floats it is formed as (|f'| / q)^2 / pi, and DegenerateInput is raised
+    where K itself is beyond the largest float."""
     m = chart(domain)
     if m is not None:
         df, q = _chart_jet(m, z)
-        return abs(df) ** 2 / (math.pi * q ** 2)
+        a = abs(df)
+        if _SQ_LO < a < _SQ_HI and _SQ_LO < q < _SQ_HI:
+            k = a ** 2 / (math.pi * q ** 2)
+        else:
+            t = a / q
+            k = t * (t / math.pi)
+        if k == math.inf:
+            raise DegenerateInput(f"the Bergman kernel at {z} is beyond the largest float")
+        return k
     if isinstance(domain, Annulus):
         if not domain.contains(z):
             raise DomainViolation("point outside the annulus")
@@ -286,10 +304,16 @@ def bergman_field(domain) -> MetricField:
 # shortest path on the annulus
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre rules of the geodesic quadratures: N nodes, and 2N for the gap
-_GEO_N = np.polynomial.legendre.leggauss(32)
-_GEO_2N = np.polynomial.legendre.leggauss(64)
 _GEO_TOL = 1e-6     # largest N vs 2N length gap shortest_path_length accepts
+
+
+@functools.cache
+def _geo_rules():
+    """The Gauss-Legendre rules of the geodesic quadratures, N = 32 nodes and
+    2N for the gap, built on first use: importing numpy.polynomial costs
+    every process that never measures an annulus Bergman distance."""
+    leggauss = np.polynomial.legendre.leggauss
+    return leggauss(32), leggauss(64)
 
 
 def _geodesics(field: MetricField, r: float, a: float, b: float):
@@ -367,23 +391,24 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
     if b == 0.0:            # both on the core circle, itself a geodesic
         return CertifiedValue.estimate(float(field(1.0, 1.0)) * gap, 0.0, "shortest_path")
     (lo0, hi0), geodesic = _geodesics(field, r, a, b)
+    rule_n, rule_2n = _geo_rules()
     lo, hi = lo0, hi0
     s = lo                  # c = 0: the radial path
     while gap > 0.0:
         s = 0.5 * (lo + hi)
-        angle = geodesic(s, _GEO_N)[1]
+        angle = geodesic(s, rule_n)[1]
         if abs(angle - gap) <= 1e-12 * max(gap, 1.0) or not lo < s < hi:
             break
         if angle < gap:
             lo = s
         else:
             hi = s
-    c, _, rest = geodesic(s, _GEO_N)
-    c, angle, rest2 = geodesic(s, _GEO_2N)
+    c, _, rest = geodesic(s, rule_n)
+    c, angle, rest2 = geodesic(s, rule_2n)
     err = abs(rest2 - rest)
     if gap > 0.0 and angle != gap:
         def shot(x):        # (c, 2N angle) at x; the angle is unbounded at hi0
-            return geodesic(x, _GEO_2N)[:2] if x < hi0 else (float(field(1.0, 1.0)), math.inf)
+            return geodesic(x, rule_2n)[:2] if x < hi0 else (float(field(1.0, 1.0)), math.inf)
 
         # widen the bisection's bracket until its 2N angles straddle gap
         (c_lo, t_lo), (c_hi, t_hi), step = shot(lo), shot(hi), hi - lo

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,6 +31,8 @@ from .domains import (
     Sector,
     SlitPlane,
     TwoDiscHull,
+    _fmt,
+    _json_canonical,
     ellipse_domain,
     lens_domain,
     two_disc_hull,
@@ -121,33 +122,6 @@ def sandwich_gen(sep: float, d_z: float, d_w: float, c: float):
 # ---------------------------------------------------------------------------
 # report container
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _json_canonical(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits; a float
-    that is not finite has no JSON form and is written as null."""
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_json_canonical(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_canonical(v) for v in obj) + "]"
-    return json.dumps(obj)
 
 
 @dataclass

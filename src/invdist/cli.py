@@ -14,10 +14,8 @@ import sys
 
 import numpy as np
 
-from . import bergman as bg
-from . import bounds as bd
 from . import distances as ds
-from .domains import CnDomain, domain_from_json
+from .domains import CnDomain, _json_canonical, domain_from_json
 from .errors import (
     BranchViolation,
     DegenerateInput,
@@ -75,7 +73,9 @@ def cmd_dist(args) -> int:
     elif args.kind == "lempert":
         val = ds.lempert(domain, z, w)
     else:
-        val = bg.bergman_distance(domain, z, w)
+        from .bergman import bergman_distance
+
+        val = bergman_distance(domain, z, w)
     if not (math.isfinite(val.lo) and math.isfinite(val.hi)):
         raise NonConvergence(f"{args.kind} distance is not finite "
                              f"(lo={val.lo!r}, hi={val.hi!r})")
@@ -86,11 +86,13 @@ def cmd_dist(args) -> int:
         "d_z": domain.boundary_distance(z),
         "d_w": domain.boundary_distance(w),
     }
-    _emit(bd._json_canonical(doc), args.out)
+    _emit(_json_canonical(doc), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from . import bounds as bd
+
     domain = domain_from_json(args.domain) if args.domain else None
     rep = bd.run_suite(args.suite, samples=args.samples, seed=args.seed, domain=domain)
     if args.format == "csv" and rep.rows:
@@ -98,6 +100,16 @@ def cmd_verify(args) -> int:
     else:
         _emit(rep.to_json(include_runtime=args.timing), args.out)
     return EXIT_OK if rep.passed else EXIT_VIOLATIONS
+
+
+class _SuiteNames:
+    """The sorted names of bounds.SUITES, as `--suite` choices that load the
+    suites only when argparse reads them: on a `verify` command."""
+
+    def __iter__(self):
+        from .bounds import SUITES
+
+        return iter(sorted(SUITES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_dist)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", choices=sorted(bd.SUITES), required=True)
+    # choices set after add_argument, whose metavar check would read them
+    v.add_argument("--suite", required=True).choices = _SuiteNames()
     v.add_argument("--domain", help="domain description JSON replacing the suite's default "
                                     "(exit 3 if the suite cannot use that kind)")
     v.add_argument("--samples", type=int, default=None,

@@ -426,6 +426,9 @@ def kobayashi_metric(domain, z, X=1.0) -> float:
 def _cn_kobayashi_metric(domain, z, X):
     z = np.asarray(z, dtype=complex)
     X = np.asarray(X, dtype=complex)
+    if X.shape != (domain.dim,):
+        raise DegenerateInput(f"a direction on this domain is a vector of {domain.dim} "
+                              f"coordinates, got shape {X.shape}")
     if isinstance(domain, Ball):
         u = (z - domain._center) / domain.radius
         V = X / domain.radius

@@ -926,3 +926,31 @@ def domain_to_json(domain) -> dict:
             raise UnsupportedDomain("only origin-centered polydiscs serialize")
         return {"kind": "polydisc", "radii": list(domain.radii)}
     raise UnsupportedDomain(f"cannot serialize {type(domain).__name__}")
+
+
+# the writer of the CLI's documents, `dist` values and suite reports alike
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _json_canonical(obj) -> str:
+    """Deterministic JSON with floats at 17 significant digits; a float
+    that is not finite has no JSON form and is written as null."""
+    if isinstance(obj, float):
+        return _fmt(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int,)):
+        return str(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{_json_canonical(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_json_canonical(v) for v in obj) + "]"
+    return json.dumps(obj)

@@ -28,7 +28,7 @@ from invdist.distances import (
 )
 from invdist.annulus import annulus_kobayashi_distance
 from invdist.domains import Annulus, Disc, UnitDisc
-from invdist.errors import NonConvergence, UnsupportedDomain
+from invdist.errors import DegenerateInput, NonConvergence, UnsupportedDomain
 
 ROOT2 = math.sqrt(2.0)
 
@@ -341,7 +341,7 @@ class TestAnnulusBergmanDistance:
         for a, b in ((-0.5 * L, 0.6 * L), (0.2 * L, 0.7 * L)):
             (lo, hi), geodesic = bg._geodesics(field, r, a, b)
             s = np.linspace(lo, hi, 2003)[1:-1]
-            angles = np.array([geodesic(x, bg._GEO_N)[1] for x in s])
+            angles = np.array([geodesic(x, bg._geo_rules()[0])[1] for x in s])
             assert np.all(np.diff(angles) > 0)
 
     def test_core_circle_pair(self):
@@ -419,6 +419,34 @@ class TestHalfPlaneChartBergman:
             for z, w in zip(pts, pts[1:] + pts[:1]):
                 b, c = bergman_distance(dom, z, w), caratheodory(dom, z, w)
                 assert (b.lo, b.hi, b.method) == (ROOT2 * c.lo, ROOT2 * c.hi, c.method)
+
+    def test_kernel_where_the_squares_leave_the_floats(self):
+        from decimal import Decimal, localcontext
+
+        from invdist.domains import HalfPlane
+
+        def closed(R, z):   # K = R^2 / (pi (R^2 - |z|^2)^2) on the disc |z| < R, in decimals
+            with localcontext() as ctx:
+                ctx.prec = 40
+                R, a = Decimal(R), Decimal(abs(z))
+                return float(R * R / (Decimal(math.pi) * (R * R - a * a) ** 2))
+
+        def closed_hp(y):   # K = 1 / (4 pi y^2) on the upper half-plane
+            with localcontext() as ctx:
+                ctx.prec = 40
+                return float(1 / (4 * Decimal(math.pi) * Decimal(y) ** 2))
+
+        hp = HalfPlane(1j)
+        assert bergman_kernel(hp, 1e160j) == pytest.approx(closed_hp(1e160), rel=0, abs=5e-324)
+        for y in (1e155, 5e-155):      # q^2 subnormal, q^2 beyond the floats
+            assert bergman_kernel(hp, 1 + y * 1j) == pytest.approx(closed_hp(y), rel=1e-12)
+        for R, z in ((5e-155, 0j), (1e155, 0.5e155 + 0j), (1e155, 0.3e155j)):
+            assert bergman_kernel(Disc(0j, R), z) == pytest.approx(closed(R, z), rel=1e-12)
+        # K itself beyond the largest float
+        for dom, z in ((hp, 1 + 1e-160j), (hp, 1e-155j), (Disc(0j, 1e-155), 0j),
+                       (Disc(0j, 5e-155), 2.5e-155 + 0j)):
+            with pytest.raises(DegenerateInput):
+                bergman_kernel(dom, z)
 
     def test_outside_raises(self):
         from invdist.errors import DomainViolation

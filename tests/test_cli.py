@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import invdist
 from invdist.cli import main
 
 
@@ -269,3 +273,88 @@ class TestFit:
         assert code == 0
         doc = json.loads(out)
         assert 1.0 <= doc["constants"]["c"] <= 4.2
+
+
+def fresh(code, *argv):
+    """stdout of `code` run in a fresh interpreter that imports this tree's invdist."""
+    src = os.path.dirname(os.path.dirname(invdist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout
+
+
+class TestImportFootprint:
+    """A cold command loads only the layers it uses: the suites, the Bergman
+    layer and numpy.polynomial's quadrature tables load on first use."""
+
+    HEAVY = ("invdist.bounds", "invdist.bergman", "csv", "numpy.polynomial")
+    # the public names `import invdist` bound when it imported every module
+    NAMESPACE = {
+        "annulus": ["AnnulusCaratheodory", "annulus_kobayashi_distance",
+                    "annulus_kobayashi_metric", "theta_product"],
+        "bergman": ["bergman_distance", "bergman_field", "bergman_kernel", "bergman_metric",
+                    "shortest_path_length"],
+        "bounds": ["BoundReport", "bound_ccvx_lower", "bound_convex_lower", "bound_prop1_R",
+                   "boundary_slope_regression", "envelope_residual_pla",
+                   "experiment_ratio_c_over_l", "experiment_sector_ratio",
+                   "experiment_slit_coefficient", "fit_min_constant", "run_suite",
+                   "sandwich_gen", "verify_prop5_product"],
+        "conformal": ["AnnulusCover", "ConformalMap", "cayley_map", "disc_scale_map",
+                      "mobius_disc_automorphism", "riemann_map", "sector_map", "slit_sqrt_map"],
+        "distances": ["CertifiedValue", "MetricField", "annulus_caratheodory", "caratheodory",
+                      "chart_distances", "cn_model_distance", "halfplane_hyperbolic_distance",
+                      "hull_distance", "kobayashi_field", "kobayashi_metric", "lempert",
+                      "poincare_distance"],
+        "domains": ["Annulus", "Ball", "Disc", "HalfPlane", "JordanDomain", "PlanarDomain",
+                    "Polydisc", "Sector", "SlitPlane", "TwoDiscHull", "UnitDisc",
+                    "domain_from_json", "domain_to_json", "ellipse_domain", "lens_domain",
+                    "two_disc_hull", "wobbly_domain"],
+        "errors": ["BranchViolation", "DegenerateInput", "DomainViolation",
+                   "InsufficientSamples", "InvalidDomain", "InvdistError", "NoFiniteConstant",
+                   "NonConvergence", "SchemaError", "UnsupportedDomain"],
+    }
+
+    def loaded_after(self, argv):
+        """The HEAVY modules loaded after `import invdist.cli`, and after
+        main(argv) has run, in one fresh interpreter."""
+        code = ("import json, sys\n"
+                "import invdist.cli\n"
+                "heavy = json.loads(sys.argv[1])\n"
+                "seen = [[m for m in heavy if m in sys.modules]]\n"
+                "code = invdist.cli.main(json.loads(sys.argv[2]))\n"
+                "seen.append([m for m in heavy if m in sys.modules])\n"
+                "print(json.dumps([code, *seen]))\n")
+        return json.loads(fresh(code, json.dumps(self.HEAVY), json.dumps(argv)).splitlines()[-1])
+
+    def dist(self, kind):
+        return ["dist", "--domain", '{"kind":"disc"}', "--kind", kind,
+                "--z", "0+0i", "--w", "0.5+0i"]
+
+    def test_cli_and_disc_dist_load_no_heavy_module(self):
+        assert self.loaded_after(self.dist("carath")) == [0, [], []]
+
+    def test_bergman_dist_loads_bergman_only(self):
+        assert self.loaded_after(self.dist("bergman")) == [0, [], ["invdist.bergman"]]
+
+    def test_verify_loads_the_suites(self):
+        code, _, loaded = self.loaded_after(["verify", "--suite", "prop2", "--samples", "5"])
+        assert code == 0 and "invdist.bounds" in loaded
+
+    def test_namespace_resolves_every_name(self):
+        code = ("import importlib, json, sys\n"
+                "import invdist\n"
+                "names = json.loads(sys.argv[1])\n"
+                "flat = [n for ns in names.values() for n in ns]\n"
+                "listed = dir(invdist)\n"
+                "star = {}\n"
+                "exec('from invdist import *', star)\n"
+                "got = {}\n"
+                "exec('from invdist import ' + ', '.join(flat), got)\n"
+                "bad = [n for mod, ns in names.items() for n in ns\n"
+                "       if not (got[n] is getattr(invdist, n) is star.get(n)\n"
+                "               is getattr(importlib.import_module('invdist.' + mod), n))]\n"
+                "print(json.dumps({'not_listed': [n for n in flat if n not in listed],\n"
+                "                  'mismatched': bad, 'unknown': hasattr(invdist, 'nope')}))\n")
+        out = json.loads(fresh(code, json.dumps(self.NAMESPACE)).splitlines()[-1])
+        assert out == {"not_listed": [], "mismatched": [], "unknown": False}

@@ -222,6 +222,21 @@ class TestKobayashiMetric:
         assert kobayashi_metric(b, np.array([0j, 0j]), np.array([1.0, 0.0])) == \
             pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dom, pinned", [
+        (Ball((0j, 0j), 1.0), "0x1.3aad5d1cda058p+0"),
+        (Polydisc((0j, 0j), (1.0, 2.0)), "0x1.0d79435e50d79p+0"),
+    ])
+    def test_cn_metric_takes_a_direction_vector(self, dom, pinned):
+        z = np.array([0.1 + 0.2j, -0.3j])
+        with pytest.raises(DegenerateInput):
+            kobayashi_metric(dom, z)           # the default X = 1.0
+        for X in (1j, [1.0], [1.0, 0.5j, 0.0], np.ones((2, 1))):
+            with pytest.raises(DegenerateInput):
+                kobayashi_metric(dom, z, X)
+        # an explicit direction keeps its value in data/closed_form_bits.json
+        for X in (np.array([1.0, 0.5j]), [1.0, 0.5j], (1.0, 0.5j)):
+            assert kobayashi_metric(dom, z, X).hex() == pinned
+
 
 class TestMobiusScale:
     def test_disc_chain_value(self):
