@@ -5,9 +5,41 @@ boundary estimates that relate them.
 The Bergman layer and the verification suites load on first access to one
 of their names (see _LAZY), so that a process that only computes a
 Caratheodory or Kobayashi distance does not import them.
+
+numpy loads on first use too.  Every module reaches it as `_np` here: the
+numpy module itself if it was imported before this package, else a module
+that runs numpy's import on its first attribute access (importlib's
+LazyLoader).  That module is entered in sys.modules as "numpy", so numpy's
+own imports and any later `import numpy` get the same object; on Python 3.11
+an `import numpy` statement loads it at once.  The closed-form distances
+(disc, half-plane, sector; Caratheodory, Lempert and Bergman) compute in
+Python floats and never load it.  Its first load takes no lock, so the first
+use of numpy from several threads at once is unsupported.  Without numpy
+installed, importing this package raises the ModuleNotFoundError that
+`import numpy` raises.
 """
 
 import importlib as _importlib
+import importlib.util as _importlib_util
+import sys as _sys
+
+
+def _bind_numpy():
+    """numpy if it is imported, else a module that imports it on first use."""
+    module = _sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = _importlib_util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = _importlib_util.LazyLoader(spec.loader)
+    module = _importlib_util.module_from_spec(spec)
+    _sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_np = _bind_numpy()
 
 from .annulus import (
     AnnulusCaratheodory,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _np as np
 
 from .conformal import AnnulusCover
 from .errors import DomainViolation, NonConvergence

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import _np as np
 
 from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, chart
 from .domains import Annulus
@@ -53,7 +53,7 @@ _NMAX = 4000
 # both circles, so a bin's term count exceeds its points' own by ~13% at most.
 # A bin whose tails need more than _NMAX terms raises NonConvergence.
 _BIN_WIDTH = 1.0 / 16.0
-_T_MAX = np.nextafter(1.0, 0.0)
+_T_MAX = math.nextafter(1.0, 0.0)
 _TOL = 1e-14     # each Laurent tail is cut where its bound falls to this
 
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
+from . import _np as np
 
 from . import bergman as bg
 from . import distances as ds

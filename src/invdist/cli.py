@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-import numpy as np
+from . import _np as np
 
 from . import distances as ds
 from .domains import CnDomain, _json_canonical, domain_from_json

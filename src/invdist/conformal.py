@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
+from . import _np as np
 
 from .domains import Disc, HalfPlane, JordanDomain, Sector, SlitPlane, UnitDisc
 from .errors import BranchViolation, DegenerateInput, NonConvergence
@@ -36,7 +36,13 @@ _UNIT_DISC = UnitDisc()
 _UPPER_HALF_PLANE = HalfPlane(1j)
 
 # point types whose branch-cut test is two float comparisons, not a numpy pass
-_SCALARS = (complex, float, int, np.generic)
+_PY_SCALARS = (complex, float, int)
+
+
+def _is_scalar(z) -> bool:
+    """Whether z is one point; Python numbers first, so that a closed-form
+    query on them never loads numpy."""
+    return isinstance(z, _PY_SCALARS) or isinstance(z, np.generic)
 
 
 def _sqrt_cut_pos(s):
@@ -53,7 +59,10 @@ def _sqrt_cut_pos(s):
 
 def _sqrt_cut_pos_scalar(s) -> complex:
     """_sqrt_cut_pos of one point, bitwise: numpy's scalar sqrt runs the
-    same complex square root without building a 0-d array."""
+    same complex square root without building a 0-d array.  cmath.sqrt
+    would spare the slit plane numpy's import, but its root is not this
+    one: on the imaginary axis (z = i) it misses a part by an ulp, and so
+    does it where a part of the root is subnormal."""
     return complex(1j * np.sqrt(-(np.complex128(s) + 0.0)))
 
 
@@ -147,7 +156,7 @@ def sector_map(theta: float) -> ConformalMap:
     p = math.pi / (2.0 * theta)
 
     def _check(z):
-        if isinstance(z, _SCALARS):
+        if _is_scalar(z):
             on_cut = z.imag == 0 and z.real <= 0
         else:
             arr = np.asarray(z, dtype=complex)
@@ -157,7 +166,7 @@ def sector_map(theta: float) -> ConformalMap:
 
     def ev(z):
         _check(z)
-        if not isinstance(z, _SCALARS):
+        if not _is_scalar(z):
             return np.asarray(z, dtype=complex) ** p
         try:
             return z ** p
@@ -179,7 +188,7 @@ def slit_sqrt_map() -> ConformalMap:
     root with cut on the nonnegative real ray."""
 
     def _check(z):
-        if isinstance(z, _SCALARS):
+        if _is_scalar(z):
             on_cut = z.imag == 0 and z.real >= 0
         else:
             arr = np.asarray(z, dtype=complex)
@@ -189,7 +198,7 @@ def slit_sqrt_map() -> ConformalMap:
 
     def ev(z):
         _check(z)
-        return _sqrt_cut_pos_scalar(z) if isinstance(z, _SCALARS) else _sqrt_cut_pos(z)
+        return _sqrt_cut_pos_scalar(z) if _is_scalar(z) else _sqrt_cut_pos(z)
 
     def dv(z):
         return 0.5 / ev(z)
@@ -366,9 +375,6 @@ class _GeodesicChain:
 # boundary points of a Riemann map built without a parameter grid
 _ZIPPER_N = 512
 
-# the Cauchy circle of the derivative at z0: 64 equispaced nodes
-_CIRCLE_TS = np.arange(64) / 64.0
-
 
 class ZipperMap:
     """Riemann map of a Jordan domain onto the unit disc, phi(z0) = 0,
@@ -401,10 +407,11 @@ class ZipperMap:
         boundary points of params; phi'(z0) is a Cauchy integral mean over
         the circle of radius rho about z0."""
         pts = np.asarray(self.domain.point(params), dtype=complex)
-        circle = self.z0 + rho * np.exp(2j * math.pi * _CIRCLE_TS)
+        ts = np.arange(64) / 64.0   # the Cauchy circle: 64 equispaced nodes
+        circle = self.z0 + rho * np.exp(2j * math.pi * ts)
         chain = _GeodesicChain(pts, self.z0, np.concatenate((circle, grid)))
         vals = self._cayley(chain.carried, chain.z0_img)
-        d0 = np.sum(vals[:64] * np.exp(-2j * math.pi * _CIRCLE_TS)) / (64.0 * rho)
+        d0 = np.sum(vals[:64] * np.exp(-2j * math.pi * ts)) / (64.0 * rho)
         if d0 == 0:
             raise NonConvergence("vanishing derivative estimate at the base point")
         rot = complex(d0.conjugate() / abs(d0))

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from . import _np as np
 
 from . import annulus as _ann
 from .conformal import (
@@ -424,7 +424,7 @@ def kobayashi_metric(domain, z, X=1.0) -> float:
 
 
 def _cn_kobayashi_metric(domain, z, X):
-    z = np.asarray(z, dtype=complex)
+    z = domain._point(z)
     X = np.asarray(X, dtype=complex)
     if X.shape != (domain.dim,):
         raise DegenerateInput(f"a direction on this domain is a vector of {domain.dim} "
@@ -465,8 +465,10 @@ def kobayashi_field(domain) -> MetricField:
 
 def cn_model_distance(domain, z, w) -> float:
     """Kobayashi (= Caratheodory) distance on Ball and Polydisc, closed form."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    if not isinstance(domain, (Ball, Polydisc)):
+        raise UnsupportedDomain("cn_model_distance supports Ball and Polydisc")
+    z = domain._point(z)
+    w = domain._point(w)
     if isinstance(domain, Ball):
         u = (z - domain._center) / domain.radius
         v = (w - domain._center) / domain.radius
@@ -478,9 +480,7 @@ def cn_model_distance(domain, z, w) -> float:
         rho2 = 1.0 - (1.0 - nu) * (1.0 - nv) / abs(1.0 - ip) ** 2
         rho = math.sqrt(max(rho2, 0.0))
         return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
-    if isinstance(domain, Polydisc):
-        best = 0.0
-        for zi, wi, ci, ri in zip(z, w, domain.center, domain.radii):
-            best = max(best, poincare_distance((zi - ci) / ri, (wi - ci) / ri))
-        return best
-    raise UnsupportedDomain("cn_model_distance supports Ball and Polydisc")
+    best = 0.0
+    for zi, wi, ci, ri in zip(z, w, domain.center, domain.radii):
+        best = max(best, poincare_distance((zi - ci) / ri, (wi - ci) / ri))
+    return best

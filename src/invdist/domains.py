@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-import numpy as np
+from . import _np as np
 
 from .errors import (
     DegenerateInput,
@@ -716,7 +716,16 @@ class CnDomain:
         raise NotImplementedError
 
     def contains(self, z):
-        return self.boundary_distance(np.asarray(z, dtype=complex), signed=True) > 0.0
+        return self.boundary_distance(z, signed=True) > 0.0
+
+    def _point(self, z):
+        """z as a complex vector; DegenerateInput unless it has one
+        coordinate per dimension, since numpy would broadcast any other."""
+        z = np.asarray(z, dtype=complex)
+        if z.shape != (self.dim,):
+            raise DegenerateInput(f"a point of this domain is a vector of {self.dim} "
+                                  f"coordinates, got shape {z.shape}")
+        return z
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -746,7 +755,7 @@ class Ball(CnDomain):
 
     def boundary_distance(self, z, signed=False):
         # np.linalg.norm of the offset, without its dispatch
-        x = (np.asarray(z, dtype=complex) - self._center).ravel()
+        x = self._point(z) - self._center
         re, im = x.real, x.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
         return _clamp0(self.radius - norm, signed)
@@ -774,7 +783,7 @@ class Polydisc(CnDomain):
         return len(self.radii)
 
     def boundary_distance(self, z, signed=False):
-        margins = self._radii - np.abs(np.asarray(z, dtype=complex) - self._center)
+        margins = self._radii - np.abs(self._point(z) - self._center)
         return _clamp0(float(np.minimum.reduce(margins)), signed)
 
 

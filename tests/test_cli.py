@@ -286,9 +286,11 @@ def fresh(code, *argv):
 
 class TestImportFootprint:
     """A cold command loads only the layers it uses: the suites, the Bergman
-    layer and numpy.polynomial's quadrature tables load on first use."""
+    layer, numpy and numpy.polynomial's quadrature tables load on first use.
+    `numpy` itself is always in sys.modules (the package enters the module
+    that loads it on first use); `numpy._core` marks that it has loaded."""
 
-    HEAVY = ("invdist.bounds", "invdist.bergman", "csv", "numpy.polynomial")
+    HEAVY = ("invdist.bounds", "invdist.bergman", "csv", "numpy._core", "numpy.polynomial")
     # the public names `import invdist` bound when it imported every module
     NAMESPACE = {
         "annulus": ["AnnulusCaratheodory", "annulus_kobayashi_distance",
@@ -327,15 +329,63 @@ class TestImportFootprint:
                 "print(json.dumps([code, *seen]))\n")
         return json.loads(fresh(code, json.dumps(self.HEAVY), json.dumps(argv)).splitlines()[-1])
 
-    def dist(self, kind):
-        return ["dist", "--domain", '{"kind":"disc"}', "--kind", kind,
-                "--z", "0+0i", "--w", "0.5+0i"]
+    def dist(self, kind, domain='{"kind":"disc"}', z="0+0i", w="0.5+0i"):
+        return ["dist", "--domain", domain, "--kind", kind, "--z", z, "--w", w]
 
     def test_cli_and_disc_dist_load_no_heavy_module(self):
         assert self.loaded_after(self.dist("carath")) == [0, [], []]
 
     def test_bergman_dist_loads_bergman_only(self):
         assert self.loaded_after(self.dist("bergman")) == [0, [], ["invdist.bergman"]]
+
+    @pytest.mark.parametrize("kind,domain", [
+        ("lempert", '{"kind":"halfplane"}'),
+        ("carath", '{"kind":"sector","theta":0.7}'),
+    ])
+    def test_closed_form_dist_leaves_numpy_unloaded(self, kind, domain):
+        assert self.loaded_after(self.dist(kind, domain, "1+0.1i", "0.5+0.2i")) == [0, [], []]
+
+    @pytest.mark.parametrize("argv", [
+        ["lempert", '{"kind":"annulus","r":2}', "1+0i", "-1+0i"],
+        ["carath", '{"kind":"jordan","curve":"ellipse","a":2.0,"b":1.0}', "0+0i", "0.3+0.2i"],
+        ["carath", '{"kind":"ball","dim":2,"radius":1.0}', '["0+0i","0+0i"]', '["0.5+0i","0+0i"]'],
+    ], ids=["annulus", "ellipse", "ball"])
+    def test_array_dist_loads_numpy_and_prints_what_an_eager_import_prints(self, argv):
+        args = json.dumps(self.dist(*argv))
+        run = ("import json, sys\n"
+               "{}from invdist.cli import main\n"
+               "code = main(json.loads(sys.argv[1]))\n"
+               "print(code, 'numpy._core' in sys.modules)\n")
+        lazy, eager = (fresh(run.format(pre), args) for pre in ("", "import numpy\n"))
+        assert lazy == eager and lazy.endswith("0 True\n")
+
+    def test_numpy_imported_after_the_package_is_the_package_numpy(self):
+        code = ("import sys, invdist\n"
+                "before = 'numpy._core' in sys.modules\n"
+                "import numpy\n"
+                "print(before, numpy is invdist._np, numpy.arange(4).sum())\n")
+        assert fresh(code).split() == ["False", "True", "6"]
+
+    def test_numpy_imported_before_the_package_is_bound_as_is(self):
+        code = ("import types, numpy\n"
+                "import invdist\n"
+                "print(invdist._np is numpy, type(numpy) is types.ModuleType)\n")
+        assert fresh(code).split() == ["True", "True"]
+
+    def test_missing_numpy_raises_what_import_numpy_raises(self):
+        # drop every sys.path entry that holds numpy, then import each
+        code = ("import json, os, sys\n"
+                "sys.path = [p for p in sys.path if not os.path.exists(os.path.join(p, 'numpy'))]\n"
+                "out = []\n"
+                "for name in ('numpy', 'invdist'):\n"
+                "    try:\n"
+                "        __import__(name)\n"
+                "    except ImportError as exc:\n"
+                "        out.append([type(exc).__name__, str(exc), exc.name])\n"
+                "    sys.modules.pop('numpy', None)\n"
+                "print(json.dumps(out))\n")
+        numpy_err, package_err = json.loads(fresh(code))
+        assert numpy_err == package_err == ["ModuleNotFoundError", "No module named 'numpy'", "numpy"]
 
     def test_verify_loads_the_suites(self):
         code, _, loaded = self.loaded_after(["verify", "--suite", "prop2", "--samples", "5"])

@@ -86,6 +86,18 @@ class TestClosedMaps:
         assert abs(f.real - want.real) <= 1e-15 * abs(want.real)
         assert abs(f.imag - want.imag) <= 1e-15 * abs(want.imag)
 
+    @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+    def test_slit_root_maps_the_imaginary_axis_onto_the_diagonals(self, t):
+        # z = +-it goes to sqrt(t / 2) (+-1 + i), both parts the one correctly
+        # rounded root; cmath.sqrt misses one of them by an ulp at each of
+        # these t, so the scalar path keeps numpy's root
+        r = math.sqrt(t / 2)
+        m = slit_sqrt_map()
+        for z, want in ((complex(0.0, t), complex(r, r)), (complex(0.0, -t), complex(-r, r))):
+            for p in (z, np.complex128(z), np.array([z])):
+                got = complex(np.ravel(m.evaluate(p))[0])
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_root_on_the_cut_is_positive(self):
         # the chain's slit maps meet x +- 0i with x > 0; both signs of the
         # zero give +sqrt(x)

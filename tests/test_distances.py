@@ -306,6 +306,20 @@ class TestCnModels:
             v = cn_model_distance(b, s * u, t * u)
             assert v == pytest.approx(poincare_distance(complex(s), complex(t)), abs=1e-10)
 
+    @pytest.mark.parametrize("dom", [Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 1.0))],
+                             ids=["ball", "polydisc"])
+    @pytest.mark.parametrize("bad", [[0.1], [0.1, 0.2j, 0.1]], ids=["1-vector", "3-vector"])
+    def test_wrong_length_point_is_refused(self, dom, bad):
+        # numpy would broadcast a 1-vector against the centre and answer
+        good = [0.2, 0.1j]
+        for fn in (lambda: dom.contains(bad), lambda: dom.boundary_distance(bad),
+                   lambda: cn_model_distance(dom, bad, good),
+                   lambda: cn_model_distance(dom, good, bad),
+                   lambda: caratheodory(dom, bad, good), lambda: lempert(dom, good, bad),
+                   lambda: kobayashi_metric(dom, bad, [1.0, 0j])):
+            with pytest.raises(DegenerateInput):
+                fn()
+
     def test_polydisc_product_monotone(self, rng):
         # distance never drops when one factor's separation grows
         p = Polydisc((0j, 0j), (1.0, 1.0))
