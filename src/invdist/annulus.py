@@ -184,6 +184,23 @@ class AnnulusCaratheodory:
         b1 = abs(self._blaschke(zw, zz))
         return min(b1 * factor2 / abs(zw), 1.0 - 1e-16)
 
+    def mobius_values(self, z, w):
+        """mobius_value over arrays z and w, broadcast together, in four
+        array theta products.  Equal to the scalar values up to rounding:
+        numpy's array complex arithmetic may round apart from its scalar
+        arithmetic.  The two agree to 1e-15 on A_2 and A_5, but only to
+        5e-15 on A_1.05, whose theta products run ~190 factors."""
+        if not self.series_mode:
+            raise NonConvergence("annulus series mode unavailable (self-test failed)")
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+        a = np.abs(np.stack([z, w]))
+        if not np.all((1.0 / self.r < a) & (a < self.r)):
+            raise DomainViolation(f"points outside the annulus 1/{self.r} < |z| < {self.r}")
+        zz, zw = z / self.r, w / self.r
+        _, factor2 = self._second_zero(zz, zw)
+        b1 = np.abs(self._blaschke(zw, zz))
+        return np.where(z == w, 0.0, np.minimum(b1 * factor2 / np.abs(zw), 1.0 - 1e-16))
+
     def distance(self, z: complex, w: complex) -> float:
         return math.atanh(self.mobius_value(z, w))
 

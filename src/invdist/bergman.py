@@ -319,7 +319,9 @@ def _geo_rules():
 def _geodesics(field: MetricField, r: float, a: float, b: float):
     """The geodesics of a rotation-invariant field on A_r between the
     log-moduli a < b, b > 0, as the shoot bracket (lo, hi) and
-    geodesic(s, rule) -> (c, angle, integral of sqrt(g^2 - c^2) du).
+    geodesic(s, rule) -> (c, angle, integral of sqrt(g^2 - c^2) du).  The
+    flag geodesic.negative_radicand turns True once a node's g^2 - c^2
+    rounds below 0, where the angle and the integral turn NaN.
 
     In log coordinates u + i theta the metric is g(u) |d(u + i theta)|, with
     g(u) = field(e^u, e^u) even in u and least on the core circle u = 0.
@@ -360,10 +362,15 @@ def _geodesics(field: MetricField, r: float, a: float, b: float):
         dc2 = -k * m * m if s <= 0.0 else gu[-1] ** 2 - g0 * g0    # c^2 - g(0)^2
         c = math.sqrt(max(g0 * g0 + dc2, 0.0))
         du = wq * m * df(t)
+        rad = (gu[:u.size] ** 2 - g0 * g0) - dc2                   # g^2 - c^2
         with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt((gu[:u.size] ** 2 - g0 * g0) - dc2)      # sqrt(g^2 - c^2)
-            return c, c * float(np.sum(du / sq)), float(np.sum(du * sq))
+            sq = np.sqrt(rad)
+            rest = float(np.sum(du * sq))
+            if math.isnan(rest):        # a negative radicand leaves sq, so rest, NaN
+                geodesic.negative_radicand |= bool(np.any(rad < 0.0))
+            return c, c * float(np.sum(du / sq)), rest
 
+    geodesic.negative_radicand = False
     return (-g0 / math.sqrt(k), max(2.0 * a, 0.0)), geodesic
 
 
@@ -403,6 +410,7 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
             lo = s
         else:
             hi = s
+    geodesic.negative_radicand = False      # only the evaluations that make err count
     c, _, rest = geodesic(s, rule_n)
     c, angle, rest2 = geodesic(s, rule_2n)
     err = abs(rest2 - rest)
@@ -421,6 +429,9 @@ def shortest_path_length(field: MetricField, r: float, z: complex, w: complex) -
         peaked = max(lo, 0.0) < a < hi
         err += abs(angle - gap) * (2.0 * shot(a)[0] - c_lo - c_hi if peaked
                                    else abs(c_hi - c_lo))
+    if math.isnan(err) and geodesic.negative_radicand:     # c is g(0) to rounding
+        raise NonConvergence("the Clairaut radicand g^2 - c^2 went negative at a geodesic "
+                             "quadrature node: 1 - c / g(0) is below the rounding of g")
     if not err <= _GEO_TOL:
         raise NonConvergence(f"geodesic quadrature gap {err:.3g} above {_GEO_TOL:g}")
     return CertifiedValue.estimate(c * gap + rest2, err, "shortest_path")

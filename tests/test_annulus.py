@@ -219,3 +219,67 @@ class TestDispatchers:
             assert math.tanh(c) <= math.tanh(k) + 1e-12
             if k < 12.0:
                 assert c <= k + 1e-8
+
+
+class TestScalarPins:
+    """float.hex pins of the scalar Caratheodory path, which the warm
+    benchmark runs point by point: caratheodory on Annulus(r) and the
+    engine's mobius_value on A_1.05, A_2 and A_5.  The first A_1.05 pair
+    saturates at the 1 - 1e-16 clamp."""
+
+    @pytest.mark.parametrize("r, z, w, bits", [
+        (1.05, 1.02 + 0j, cmath.exp(1.0j) / 1.03, "0x1.058ccc6f184aep+4"),
+        (1.05, 0.98 + 0.01j, 1.01 + 0.03j, "0x1.3bcf49bdf044bp-1"),
+        (2.0, 1.5 + 0.2j, 0.7 - 0.1j, "0x1.0f08a4f8ec6edp+0"),
+        (5.0, 4.0 + 1.0j, 0.3 - 0.1j, "0x1.c7be3250d1ce8p+0"),
+    ])
+    def test_caratheodory_bits(self, r, z, w, bits):
+        v = caratheodory(Annulus(r), z, w)
+        assert (v.lo.hex(), v.hi.hex(), v.method) == (bits, bits, "series")
+
+    @pytest.mark.parametrize("r, z, w, bits", [
+        (1.05, 1.0 + 0j, 1.01 * cmath.exp(0.02j), "0x1.66a97bf4800f9p-2"),
+        (2.0, 1.9 + 0j, 0.55 * cmath.exp(2.0j), "0x1.ffb06d212d54dp-1"),
+        (2.0, -1.2 + 0.4j, 1.0 + 0j, "0x1.fcc20e6d0f554p-1"),
+        (5.0, 0.25 + 0j, 2.0 * cmath.exp(0.8j), "0x1.c4e5f719f2692p-1"),
+    ])
+    def test_mobius_value_bits(self, r, z, w, bits):
+        assert AnnulusCaratheodory(r).mobius_value(z, w).hex() == bits
+
+
+class TestBatchedMobiusValues:
+    """mobius_values against the scalar mobius_value: numpy's array complex
+    arithmetic may round apart from its scalar arithmetic, so the bound is
+    a few ulps of m, not bitwise."""
+
+    def test_prop5_grid_matches_scalar_loop(self):
+        from invdist.bounds import verify_prop5_product
+        from invdist.distances import _annulus_engine
+
+        eng = _annulus_engine(2.0)
+        rows = verify_prop5_product().rows
+        worst = max(abs(m - eng.mobius_value(complex(z, 0.0), complex(s * np.exp(1j * ang))))
+                    for z, s, ang, m, _ in rows)
+        assert worst <= 1e-15
+
+    # A_1.05's theta products run ~190 factors, and inputs near their zeros
+    # amplify the ulps in which the two paths differ: 3.7e-15 on these pairs
+    @pytest.mark.parametrize("r, tol", [(1.05, 5e-15), (2.0, 1e-15), (5.0, 1e-15)])
+    def test_random_pairs_match_scalar_calls(self, r, tol, rng):
+        eng = AnnulusCaratheodory(r)
+        z, w = r ** rng.uniform(-0.95, 0.95, (2, 200)) * np.exp(2j * np.pi * rng.uniform(size=(2, 200)))
+        batch = eng.mobius_values(z, w)
+        assert batch.shape == (200,)
+        scalar = [eng.mobius_value(a, b) for a, b in zip(z.tolist(), w.tolist())]
+        assert np.max(np.abs(batch - scalar)) <= tol
+
+    def test_coincident_outside_and_gated(self, engine):
+        z = np.array([1.3 + 0.2j, 0.8j])
+        assert engine.mobius_values(z, z).tolist() == [0.0, 0.0]
+        assert engine.mobius_values(z, 1.0 + 0j).shape == (2,)
+        with pytest.raises(DomainViolation):
+            engine.mobius_values(z, np.array([1.0 + 0j, 2.5 + 0j]))
+        broken = AnnulusCaratheodory(2.0)
+        broken.series_mode = False
+        with pytest.raises(NonConvergence):
+            broken.mobius_values(z, 1.0 + 0j)

@@ -161,21 +161,67 @@ class TestAnnulusKernel:
     @pytest.mark.parametrize("w, n_ang", [(1.2 + 0.4j, 128), (1.5 + 0.5j, 256)])
     def test_reproducing_quadrature_against_1024_angles(self, w, n_ang):
         # oracle: the same radial rule on 1024 angles, far past the first alias
-        from invdist.bounds import _aliasing_angles
+        from invdist.bounds import (_aliasing_angles, _gauss_legendre, _radial_nodes,
+                                    _reproducing_quadrature)
 
         r, orders = 2.0, range(-5, 6)
         assert _aliasing_angles(r, w, 5) == n_ang
+        rho, rw = _gauss_legendre(_radial_nodes(r, 5), 1.0 / r, r)
+        vals = _reproducing_quadrature(r, w, orders, rho, rw, 1024)
+        oracle = max(abs(v - w ** n) for v, n in zip(vals, orders))
+        assert abs(bg_reproducing_residual(r, w, orders) - oracle) <= 1e-15
+
+    @pytest.mark.parametrize("w", [1.2 + 0.4j, 1.5 + 0.5j])
+    def test_radial_rule_agrees_with_six_panels(self, w):
+        # the previous fixed rule, 6 panels of 48 numpy Gauss-Legendre nodes
+        # summed by np.sum, gives the same values order by order
+        from invdist.bounds import (_aliasing_angles, _gauss_legendre, _radial_nodes,
+                                    _reproducing_quadrature)
+
+        r, orders = 2.0, range(-5, 6)
+        n_ang = _aliasing_angles(r, w, 5)
         nodes, wts = np.polynomial.legendre.leggauss(48)
         edges = np.linspace(1.0 / r, r, 7)
         rho = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes
                               for a, b in zip(edges[:-1], edges[1:])])
         rw = np.concatenate([0.5 * (b - a) * wts for a, b in zip(edges[:-1], edges[1:])])
-        zgrid = rho[:, None] * np.exp(2j * math.pi * np.arange(1024) / 1024)[None, :]
+        zgrid = rho[:, None] * np.exp(2j * math.pi * np.arange(n_ang) / n_ang)[None, :]
         kern = AnnulusKernel(r).pair(zgrid, w)
-        dA = rw[:, None] * rho[:, None] * (2.0 * math.pi / 1024)
-        oracle = max(abs(complex(np.sum(zgrid ** n * np.conj(kern) * dA)) - w ** n)
-                     for n in orders)
-        assert abs(bg_reproducing_residual(r, w, orders) - oracle) <= 1e-15
+        dA = rw[:, None] * rho[:, None] * (2.0 * math.pi / n_ang)
+        old = [complex(np.sum(zgrid ** n * np.conj(kern) * dA)) for n in orders]
+        new = _reproducing_quadrature(r, w, orders,
+                                      *_gauss_legendre(_radial_nodes(r, 5), 1.0 / r, r), n_ang)
+        assert max(abs(a - b) for a, b in zip(old, new)) <= 1e-14
+
+    def test_radial_node_count_follows_the_pole_bound(self):
+        from invdist.bounds import _gauss_legendre, _radial_nodes
+
+        assert [_radial_nodes(r, 5) for r in (1.05, 1.2, 2.0, 5.0)] == [7, 11, 25, 68]
+        assert _radial_nodes(2.0, 1) == 18         # a simple pole: 3^-36 < 1e-17
+        assert _radial_nodes(1.05, 20) == 21       # exactness for rho^41 decides
+        # on A_2 the bounded count integrates rho^(2n+1), n = -5..5, to
+        # rounding; 16 nodes do not reach the order -5 pole
+        r = 2.0
+        exact = [2.0 * math.log(r) if n == -1 else (r ** (2 * n + 2) - r ** (-2 * n - 2)) / (2 * n + 2)
+                 for n in range(-5, 6)]
+
+        def worst(count):
+            rho, rw = _gauss_legendre(count, 1.0 / r, r)
+            return max(abs(float(np.sum(rw * rho ** (2 * n + 1))) / e - 1.0)
+                       for n, e in zip(range(-5, 6), exact))
+
+        assert worst(_radial_nodes(r, 5)) < 2e-15
+        assert worst(16) > 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 25, 68])
+    def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self, n):
+        from invdist.bounds import _gauss_legendre
+
+        x, w = _gauss_legendre(n, -1.0, 1.0)
+        assert np.all(np.abs(x) < 1.0) and np.unique(x).size == n
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.sum(w * x ** k)) - exact) <= 4e-16 * n
 
     def test_metric_matches_log_kernel_hessian_fd(self):
         dom = Annulus(2.0)
@@ -330,6 +376,12 @@ class TestAnnulusBergmanDistance:
             bergman_distance(Annulus(1.05), 1.02, -1.0 / 1.03)
         with pytest.raises(NonConvergence):
             shortest_path_length(kobayashi_field(Annulus(1.05)), 1.05, 1.02, -1.0 / 1.03)
+
+    def test_negative_clairaut_radicand_is_named(self):
+        # g^2 - c^2 rounds below 0 at a node of this A_1.05 pair; the error
+        # says so instead of reporting a quadrature gap of nan
+        with pytest.raises(NonConvergence, match=r"radicand g\^2 - c\^2 went negative"):
+            bergman_distance(Annulus(1.05), 1.02, cmath.exp(1.5j) / 1.03)
 
     @pytest.mark.parametrize("r", [1.05, 2.0, 5.0])
     def test_shoot_is_monotone_and_core_density_least(self, r):
