@@ -30,7 +30,6 @@ from .domains import (
     Polydisc,
     Sector,
     SlitPlane,
-    TwoDiscHull,
     _fmt,
     _json_canonical,
     ellipse_domain,
@@ -176,13 +175,18 @@ class BoundReport:
 
 def sample_interior(domain, n, rng, d_floor=1e-6):
     """n interior sample points with boundary distance above d_floor, drawn
-    by rejection from the proposal of the domain's kind (see _proposal).
+    by rejection from the proposal of the domain's kind: its `_proposal()`
+    (see domains.PlanarDomain).  A kind without one (the half-plane) or any
+    other object raises UnsupportedDomain.
 
     Each round draws one candidate per missing point, one at a time, so the
     draws and the generator's state afterwards are those of testing each
     candidate as it is drawn.  A Jordan domain tests a round's candidates
     with one `contains` and one `boundary_distance` call."""
-    draw, boxed = _proposal(domain)
+    proposal = getattr(domain, "_proposal", None)
+    if proposal is None:
+        raise UnsupportedDomain(f"no sampler for {type(domain).__name__}")
+    draw, boxed = proposal()
     pts = []
     while len(pts) < n:
         cands = [draw(rng) for _ in range(n - len(pts))]
@@ -195,55 +199,6 @@ def sample_interior(domain, n, rng, d_floor=1e-6):
             pts += [z for z in cands
                     if (not boxed or domain.contains(z)) and domain.boundary_distance(z) > d_floor]
     return pts
-
-
-def _disc_draw(rng, center, radius):
-    """A uniform point of the disc D(center, 0.998 radius)."""
-    return center + radius * math.sqrt(rng.uniform(0, 1)) * \
-        np.exp(2j * math.pi * rng.uniform(0, 1)) * (1 - 2e-3)
-
-
-def _proposal(domain):
-    """One candidate point per call of draw(rng) for the domain's kind, and
-    whether a candidate must pass `contains` before its boundary distance is
-    taken (the bounding-box draws of the hull and of Jordan domains)."""
-    if isinstance(domain, Disc):
-        return lambda rng: complex(_disc_draw(rng, domain.center, domain.radius)), False
-    if isinstance(domain, Sector):
-        th = domain.theta
-        return lambda rng: complex(rng.uniform(0.05, 3.0) *
-                                   np.exp(1j * rng.uniform(-th * 0.98, th * 0.98))), False
-    if isinstance(domain, SlitPlane):
-        return lambda rng: complex(rng.uniform(0.05, 3.0) *
-                                   np.exp(1j * rng.uniform(0.02, 2 * math.pi - 0.02))), False
-    if isinstance(domain, Annulus):
-        r = domain.r
-        return lambda rng: complex(rng.uniform(1 / r + 5e-3, r - 5e-3) *
-                                   np.exp(2j * math.pi * rng.uniform(0, 1))), False
-    if isinstance(domain, Ball):
-        dim = domain.dim
-
-        def draw(rng):
-            x = rng.normal(size=2 * dim)
-            v = (x[:dim] + 1j * x[dim:])
-            v = v / np.linalg.norm(v) * domain.radius * rng.uniform(0, 1) ** (1.0 / (2 * dim))
-            return np.asarray(domain.center) + v * (1 - 2e-3)
-        return draw, False
-    if isinstance(domain, Polydisc):
-        return lambda rng: np.asarray([_disc_draw(rng, c, r)
-                                       for c, r in zip(domain.center, domain.radii)]), False
-    if isinstance(domain, TwoDiscHull):
-        box = (min(domain.z.real - domain.r_z, domain.w.real - domain.r_w),
-               max(domain.z.real + domain.r_z, domain.w.real + domain.r_w),
-               min(domain.z.imag - domain.r_z, domain.w.imag - domain.r_w),
-               max(domain.z.imag + domain.r_z, domain.w.imag + domain.r_w))
-    elif isinstance(domain, JordanDomain):
-        samples = np.asarray(domain.point(np.arange(256) / 256.0), dtype=complex)
-        box = (samples.real.min(), samples.real.max(), samples.imag.min(), samples.imag.max())
-    else:
-        raise UnsupportedDomain(f"no sampler for {type(domain).__name__}")
-    lo, hi, lo_i, hi_i = box
-    return lambda rng: complex(rng.uniform(lo, hi), rng.uniform(lo_i, hi_i)), True
 
 
 def _sample_pairs(domain, n, rng, d_floor=1e-6, min_sep=0.0):
@@ -499,12 +454,13 @@ def _suite_eq_ca(samples, seed):
     """
     rng = np.random.default_rng(seed)
     tol = 1e-8
-    domains = [Disc(0j, 1.0), Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 2.0)),
-               two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7)]
+    # each domain with the boundary-distance floor of its samples
+    domains = [(Disc(0j, 1.0), 1e-6), (Ball((0j, 0j), 1.0), 1e-6),
+               (Polydisc((0j, 0j), (1.0, 2.0)), 1e-6),
+               (two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7), 2e-2)]
     margins = []
     per = max(samples // len(domains), 1)
-    for dom in domains:
-        floor = 2e-2 if isinstance(dom, TwoDiscHull) else 1e-6
+    for dom, floor in domains:
         pairs = _sample_pairs(dom, per, rng, d_floor=floor, min_sep=1e-9)
         if ds.chart(dom) is None:
             cvs = [ds.caratheodory(dom, z, w) for z, w in pairs]

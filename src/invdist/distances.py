@@ -18,24 +18,16 @@ from typing import Callable
 from . import _np as np
 
 from . import annulus as _ann
-from .conformal import (
-    ConformalMap,
-    disc_scale_map,
-    half_plane_map,
-    riemann_map,
-    sector_map,
-    slit_sqrt_map,
-)
+from .conformal import ConformalMap
 from .domains import (
     Annulus,
     Ball,
+    CnDomain,
     Disc,
     HalfPlane,
     JordanDomain,
     Polydisc,
     Sector,
-    SlitPlane,
-    TwoDiscHull,
     two_disc_hull,
 )
 from .errors import DegenerateInput, DomainViolation, UnsupportedDomain
@@ -177,36 +169,19 @@ def _halfplane_log_distance(la: complex, lb: complex) -> float:
 
 
 def chart(domain) -> ConformalMap | None:
-    """The conformal chart of a simply connected planar domain, or None.
+    """The conformal chart of a simply connected planar domain: its kind's
+    `_chart`, or None on the annulus, a C^n domain or any other object.
 
     Discs, Jordan domains and two-disc hulls map onto the unit disc (Jordan
     domains by their shared Riemann map, normalized at the anchor).  The
     half-plane, sector and slit plane map onto the upper half-plane, whose
     distance stays accurate for points at hugely different scales.
 
-    A closed-form chart is built on the first call and kept on the domain
-    object (as `_chart`, outside its fields, so equality, hash, repr and
-    JSON do not see it); later calls return that same map.
+    A closed-form chart is built on first use and kept on the domain object
+    (as `_chart`, outside its fields, so equality, hash, repr and JSON do
+    not see it); later calls return that same map.
     """
-    m = getattr(domain, "_chart", None)
-    if m is not None:
-        return m
-    if isinstance(domain, Disc):
-        m = disc_scale_map(domain.center, domain.radius)
-    elif isinstance(domain, HalfPlane):
-        m = half_plane_map(domain.normal)
-    elif isinstance(domain, Sector):
-        m = sector_map(domain.theta).then(half_plane_map(1.0 + 0j))
-    elif isinstance(domain, SlitPlane):
-        m = slit_sqrt_map()
-    else:
-        if isinstance(domain, TwoDiscHull):
-            domain = domain.as_jordan()
-        if isinstance(domain, JordanDomain):
-            return riemann_map(domain, domain.anchor())
-        return None
-    object.__setattr__(domain, "_chart", m)
-    return m
+    return getattr(domain, "_chart", None)
 
 
 def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
@@ -347,9 +322,14 @@ def annulus_caratheodory(r: float, z: complex, w: complex) -> CertifiedValue:
     return CertifiedValue(lo, hi, "interval", hi - lo)
 
 
-def caratheodory(domain, z, w) -> CertifiedValue:
-    """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
-    if isinstance(domain, (Ball, Polydisc)):
+def _annulus_lempert(r: float, z: complex, w: complex) -> CertifiedValue:
+    return CertifiedValue.exact(_ann.annulus_kobayashi_distance(r, z, w), "covering")
+
+
+def _distance(name, annulus_route, domain, z, w) -> CertifiedValue:
+    """c = l on a C^n model or through a chart; on the annulus, where c < l,
+    annulus_route(r, z, w) gives the named distance."""
+    if isinstance(domain, CnDomain):
         _require_inside(domain, z, w)
         return CertifiedValue.exact(cn_model_distance(domain, z, w))
     m = chart(domain)
@@ -357,24 +337,19 @@ def caratheodory(domain, z, w) -> CertifiedValue:
         return _chart_distance(m, z, w)
     _require_inside(domain, z, w)
     if isinstance(domain, Annulus):
-        return annulus_caratheodory(domain.r, z, w)
-    raise UnsupportedDomain(f"caratheodory unsupported on {type(domain).__name__}")
+        return annulus_route(domain.r, z, w)
+    raise UnsupportedDomain(f"{name} unsupported on {type(domain).__name__}")
+
+
+def caratheodory(domain, z, w) -> CertifiedValue:
+    """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
+    return _distance("caratheodory", annulus_caratheodory, domain, z, w)
 
 
 def lempert(domain, z, w) -> CertifiedValue:
     """Lempert function l_D(z, w); equals the Kobayashi distance on all
     planar catalog variants and on Ball / Polydisc."""
-    if isinstance(domain, (Ball, Polydisc)):
-        _require_inside(domain, z, w)
-        return CertifiedValue.exact(cn_model_distance(domain, z, w))
-    m = chart(domain)
-    if m is not None:
-        return _chart_distance(m, z, w)
-    _require_inside(domain, z, w)
-    if isinstance(domain, Annulus):
-        return CertifiedValue.exact(_ann.annulus_kobayashi_distance(domain.r, z, w),
-                                    "covering")
-    raise UnsupportedDomain(f"lempert unsupported on {type(domain).__name__}")
+    return _distance("lempert", _annulus_lempert, domain, z, w)
 
 
 def hull_distance(z, d_z, w, d_w) -> float:
@@ -392,7 +367,7 @@ def hull_distance(z, d_z, w, d_w) -> float:
     length = abs(w - z)
     hull = two_disc_hull(0j, d_z, complex(length, 0.0), d_w)
     if isinstance(hull, Disc):
-        m = disc_scale_map(hull.center, hull.radius)
+        m = chart(hull)
         return poincare_distance(complex(m.evaluate(0j)),
                                  complex(m.evaluate(complex(length, 0.0))))
     curve, _ = hull.parametrize()
@@ -411,7 +386,7 @@ def hull_distance(z, d_z, w, d_w) -> float:
 
 def kobayashi_metric(domain, z, X=1.0) -> float:
     """Infinitesimal Kobayashi metric kappa_D(z; X)."""
-    if isinstance(domain, (Ball, Polydisc)):
+    if isinstance(domain, CnDomain):
         return _cn_kobayashi_metric(domain, z, X)
     m = chart(domain)
     if m is not None:

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from . import _np as np
 
 from .errors import (
@@ -57,7 +58,17 @@ def _clamp0(d: float, signed: bool) -> float:
 
 
 class PlanarDomain:
-    """Base class for planar domains (points are python complex numbers)."""
+    """Base class for planar domains (points are python complex numbers).
+
+    Each kind is one class that holds all it needs: its geometry
+    (`boundary_distance`, `contains`); `_chart`, its conformal chart (see
+    `distances.chart`; a kind without one, the annulus, has none);
+    `to_json()`, its JSON description, which `domain_from_json` reads
+    back; and, where the samplers draw from it, `_proposal()`: a draw(rng)
+    giving one candidate point per call, and whether a candidate must pass
+    `contains` before its boundary distance is taken (see
+    `bounds.sample_interior`).
+    """
 
     dim = 1
 
@@ -68,8 +79,8 @@ class PlanarDomain:
         return self.boundary_distance(z, signed=True) > 0.0
 
     def __getstate__(self):
-        """The instance state without the chart `distances.chart` keeps as
-        `_chart`: its closures do not pickle, and it is rebuilt on use."""
+        """The instance state without the cached chart `_chart`: its
+        closures do not pickle, and it is rebuilt on use."""
         state = dict(self.__dict__)
         state.pop("_chart", None)
         return state
@@ -86,6 +97,20 @@ class Disc(PlanarDomain):
 
     def boundary_distance(self, z, signed=False):
         return _clamp0(self.radius - abs(z - self.center), signed)
+
+    @cached_property
+    def _chart(self):
+        from .conformal import disc_scale_map
+
+        return disc_scale_map(self.center, self.radius)
+
+    def to_json(self):
+        if self.center == 0 and self.radius == 1.0:
+            return {"kind": "disc"}
+        return {"kind": "disc", "center": _fmt_complex(self.center), "radius": self.radius}
+
+    def _proposal(self):
+        return lambda rng: complex(_disc_draw(rng, self.center, self.radius)), False
 
 
 def UnitDisc() -> Disc:
@@ -105,6 +130,15 @@ class HalfPlane(PlanarDomain):
 
     def boundary_distance(self, z, signed=False):
         return _clamp0((self.normal.conjugate() * z).real, signed)
+
+    @cached_property
+    def _chart(self):
+        from .conformal import half_plane_map
+
+        return half_plane_map(self.normal)
+
+    def to_json(self):
+        return {"kind": "halfplane", "normal": _fmt_complex(self.normal)}
 
 
 @dataclass(frozen=True)
@@ -128,6 +162,20 @@ class Sector(PlanarDomain):
             return d if signed else 0.0
         return r * math.sin(min(gap, math.pi / 2.0))
 
+    @cached_property
+    def _chart(self):
+        from .conformal import half_plane_map, sector_map
+
+        return sector_map(self.theta).then(half_plane_map(1.0 + 0j))
+
+    def to_json(self):
+        return {"kind": "sector", "theta": self.theta}
+
+    def _proposal(self):
+        th = self.theta
+        return lambda rng: complex(rng.uniform(0.05, 3.0) *
+                                   np.exp(1j * rng.uniform(-th * 0.98, th * 0.98))), False
+
 
 @dataclass(frozen=True)
 class SlitPlane(PlanarDomain):
@@ -141,6 +189,19 @@ class SlitPlane(PlanarDomain):
 
     def contains(self, z):
         return not (z.imag == 0.0 and z.real >= 0.0)
+
+    @cached_property
+    def _chart(self):
+        from .conformal import slit_sqrt_map
+
+        return slit_sqrt_map()
+
+    def to_json(self):
+        return {"kind": "slitplane"}
+
+    def _proposal(self):
+        return lambda rng: complex(rng.uniform(0.05, 3.0) *
+                                   np.exp(1j * rng.uniform(0.02, 2 * math.pi - 0.02))), False
 
 
 @dataclass(frozen=True)
@@ -156,6 +217,14 @@ class Annulus(PlanarDomain):
     def boundary_distance(self, z, signed=False):
         a = abs(z)
         return _clamp0(min(self.r - a, a - 1.0 / self.r), signed)
+
+    def to_json(self):
+        return {"kind": "annulus", "r": self.r}
+
+    def _proposal(self):
+        r = self.r
+        return lambda rng: complex(rng.uniform(1 / r + 5e-3, r - 5e-3) *
+                                   np.exp(2j * math.pi * rng.uniform(0, 1))), False
 
 
 @dataclass(frozen=True)
@@ -215,10 +284,11 @@ class TwoDiscHull(PlanarDomain):
         gap = math.hypot(s - t * length, p) - ((1.0 - t) * self.r_z + t * self.r_w)
         return gap < 0.0
 
-    def parametrize(self):
-        """Positively oriented piecewise arc/segment boundary, arclength-proportional."""
-        _, length, mu, alpha, axis = self._geometry
-        n_plus, n_minus, seg_plus, seg_minus = self._pieces()
+    def _breakpoints(self):
+        """The boundary's four pieces (the arc around z, the lower segment,
+        the arc around w, the upper segment) as shares of its length, and
+        the parameters 0, b1, b2, b3, 1 where they start and end."""
+        _, length, _, alpha, _ = self._geometry
         seg_len = math.sqrt(length * length - (self.r_z - self.r_w) ** 2)
         arc_z = self.r_z * (TWO_PI - 2 * alpha)
         arc_w = self.r_w * (2 * alpha)
@@ -226,6 +296,14 @@ class TwoDiscHull(PlanarDomain):
         b1 = arc_z / total
         b2 = b1 + seg_len / total
         b3 = b2 + arc_w / total
+        return ([arc_z / total, seg_len / total, arc_w / total, seg_len / total],
+                [0.0, b1, b2, b3, 1.0])
+
+    def parametrize(self):
+        """Positively oriented piecewise arc/segment boundary, arclength-proportional."""
+        _, _, _, alpha, axis = self._geometry
+        n_plus, n_minus, seg_plus, seg_minus = self._pieces()
+        _, (_, b1, b2, b3, _) = self._breakpoints()
 
         cz, cw, rz, rw = self.z, self.w, self.r_z, self.r_w
 
@@ -266,16 +344,7 @@ class TwoDiscHull(PlanarDomain):
     def param_grid(self, n: int = 512) -> np.ndarray:
         """Boundary parameters with per-piece minimum counts and clustering
         toward the arc/segment junctions, where the curvature jumps."""
-        _, length, mu, alpha, axis = self._geometry
-        seg_len = math.sqrt(length * length - (self.r_z - self.r_w) ** 2)
-        arc_z = self.r_z * (TWO_PI - 2 * alpha)
-        arc_w = self.r_w * (2 * alpha)
-        total = arc_z + seg_len + arc_w + seg_len
-        b1 = arc_z / total
-        b2 = b1 + seg_len / total
-        b3 = b2 + arc_w / total
-        bounds = [0.0, b1, b2, b3, 1.0]
-        weights = [arc_z / total, seg_len / total, arc_w / total, seg_len / total]
+        weights, bounds = self._breakpoints()
         minima = [48, 16, 48, 16]
         counts = [max(int(round(wt * n)), mn) for wt, mn in zip(weights, minima)]
         pieces = []
@@ -294,6 +363,32 @@ class TwoDiscHull(PlanarDomain):
             cached.param_grid_override = self.param_grid
             object.__setattr__(self, "_jordan", cached)
         return cached
+
+    @property
+    def _chart(self):
+        return self.as_jordan()._chart
+
+    def to_json(self):
+        return {"kind": "hull", "z": _fmt_complex(self.z), "d_z": self.r_z,
+                "w": _fmt_complex(self.w), "d_w": self.r_w}
+
+    def _proposal(self):
+        return _box_draw(min(self.z.real - self.r_z, self.w.real - self.r_w),
+                         max(self.z.real + self.r_z, self.w.real + self.r_w),
+                         min(self.z.imag - self.r_z, self.w.imag - self.r_w),
+                         max(self.z.imag + self.r_z, self.w.imag + self.r_w))
+
+
+def _disc_draw(rng, center, radius):
+    """A uniform point of the disc D(center, 0.998 radius)."""
+    return center + radius * math.sqrt(rng.uniform(0, 1)) * \
+        np.exp(2j * math.pi * rng.uniform(0, 1)) * (1 - 2e-3)
+
+
+def _box_draw(lo, hi, lo_i, hi_i):
+    """The proposal of a uniform point of the box [lo, hi] x [lo_i, hi_i],
+    which must pass `contains`."""
+    return lambda rng: complex(rng.uniform(lo, hi), rng.uniform(lo_i, hi_i)), True
 
 
 def _segment_distance(q: complex, a: complex, b: complex) -> float:
@@ -580,35 +675,61 @@ class JordanDomain(PlanarDomain):
             self._anchor = cached
         return cached
 
+    @property
+    def _chart(self):
+        """The shared Riemann map normalized at the anchor; `_map_cache`
+        keeps it."""
+        from .conformal import riemann_map
+
+        return riemann_map(self, self.anchor())
+
+    def to_json(self):
+        if self.json_doc is None:
+            raise UnsupportedDomain("only the catalog Jordan curves serialize")
+        return dict(self.json_doc)
+
+    def _proposal(self):
+        samples = np.asarray(self.point(np.arange(256) / 256.0), dtype=complex)
+        return _box_draw(samples.real.min(), samples.real.max(),
+                         samples.imag.min(), samples.imag.max())
+
 
 def _polyline_self_intersects(pts: np.ndarray) -> bool:
-    """Crude O(n^2 / block) segment intersection test on the sampled boundary."""
+    """Whether two segments of the closed polyline pts that are not
+    neighbours cross.  Every pair whose bounding boxes meet is tested, a
+    block of segments against the later ones at a time: the crossing test
+    is symmetric, so each pair is tested once."""
     n = len(pts)
-    a = pts
-    b = np.roll(pts, -1)
-    def _sgn(d, scale):
-        out = np.sign(d)
-        out[np.abs(d) < 1e-9 * scale] = 0.0
-        return out
-
-    for i in range(0, n, 8):
-        p, q = a[i], b[i]
-        u = q - p
-        # skip neighbours of segment i
-        js = np.arange(n)
-        keep = (js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)
-        pj, qj = a[keep], b[keep]
-        v = qj - pj
-        s1 = np.abs(u) * np.maximum(np.abs(qj - p), np.abs(pj - p))
-        s2 = np.abs(v) * np.maximum(np.abs(p - pj), np.abs(q - pj))
-        d1 = _sgn(np.imag((qj - p) * np.conj(u)), s1)
-        d2 = _sgn(np.imag((pj - p) * np.conj(u)), s1)
-        d3 = _sgn(np.imag((p - pj) * np.conj(v)), s2)
-        d4 = _sgn(np.imag((q - pj) * np.conj(v)), s2)
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if np.any(hit):
+    a, b = pts, np.roll(pts, -1)
+    x0, x1 = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    y0, y1 = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    js = np.arange(n)
+    rows = max(1, _BATCH_ELEMS // n)
+    for lo in range(0, n, rows):
+        i, j = js[lo:lo + rows, None], js[lo:]
+        meet = ((x0[i] <= x1[lo:]) & (x0[lo:] <= x1[i]) & (y0[i] <= y1[lo:])
+                & (y0[lo:] <= y1[i]) & (j > i + 1) & ((i > 0) | (j < n - 1)))
+        ii, jj = np.nonzero(meet)
+        ii, jj = ii + lo, jj + lo
+        if ii.size and _segments_cross(a[ii], b[ii], a[jj], b[jj]).any():
             return True
     return False
+
+
+def _segments_cross(p, q, r, s):
+    """Whether segment pq crosses segment rs, elementwise: the ends of each
+    lie strictly on both sides of the other's line, an orientation within
+    1e-9 of its scale counting as none."""
+    u, v = q - p, s - r
+    t1 = 1e-9 * np.abs(u) * np.maximum(np.abs(s - p), np.abs(r - p))
+    t2 = 1e-9 * np.abs(v) * np.maximum(np.abs(p - r), np.abs(q - r))
+
+    def side(x, d, t):   # -1, 0 or 1: the side of offset x from a line of direction d
+        c = np.imag(x * np.conj(d))
+        return np.where(np.abs(c) < t, 0.0, np.sign(c))
+
+    return ((side(s - p, u, t1) * side(r - p, u, t1) < 0)
+            & (side(p - r, v, t2) * side(q - r, v, t2) < 0))
 
 
 def ellipse_domain(a: float, b: float) -> JordanDomain:
@@ -706,7 +827,9 @@ def lens_domain(rho: float) -> JordanDomain:
 
 
 class CnDomain:
-    """Base class for domains in C^n (points are complex numpy vectors)."""
+    """Base class for domains in C^n (points are complex numpy vectors).
+    Its kinds have no chart, and answer `to_json()` and `_proposal()` as
+    the planar ones do (see PlanarDomain)."""
 
     @property
     def dim(self):
@@ -760,6 +883,21 @@ class Ball(CnDomain):
         norm = math.sqrt(re.dot(re) + im.dot(im))
         return _clamp0(self.radius - norm, signed)
 
+    def to_json(self):
+        if any(c != 0 for c in self.center):
+            raise UnsupportedDomain("only origin-centered balls serialize")
+        return {"kind": "ball", "dim": self.dim, "radius": self.radius}
+
+    def _proposal(self):
+        dim = self.dim
+
+        def draw(rng):
+            x = rng.normal(size=2 * dim)
+            v = (x[:dim] + 1j * x[dim:])
+            v = v / np.linalg.norm(v) * self.radius * rng.uniform(0, 1) ** (1.0 / (2 * dim))
+            return np.asarray(self.center) + v * (1 - 2e-3)
+        return draw, False
+
 
 @dataclass(frozen=True)
 class Polydisc(CnDomain):
@@ -786,6 +924,15 @@ class Polydisc(CnDomain):
         margins = self._radii - np.abs(self._point(z) - self._center)
         return _clamp0(float(np.minimum.reduce(margins)), signed)
 
+    def to_json(self):
+        if any(c != 0 for c in self.center):
+            raise UnsupportedDomain("only origin-centered polydiscs serialize")
+        return {"kind": "polydisc", "radii": list(self.radii)}
+
+    def _proposal(self):
+        return lambda rng: np.asarray([_disc_draw(rng, c, r)
+                                       for c, r in zip(self.center, self.radii)]), False
+
 
 # ---------------------------------------------------------------------------
 # JSON serialization
@@ -796,9 +943,10 @@ _COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})([+-]{_NUM})i$")
 
 
 def _parse_complex(text):
-    """A finite complex number from an 'a+bi' literal or a JSON number."""
+    """A finite complex number from an 'a+bi' literal or a JSON number (not
+    a boolean)."""
     m = _COMPLEX_RE.match(text.strip()) if isinstance(text, str) else None
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         z = complex(text)
     elif m:
         z = complex(float(m.group(1)), float(m.group(2)))
@@ -810,7 +958,10 @@ def _parse_complex(text):
 
 
 def _finite(value, name: str) -> float:
-    """A field's value as a finite float, else SchemaError."""
+    """A field's value as a finite float, else SchemaError; JSON's true and
+    false are not numbers."""
+    if isinstance(value, bool):
+        raise SchemaError(f"field {name!r} must be a number, got {json.dumps(value)}")
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -907,34 +1058,14 @@ def domain_from_json(doc):
 
 
 def domain_to_json(domain) -> dict:
-    if isinstance(domain, Disc):
-        if domain.center == 0 and domain.radius == 1.0:
-            return {"kind": "disc"}
-        return {"kind": "disc", "center": _fmt_complex(domain.center), "radius": domain.radius}
-    if isinstance(domain, HalfPlane):
-        return {"kind": "halfplane", "normal": _fmt_complex(domain.normal)}
-    if isinstance(domain, Sector):
-        return {"kind": "sector", "theta": domain.theta}
-    if isinstance(domain, SlitPlane):
-        return {"kind": "slitplane"}
-    if isinstance(domain, Annulus):
-        return {"kind": "annulus", "r": domain.r}
-    if isinstance(domain, TwoDiscHull):
-        return {"kind": "hull", "z": _fmt_complex(domain.z), "d_z": domain.r_z,
-                "w": _fmt_complex(domain.w), "d_w": domain.r_w}
-    if isinstance(domain, JordanDomain):
-        if domain.json_doc is None:
-            raise UnsupportedDomain("only the catalog Jordan curves serialize")
-        return dict(domain.json_doc)
-    if isinstance(domain, Ball):
-        if any(c != 0 for c in domain.center):
-            raise UnsupportedDomain("only origin-centered balls serialize")
-        return {"kind": "ball", "dim": domain.dim, "radius": domain.radius}
-    if isinstance(domain, Polydisc):
-        if any(c != 0 for c in domain.center):
-            raise UnsupportedDomain("only origin-centered polydiscs serialize")
-        return {"kind": "polydisc", "radii": list(domain.radii)}
-    raise UnsupportedDomain(f"cannot serialize {type(domain).__name__}")
+    """The JSON description of a domain, written by its kind's `to_json`;
+    UnsupportedDomain for a domain that has none (a Jordan curve outside
+    the catalog, a ball or polydisc off the origin) and for any other
+    object."""
+    to_json = getattr(domain, "to_json", None)
+    if to_json is None or not isinstance(domain, (PlanarDomain, CnDomain)):
+        raise UnsupportedDomain(f"cannot serialize {type(domain).__name__}")
+    return to_json()
 
 
 # the writer of the CLI's documents, `dist` values and suite reports alike

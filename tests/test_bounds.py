@@ -193,7 +193,7 @@ class TestSampler:
         # reference: test each candidate as it is drawn; the points and the
         # generator's state afterwards must be the same
         dom = SAMPLER_DRAWS[kind][0]
-        draw, boxed = bd._proposal(dom)
+        draw, boxed = dom._proposal()
         tol = {"tol": 1e-6} if isinstance(dom, JordanDomain) else {}
         ref = np.random.default_rng(3)
         want = []

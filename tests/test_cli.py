@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# `invdist dist` on the README's twelve domain documents x {carath, lempert,
+# bergman}: exit code, stdout and stderr, recorded before the domain classes
+# took over their charts, JSON writers and samplers
+DIST_REPORTS = json.loads(
+    (Path(__file__).with_name("data") / "dist_reports.json").read_text())
+
+
+def _numeric(case):
+    """Whether a case's value comes from numpy's array loops (a Riemann map,
+    or the annulus Bergman geodesic), whose rounding differs per host."""
+    kind = json.loads(case["domain"])["kind"]
+    return kind in ("hull", "jordan") or (kind, case["kind"]) == ("annulus", "bergman")
+
+
+@pytest.mark.parametrize("case", DIST_REPORTS,
+                         ids=[f"{c['domain']}-{c['kind']}" for c in DIST_REPORTS])
+def test_dist_reports_are_pinned(capsys, case):
+    # closed forms and the annulus series / covering: the same bytes; the
+    # numeric values: within 1e-12 of the distance
+    code, out, err = run(capsys, "dist", "--domain", case["domain"], "--kind", case["kind"],
+                         "--z", case["z"], "--w", case["w"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    if not _numeric(case):
+        assert out == case["stdout"]
+        return
+    got, want = json.loads(out), json.loads(case["stdout"])
+    scale = want["value"]["hi"]
+    for doc, ref in ((got, want), (got["value"], want["value"])):
+        assert doc.keys() == ref.keys()
+        for key, x in ref.items():
+            if isinstance(x, float):
+                assert doc[key] == pytest.approx(x, rel=1e-12, abs=1e-12 * scale), key
+            elif key != "value":
+                assert doc[key] == x, key
 
 
 class TestDist:
@@ -100,6 +137,21 @@ class TestDist:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "inside" not in err
+
+    @pytest.mark.parametrize("domain, z", [
+        ('{"kind":"disc","radius":true,"center":true}', "0+0i"),
+        ('{"kind":"halfplane","normal":true}', "1+0i"),
+        ('{"kind":"ball","dim":true,"radius":1}', '["0+0i"]'),
+        ('{"kind":"jordan","curve":"wobbly","seed":false}', "0+0i"),
+        ('{"kind":"polydisc","radii":[true,true]}', '["0+0i","0+0i"]'),
+        ('{"kind":"ball","dim":2,"radius":1}', '["0+0i",false]'),
+    ])
+    def test_boolean_for_a_number_exit_2(self, capsys, domain, z):
+        # JSON's true and false are not the numbers 1 and 0
+        code, out, err = run(capsys, "dist", "--domain", domain, "--kind", "carath",
+                             "--z", z, "--w", z)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "--domain", '{"kind":"disc"}',

@@ -24,7 +24,15 @@ from invdist.domains import (
     two_disc_hull,
     wobbly_domain,
 )
-from invdist.errors import DegenerateInput, NonConvergence, SchemaError, UnsupportedDomain
+from invdist.errors import (
+    DegenerateInput,
+    InvalidDomain,
+    NonConvergence,
+    SchemaError,
+    UnsupportedDomain,
+)
+
+TWO_PI = 2.0 * math.pi
 
 
 class TestBoundaryDistance:
@@ -209,6 +217,96 @@ def _batch_probe_points(dom, rng):
     return pts
 
 
+class TestSelfIntersection:
+    """A user curve is checked for crossings on its 1024-sample polyline,
+    every segment against every other."""
+
+    @staticmethod
+    def limacon(t):
+        # r = 0.5 + cos s crosses itself at the origin, between segments
+        # 341 and 682 of 1024
+        s = TWO_PI * np.asarray(t, dtype=float)
+        return (0.5 + np.cos(s)) * np.exp(1j * s)
+
+    @staticmethod
+    def dlimacon(t):
+        s = TWO_PI * np.asarray(t, dtype=float)
+        return TWO_PI * (1j * (0.5 + np.cos(s)) - np.sin(s)) * np.exp(1j * s)
+
+    @staticmethod
+    def figure_eight(t):
+        # crosses itself at the origin, between segments 207 and 719
+        s = TWO_PI * np.asarray(t, dtype=float) + 0.3
+        return np.cos(s) + 0.5j * np.sin(2.0 * s)
+
+    @staticmethod
+    def dfigure_eight(t):
+        s = TWO_PI * np.asarray(t, dtype=float) + 0.3
+        return TWO_PI * (-np.sin(s) + 1j * np.cos(2.0 * s))
+
+    def test_crossing_curves_are_rejected(self):
+        for curve, dcurve in ((self.limacon, self.dlimacon),
+                              (self.figure_eight, self.dfigure_eight)):
+            with pytest.raises(InvalidDomain, match="self-intersects"):
+                JordanDomain(curve, dcurve)
+
+    @staticmethod
+    def crosses_segment_by_segment(pts):
+        # reference: each segment against every segment but itself and its
+        # two neighbours, one at a time
+        n = len(pts)
+        for i in range(n):
+            p, q = pts[i], pts[(i + 1) % n]
+            for j in range(n):
+                if j in (i, (i - 1) % n, (i + 1) % n):
+                    continue
+                r, s = pts[j], pts[(j + 1) % n]
+                sides = []
+                for x, d, a, scale in ((s - p, q - p, r - p, abs(q - p)),
+                                       (r - p, q - p, s - p, abs(q - p)),
+                                       (p - r, s - r, q - r, abs(s - r)),
+                                       (q - r, s - r, p - r, abs(s - r))):
+                    c = (x * d.conjugate()).imag
+                    sides.append(0 if abs(c) < 1e-9 * scale * max(abs(x), abs(a))
+                                 else (c > 0) - (c < 0))
+                if sides[0] * sides[1] < 0 and sides[2] * sides[3] < 0:
+                    return True
+        return False
+
+    def test_agrees_with_a_loop_over_segments(self, rng):
+        from invdist.domains import _polyline_self_intersects
+
+        # a bow tie (segments 0 and 2 cross), a pentagram, a square
+        fixed = [np.array([0, 1 + 1j, 1, 1j]), np.exp(0.8j * np.pi * np.arange(5)),
+                 np.array([0, 1, 1 + 1j, 1j])]
+        assert [_polyline_self_intersects(pts) for pts in fixed] == [True, True, False]
+        crossing = 0
+        for k in range(60):
+            m = int(rng.integers(4, 40))
+            if k % 3 == 0:      # random polygons: mostly crossing
+                pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+            elif k % 3 == 1:    # star-shaped: simple
+                ang = np.sort(rng.uniform(0.0, TWO_PI, m))
+                pts = (1.0 + 0.3 * rng.uniform(size=m)) * np.exp(1j * ang)
+            else:               # on a 4 x 4 grid: touching and collinear segments
+                pts = rng.integers(0, 4, m) + 1j * rng.integers(0, 4, m) + 0.0
+            want = self.crosses_segment_by_segment([complex(p) for p in pts])
+            assert _polyline_self_intersects(pts) == want
+            crossing += want
+        assert 10 < crossing < 50
+
+    def test_simple_curve_is_accepted(self):
+        def curve(t):
+            s = TWO_PI * np.asarray(t, dtype=float)
+            return 2.0 * np.cos(s) + 1j * np.sin(s)
+
+        def dcurve(t):
+            s = TWO_PI * np.asarray(t, dtype=float)
+            return TWO_PI * (-2.0 * np.sin(s) + 1j * np.cos(s))
+
+        assert JordanDomain(curve, dcurve).contains(1.9 + 0j)
+
+
 class TestJordanBatch:
     """`contains` and `boundary_distance` on an array of points give, bit for
     bit, what one call per point gives."""
@@ -276,6 +374,21 @@ class TestJson:
         whole = domain_from_json('{"kind": "jordan", "curve": "wobbly", "seed": 7.0}')
         assert complex(whole.point(0.3)) == complex(seven.point(0.3))
 
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "disc", "center": true}',                                # complex
+        '{"kind": "halfplane", "normal": false}',
+        '{"kind": "hull", "z": true, "d_z": 1.0, "w": "2.5+0i", "d_w": 0.7}',
+        '{"kind": "disc", "radius": true}',                                # float
+        '{"kind": "sector", "theta": true}',
+        '{"kind": "hull", "z": "0+0i", "d_z": true, "w": "2.5+0i", "d_w": 0.7}',
+        '{"kind": "ball", "dim": true, "radius": 1}',                      # whole number
+        '{"kind": "jordan", "curve": "wobbly", "seed": false}',
+        '{"kind": "polydisc", "radii": [true, true]}',                     # list of floats
+    ])
+    def test_booleans_are_not_numbers(self, doc):
+        with pytest.raises(SchemaError):
+            domain_from_json(doc)
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(SchemaError):
             domain_from_json('{"kind": "annulus", "r": 2.0, "extra": 1}')
@@ -318,6 +431,14 @@ class TestJson:
     def test_hull_chart_domain_does_not_serialize(self):
         with pytest.raises(UnsupportedDomain):
             domain_to_json(two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7).as_jordan())
+
+    def test_other_objects_do_not_serialize(self):
+        from invdist.distances import CertifiedValue
+
+        for obj in (object(), CertifiedValue.exact(0.5), Ball((1j, 0j), 1.0),
+                    Polydisc((0j, 1.0), (1.0, 2.0))):
+            with pytest.raises(UnsupportedDomain):
+                domain_to_json(obj)
 
     @pytest.mark.parametrize("doc", [
         {"kind": "disc"},
