@@ -128,11 +128,13 @@ class AnnulusCaratheodory:
     / theta(-|zeta_w| rho2; p)|, and a value costs four theta products.
 
     series_mode reports whether the build-time unimodularity self-tests
-    passed (|F| within 1e-8 of 1 at 64 points of each boundary circle);
-    when they fail the engine refuses point values and callers fall back to
-    certified intervals.  self_test_report holds the worst outer and
-    inner deviations, or under "error" the exception that stopped the
-    self-tests (for instance a theta product that does not truncate).
+    passed (|F| within 1e-8 of 1 at 64 points of each boundary circle; a
+    NaN deviation fails); when they fail the engine refuses point values
+    and callers fall back to certified intervals.  self_test_report holds
+    the worst outer and inner deviations, NaN if any is, or under "error"
+    the exception that stopped the self-tests (for instance a theta product
+    that does not truncate).  A value whose theta products round to 0 in a
+    denominator or to a non-finite value raises NonConvergence.
 
     Values are carried through m = tanh(distance), so distances beyond
     roughly 15 saturate double precision (m within a few ulp of 1); on the
@@ -180,9 +182,15 @@ class AnnulusCaratheodory:
         if z == w:
             return 0.0
         zz, zw = z / self.r, w / self.r
-        _, factor2 = self._second_zero(zz, zw)
-        b1 = abs(self._blaschke(zw, zz))
-        return min(b1 * factor2 / abs(zw), 1.0 - 1e-16)
+        try:
+            _, factor2 = self._second_zero(zz, zw)
+            b1 = abs(self._blaschke(zw, zz))
+        except ZeroDivisionError:   # a scalar theta product underflowed to 0
+            raise NonConvergence("a theta product in a denominator rounds to 0") from None
+        m = b1 * factor2 / abs(zw)
+        if not math.isfinite(m):    # thousands of factors can overflow
+            raise NonConvergence("the theta-product series value is not finite")
+        return min(m, 1.0 - 1e-16)
 
     def mobius_values(self, z, w):
         """mobius_value over arrays z and w, broadcast together, in four
@@ -199,7 +207,10 @@ class AnnulusCaratheodory:
         zz, zw = z / self.r, w / self.r
         _, factor2 = self._second_zero(zz, zw)
         b1 = np.abs(self._blaschke(zw, zz))
-        return np.where(z == w, 0.0, np.minimum(b1 * factor2 / np.abs(zw), 1.0 - 1e-16))
+        m = b1 * factor2 / np.abs(zw)
+        if not np.isfinite(m).all():
+            raise NonConvergence("the theta-product series value is not finite")
+        return np.where(z == w, 0.0, np.minimum(m, 1.0 - 1e-16))
 
     def distance(self, z: complex, w: complex) -> float:
         return math.atanh(self.mobius_value(z, w))
@@ -210,14 +221,14 @@ class AnnulusCaratheodory:
         angles = np.exp(2j * math.pi * np.arange(64) / 64)
         probes = [(0.7 * self.r, -0.8 / self.r), (1.0 + 0j, 0.5j * self.r),
                   (0.9 * self.r * 1j, 1.2 / self.r)]
-        worst_outer = worst_inner = 0.0
-        for z, w in probes:
-            zz, zw = z / self.r, w / self.r
-            a2, _ = self._second_zero(zz, zw)
-            outer = np.abs(self._inner2(angles, zz, a2))
-            inner = np.abs(self._inner2(self.q * angles, zz, a2))
-            worst_outer = max(worst_outer, float(np.max(np.abs(outer - 1.0))))
-            worst_inner = max(worst_inner, float(np.max(np.abs(inner - 1.0))))
-        self.self_test_report = {"outer": worst_outer, "inner": worst_inner}
-        if max(worst_outer, worst_inner) > 1e-8:
+        outer, inner = [], []
+        with np.errstate(all="ignore"):     # an overflow shows as a NaN deviation
+            for z, w in probes:
+                zz, zw = z / self.r, w / self.r
+                a2, _ = self._second_zero(zz, zw)
+                for devs, circle in ((outer, angles), (inner, self.q * angles)):
+                    devs.append(float(np.max(np.abs(np.abs(self._inner2(circle, zz, a2)) - 1.0))))
+        # np.max keeps a NaN, and a NaN fails "dev <= 1e-8"
+        self.self_test_report = {"outer": float(np.max(outer)), "inner": float(np.max(inner))}
+        if not all(dev <= 1e-8 for dev in outer + inner):
             self.series_mode = False

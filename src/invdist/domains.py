@@ -79,10 +79,11 @@ class PlanarDomain:
         return self.boundary_distance(z, signed=True) > 0.0
 
     def __getstate__(self):
-        """The instance state without the cached chart `_chart`: its
-        closures do not pickle, and it is rebuilt on use."""
+        """The instance state without the cached chart `_chart` and a hull's
+        `_jordan`: their closures do not pickle, and both are rebuilt on use."""
         state = dict(self.__dict__)
         state.pop("_chart", None)
+        state.pop("_jordan", None)
         return state
 
 
@@ -687,6 +688,13 @@ class JordanDomain(PlanarDomain):
         if self.json_doc is None:
             raise UnsupportedDomain("only the catalog Jordan curves serialize")
         return dict(self.json_doc)
+
+    def __reduce_ex__(self, protocol):
+        """A catalog curve pickles and copies as its JSON description, since
+        its curve closures do not pickle; its maps are left behind."""
+        if self.json_doc is None:
+            return super().__reduce_ex__(protocol)
+        return domain_from_json, (self.to_json(),)
 
     def _proposal(self):
         samples = np.asarray(self.point(np.arange(256) / 256.0), dtype=complex)

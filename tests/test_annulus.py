@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from invdist.annulus import (
     deck_distances,
     theta_product,
 )
-from invdist.distances import annulus_caratheodory, caratheodory, poincare_distance
+from invdist.distances import (_annulus_engine, annulus_caratheodory, caratheodory,
+                                poincare_distance)
 from invdist.domains import Annulus
 from invdist.errors import DomainViolation, NonConvergence
 
@@ -104,6 +106,34 @@ class TestCaratheodorySeries:
         thin = AnnulusCaratheodory(1.00005)
         assert not thin.series_mode
         assert thin.self_test_report["error"].startswith("NonConvergence: ")
+
+    @pytest.mark.parametrize("r", [1.001, 1.0001])
+    def test_nan_deviation_fails_the_gate(self, r):
+        # the ~9k and ~92k factor products overflow, so the deviations are
+        # NaN: the gate rejects them and the report keeps them.  The engines
+        # are the shared ones (A_1.0001's self-tests take seconds)
+        thin = _annulus_engine(r)
+        assert not thin.series_mode
+        assert math.isnan(thin.self_test_report["outer"])
+        assert math.isnan(thin.self_test_report["inner"])
+        with pytest.raises(NonConvergence):
+            thin.mobius_value(1.0, cmath.exp(1e-4j))
+        v = caratheodory(Annulus(1.001), 1.0, cmath.exp(1e-4j))
+        assert v.method == "interval" and 0.0 < v.lo <= v.hi < 0.08
+
+    def test_values_past_the_gate_refuse_instead_of_dividing_by_zero(self):
+        # were the gate passed, the A_1.001 pair (1, e^{1e-4 i}) rounds a
+        # denominator product to 0 and (1, i) on A_1.0001 overflows
+        thin = AnnulusCaratheodory(1.001)
+        thin.series_mode = True
+        with pytest.raises(NonConvergence, match="denominator"):
+            thin.mobius_value(1.0, cmath.exp(1e-4j))
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="not finite"):
+            thin.mobius_values(np.array([1.0 + 0j]), np.array([cmath.exp(1e-4j)]))
+        thinner = copy.copy(_annulus_engine(1.0001))
+        thinner.series_mode = True
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="not finite"):
+            thinner.mobius_value(1.0, 1j)
 
     def test_inner_function_unimodular_on_both_circles(self, engine):
         r = engine.r

@@ -89,11 +89,43 @@ class TestAnnulusKernel:
             val = 2.0 * math.pi * np.sum(ww * rho ** (2 * n + 1))
             assert annulus_monomial_norm_sq(2.0, n) == pytest.approx(float(val), rel=1e-12)
 
-    def test_kernel_log_norms_match_the_oracle(self):
-        for r in (1.05, 2.0, 5.0):
-            ns = np.arange(-40, 39)
-            want = [math.log(annulus_monomial_norm_sq(r, int(n))) for n in ns]
-            np.testing.assert_allclose(bg._log_norm_sq(r, ns), want, rtol=1e-13, atol=1e-13)
+    @pytest.mark.parametrize("r", [1.05, 2.0, 5.0, 100.0])
+    def test_kernel_matches_the_laurent_oracle(self, r, rng):
+        # K(z), the log-Hessian and K(z, w) against the Laurent sums over the
+        # monomial norms, summed by math.fsum: the oracle takes |z| as the
+        # kernel does, so the comparison sees the series, not that rounding.
+        # Half the pairs have arg(z conj(w)) within 0.05 of +-pi
+        norms = {}
+
+        def terms(n_max):
+            for n in range(-n_max - 1, n_max + 1):
+                if n not in norms:
+                    norms[n] = annulus_monomial_norm_sq(r, n)
+                yield n, norms[n]
+
+        def oracle(z, w):
+            a, b = abs(z), abs(w)
+            q = max(a, 1.0 / a, b, 1.0 / b) ** 2 / r ** 2     # the slowest tail's ratio
+            n_max = int(50.0 / -math.log(q)) + 40
+            u = z * w.conjugate()
+            kz = [(n, a ** (2 * n) / nn) for n, nn in terms(n_max)]
+            k0 = math.fsum(t for _, t in kz)
+            mean = math.fsum(n * t for n, t in kz) / k0
+            hess = math.fsum((n - mean) ** 2 * t for n, t in kz) / k0 / (a * a)
+            kzw = [u ** n / nn for n, nn in terms(n_max)]
+            kzw = complex(math.fsum(t.real for t in kzw), math.fsum(t.imag for t in kzw))
+            return k0, hess, kzw
+
+        kern = AnnulusKernel(r)
+        for i in range(40):
+            z = cmath.rect(r ** rng.uniform(-0.8, 0.8), 2.0 * math.pi * rng.uniform())
+            gap = math.pi - rng.uniform(0.0, 0.05) if i % 2 else 2.0 * math.pi * rng.uniform()
+            w = z / abs(z) * cmath.rect(r ** rng.uniform(-0.8, 0.8), gap * (-1) ** (i // 2))
+            k0, hess, kzw = oracle(z, w)
+            assert abs(kern.diagonal(z) / k0 - 1.0) <= 1e-13
+            assert abs(kern.log_diag_hessian(z) / hess - 1.0) <= 1e-13
+            scale = math.sqrt(k0 * oracle(w, w)[0])
+            assert abs(kern.pair(z, w) - kzw) <= 1e-13 * scale
 
     def test_kernel_positive_and_symmetric(self):
         kern = AnnulusKernel(2.0)
@@ -110,7 +142,6 @@ class TestAnnulusKernel:
         mod = np.exp(rng.uniform(-0.85, 0.85, (6, 8)) * math.log(r))
         mod[0, 0] = r ** 0.85
         z = mod * np.exp(2j * np.pi * rng.uniform(size=(6, 8)))
-        assert 262144 // kern._terms(r ** 0.85).size < z.size
         batch = kern.log_diag_hessian(z)
         assert batch.shape == z.shape
         points = np.array([[kern.log_diag_hessian(complex(v)) for v in row] for row in z])
@@ -119,8 +150,8 @@ class TestAnnulusKernel:
     def test_point_value_does_not_depend_on_its_batch(self, rng):
         # 500 points over the moduli of three annuli, in one batch and one by
         # one: a term range taken from a batch's largest modulus would cut
-        # the low tail of its small-modulus points.  Each spread reaches the
-        # last bins whose tails converge within _NMAX terms
+        # the low tail of its small-modulus points.  The spreads reach close
+        # to both circles
         for r, spread in ((1.05, 0.86), (2.0, 0.99), (5.0, 0.996)):
             kern = AnnulusKernel(r)
             L = math.log(r)
@@ -133,26 +164,28 @@ class TestAnnulusKernel:
         assert k.diagonal(np.array([0.52, 0.9]))[0] == pytest.approx(191.82110254173833,
                                                                       rel=1e-13)
 
-    def test_near_circle_raises_instead_of_truncating(self):
-        # K(0.5001) on A_2 needs ~800k terms; capped at 4000 it read 3.78e6
-        # against 7.96e6
-        with pytest.raises(NonConvergence):
-            bergman_kernel(Annulus(2.0), 0.5001)
-        with pytest.raises(NonConvergence):
-            bergman_metric(Annulus(1.05), 1.049)
-        with pytest.raises(NonConvergence):
-            bergman_metric(Annulus(2.0), np.array([1.0, 1.999j]))
-        with pytest.raises(NonConvergence):
-            AnnulusKernel(2.0).pair(0.5001, 0.5001)
-        # the last bins that converge: A_1.05's bins 0-20 reach |log|z|| =
-        # atanh(21 / 16) log r > 0.85 log r, the benchmark's spread
-        kern = AnnulusKernel(1.05)
-        assert max(max(kern._bin_range(k)) for k in range(21)) == 3728
-        with pytest.raises(NonConvergence):
-            kern._bin_range(21)
-        for r in (1.05, 2.0, 5.0):
-            z = np.array([r ** 0.85, r ** -0.85, 1j * r ** 0.85])
-            assert np.all(np.isfinite(bergman_metric(Annulus(r), z)))
+    @pytest.mark.parametrize("r, a", [(2.0, 0.5001), (2.0, 0.50001), (1.05, 1.049),
+                                      (1.05, 1.05 ** 0.9), (1.001, 1.0), (2.0, 2.0 ** -0.999)])
+    def test_near_circle_points_match_a_long_sum(self, r, a):
+        # points that the capped Laurent sums refused (K(0.5001) on A_2 needs
+        # ~130k terms) against 2^20 terms a side, summed in log space from
+        # log(a / r) and log(a r); the log-Hessian is the terms' variance in
+        # n over |z|^2
+        L = math.log(r)
+        m = np.arange(1.0, 2.0 ** 20 + 1.0)
+        lo, hi = math.log(a * r), math.log(a / r)
+        # n = m - 1 >= 0, n = -1 and n = -m - 1 <= -2, each term times pi
+        ns = np.concatenate([m - 1.0, [-1.0], -m - 1.0])
+        cut = -np.expm1(-4.0 * m * L)       # 1 - r^(-4m), shared by n and -2 - n
+        t = np.concatenate([m * np.exp(2.0 * (m - 1.0) * hi) / (r * r) / cut,
+                            [1.0 / (4.0 * L * a * a)],
+                            m * np.exp(-2.0 * m * lo) / (a * a) / cut])
+        k0 = math.fsum(t.tolist())
+        mean = math.fsum((ns * t).tolist()) / k0
+        hess = math.fsum(((ns - mean) ** 2 * t).tolist()) / k0 / (a * a)
+        assert abs(bergman_kernel(Annulus(r), a) / (k0 / math.pi) - 1.0) <= 1e-12
+        assert abs(bergman_metric(Annulus(r), a) / math.sqrt(hess) - 1.0) <= 1e-12
+        assert np.all(np.isfinite(bergman_metric(Annulus(r), np.array([a, 1j * a]))))
 
     def test_reproducing_property(self):
         residual = bg_reproducing_residual(2.0, 1.2 + 0.4j, range(-5, 6))

@@ -194,6 +194,15 @@ class TestDist:
         assert out == ""
         assert not path.exists()
 
+    def test_thin_annulus_carath_exit_4(self, capsys):
+        # the A_1.0001 theta products overflow, so the engine gives an
+        # interval whose upper end, the covering distance, is inf
+        code, out, err = run(capsys, "dist", "--domain", '{"kind":"annulus","r":1.0001}',
+                             "--kind", "carath", "--z", "1+0i", "--w", "0+1i")
+        assert code == 4
+        assert err.startswith("non-convergence: ") and "hi=inf" in err
+        assert "Traceback" not in err and out == ""
+
     def test_complex_needs_trailing_i(self, capsys):
         code, _, _ = run(capsys, "dist", "--domain", '{"kind":"disc"}',
                          "--kind", "carath", "--z", "0.5", "--w", "0+0i")

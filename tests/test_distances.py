@@ -602,6 +602,19 @@ class TestOneChart:
                 assert twin == d and caratheodory(twin, z, w) == want
                 assert chart(twin) is not chart(d)
             assert "_chart" in vars(d)
+        # a hull leaves its Jordan form behind, a catalog curve pickles and
+        # copies as its JSON description; both rebuild their maps
+        from invdist.domains import (domain_to_json, ellipse_domain, lens_domain,
+                                     two_disc_hull, wobbly_domain)
+
+        for d, z, w in ((two_disc_hull(0j, 1.0, 2.5, 0.7), 0.5 + 0j, 2.0 + 0.2j),
+                        (ellipse_domain(2.0, 1.0), 0j, 0.3 + 0.2j),
+                        (lens_domain(0.75), 0.6 + 0j, 0.7 + 0.1j),
+                        (wobbly_domain(7), 0j, 0.3 + 0.2j)):
+            want = caratheodory(d, z, w)
+            for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+                assert domain_to_json(twin) == domain_to_json(d)
+                assert chart(twin) is not chart(d) and caratheodory(twin, z, w) == want
 
     def test_chart_is_none_off_the_simply_connected_planar_domains(self):
         from invdist.distances import chart
