@@ -44,6 +44,7 @@ __all__ = [
 
 
 _TOL = 1e-17     # bound on each dropped term of the kernel series; S >= 1 on the diagonal
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass
@@ -112,14 +113,30 @@ class AnnulusKernel:
         for the batch's largest |arg(z conj(w))|."""
         z = np.asarray(z, dtype=complex)
         w = complex(w)
-        # log(zeta conj(w)), moved by a period to the nearer circle as on the
-        # diagonal, with the sign that makes Im t >= 0 (S is even)
-        p = self.r ** np.copysign(1.0, np.abs(z) * abs(w) - 1.0)
-        t = np.log((z / p) * (w.conjugate() / p))
-        t = t * np.copysign(1.0, t.imag)
+        t = self._pair_t(z, w)
+        t = t * np.copysign(1.0, t.imag)  # Im t >= 0, as S is even
         s = self._series(t, float(np.max(t.imag, initial=0.0)))
         out = (0.5 * self._k) ** 2 * s / (math.pi * z * w.conjugate())
         return out if out.shape else complex(out)
+
+    def _pair_t(self, z, w: complex):
+        """log(zeta conj(w)), moved by a period to the nearer circle as on
+        the diagonal: log((z / p)(conj(w) / p)) with p = r^(+-1).  For r past
+        about 1e154 that product can leave the normal floats; there t is
+        log|z| + log|w| - 2 log p plus i times the angle of the product of
+        the unit vectors z / |z| and conj(w) / |w|, and elsewhere it keeps
+        the one-rounding product."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self.r ** np.copysign(1.0, np.abs(z) * abs(w) - 1.0)
+            zw = (z / p) * (w.conjugate() / p)
+            size = np.abs(zw)
+        normal = (size >= _FLOAT_MIN) & (size <= _FLOAT_MAX)
+        if np.all(normal):
+            return np.log(zw)
+        a = np.abs(z)
+        unit = (z / a) * (w.conjugate() / abs(w))
+        far = (np.log(a) + (math.log(abs(w)) - 2.0 * np.log(p))) + 1j * np.angle(unit)
+        return np.where(normal, np.log(np.where(normal, zw, 1.0)), far)
 
     def log_diag_hessian(self, z):
         """d^2/dz dzbar of log K at z: log|z|^2 is harmonic and t = 2 log|zeta|,

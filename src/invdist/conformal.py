@@ -45,25 +45,35 @@ def _is_scalar(z) -> bool:
     return isinstance(z, _PY_SCALARS) or isinstance(z, np.generic)
 
 
-def _sqrt_cut_pos(s):
+def _sqrt_cut_pos(s, out=None):
     """Square root with branch cut along the nonnegative real axis; maps
     C minus [0, inf) onto the upper half-plane.
 
     i sqrt(-s) with the principal root keeps full relative accuracy in both
     parts near the cut; adding +0 turns x - 0i into x + 0i, so the cut
-    itself keeps the convention x +- 0i -> +sqrt(x) for x > 0."""
-    s = np.asarray(s, dtype=complex)
-    out = 1j * np.sqrt(-(s + 0.0))
-    return out if out.shape else complex(out)
+    itself keeps the convention x +- 0i -> +sqrt(x) for x > 0.  Given out
+    (a complex array, which may be s itself), the same operations write the
+    root there and return it."""
+    if out is None:
+        s = np.asarray(s, dtype=complex)
+        out = 1j * np.sqrt(-(s + 0.0))
+        return out if out.shape else complex(out)
+    np.add(s, 0.0, out=out)
+    np.negative(out, out=out)
+    np.sqrt(out, out=out)
+    return np.multiply(1j, out, out=out)
 
 
 def _sqrt_cut_pos_scalar(s) -> complex:
-    """_sqrt_cut_pos of one point, bitwise: numpy's scalar sqrt runs the
-    same complex square root without building a 0-d array.  cmath.sqrt
-    would spare the slit plane numpy's import, but its root is not this
-    one: on the imaginary axis (z = i) it misses a part by an ulp, and so
-    does it where a part of the root is subnormal."""
-    return complex(1j * np.sqrt(-(np.complex128(s) + 0.0)))
+    """_sqrt_cut_pos of one point, bitwise.  The root is numpy's complex
+    square root; the sum, the negation and the product by 1j round in
+    Python's complex arithmetic exactly as in numpy's (part by part, +0j
+    adding +0 to both parts), so no 0-d array or numpy scalar is built
+    around it, and a zipper step on a point makes this one numpy call.
+    cmath.sqrt would spare it (and the slit plane numpy's import), but its
+    root is not this one: on the imaginary axis (z = i) it misses a part by
+    an ulp, and so does it where a part of the root is subnormal."""
+    return 1j * complex(np.sqrt(-(complex(s) + 0j)))
 
 
 @dataclass
@@ -256,7 +266,19 @@ class _GeodesicChain:
 
     The build is one pass through the steps: the interior points `carry`
     ride along with z0 behind the boundary tail, and `carried` holds their
-    images, bitwise those of `forward(carry)`."""
+    images, bitwise those of `forward(carry)`.
+
+    Each pass has two kernels, chosen by the shape of its input.  A point
+    (a scalar or a 0-d array) runs one Python loop over the steps.  Its
+    quotient x w / (x - w) is numpy scalar arithmetic, as the step
+    parameters are numpy floats and numpy's complex division rounds apart
+    from Python's; the fold and the square are Python complex arithmetic,
+    and the root is one numpy scalar square root (`_sqrt_cut_pos_scalar`).
+    An array (the build's tail, and a batch) runs each step as numpy
+    operations written in place, in the same order as on a point.  The
+    kernels round apart in the last bits, since numpy's array loops may
+    fuse the multiply-adds of a complex product and its scalar arithmetic
+    does not; an array row does not depend on its batch."""
 
     def __init__(self, pts: np.ndarray, z0: complex, carry=()):
         self.p0 = complex(pts[0])
@@ -267,6 +289,7 @@ class _GeodesicChain:
         q = self._base(np.concatenate((np.asarray(pts[2:], dtype=complex), [complex(z0)],
                                        np.asarray(carry, dtype=complex))))
         p0_img = None  # at infinity until a finite Moebius moves it
+        t = np.empty_like(q)
 
         for k in range(n - 2):
             a = q[k]
@@ -277,7 +300,7 @@ class _GeodesicChain:
             x = a2 / a.real if abs(a.real) > 1e-300 * a2 else None
             h = a2 / a.imag
             self.steps.append((x, h))
-            q[k + 1:] = self._g(q[k + 1:], x, h)
+            self._g(q[k + 1:], x, h, t[k + 1:])
             p0_img = self._g_point_or_inf(p0_img, x, h)
         if p0_img is None:
             raise NonConvergence("base point image remained at infinity")
@@ -295,10 +318,23 @@ class _GeodesicChain:
         self.carried = self._close(q[n - 1:])
 
     @staticmethod
-    def _g(w, x, h):
-        m = w if x is None else x * w / (x - w)
-        m = m.real + 1j * np.abs(m.imag)  # half-plane invariance up to roundoff
-        return _sqrt_cut_pos(m * m + h * h)
+    def _g(w, x, h, t):
+        """One step on the complex array w, written into w and returned; t
+        is scratch of w's shape.  No product writes over one of its factors:
+        numpy's complex multiply rounds differently on a one-element array
+        that is also its output, and a row must not depend on its batch.
+        The fold onto the closed upper half-plane (invariant up to roundoff)
+        takes |Im m| in place; for finite m it gives the bits of
+        m.real + 1j * |m.imag|, since m * m + h * h maps either sign of a
+        zero real part to the same value."""
+        if x is not None:
+            np.subtract(x, w, out=t)
+            np.multiply(x, w, out=w)
+            np.divide(w, t, out=w)
+        np.absolute(w.imag, out=w.imag)
+        np.multiply(w, w, out=t)
+        np.add(t, h * h, out=w)
+        return _sqrt_cut_pos(w, out=w)
 
     @staticmethod
     def _g_point_or_inf(w, x, h):
@@ -319,17 +355,28 @@ class _GeodesicChain:
             # boundary value: side resolved by the sign of m
             root = math.sqrt(s.real)
             return complex(math.copysign(root, m.real), 0.0)
-        return complex(_sqrt_cut_pos(s))
+        return _sqrt_cut_pos_scalar(s)
 
     def _base(self, z):
         u = (z - self.p1) / (z - self.p0)
         return 1j * np.sqrt(u)
 
     def forward(self, z):
-        w = self._base(np.asarray(z, dtype=complex))
-        w = w.real + 1j * np.abs(w.imag)
+        z = np.asarray(z, dtype=complex)
+        w = self._base(z)
+        if z.ndim:
+            np.absolute(w.imag, out=w.imag)
+            t = np.empty_like(w)
+            for x, h in self.steps:
+                self._g(w, x, h, t)
+            return self._close(w)
+        w = w.real + 1j * abs(w.imag)
         for x, h in self.steps:
-            w = self._g(w, x, h)
+            # numpy's quotient (x is a numpy float); the rest of the step
+            # runs cheaper on a Python complex
+            m = w if x is None else complex(x * w / (x - w))
+            m = m.real + 1j * abs(m.imag)
+            w = _sqrt_cut_pos_scalar(m * m + h * h)
         return self._close(w)
 
     def _close(self, w):
@@ -343,18 +390,47 @@ class _GeodesicChain:
         u = (z - self.p1) / (z - self.p0)
         du = (self.p1 - self.p0) / (z - self.p0) ** 2
         dw = 1j * du / (2.0 * np.sqrt(u))
-        for x, h in self.steps:
-            if x is None:
-                m, dm = w, dw
-            else:
-                m = x * w / (x - w)
-                dm = dw * x * x / (x - w) ** 2
-            m = m.real + 1j * np.abs(m.imag)
-            w = _sqrt_cut_pos(m * m + h * h)
-            dw = m * dm / w
+        if z.ndim:
+            w, dw = self._steps_with_derivative(w, dw)
+        else:
+            for x, h in self.steps:
+                if x is None:
+                    m, dm = w, dw
+                else:
+                    m = complex(x * w / (x - w))
+                    # dm, and so dw, stay numpy scalars: their divisions are numpy's
+                    dm = dw * x * x / (x - w) ** 2
+                m = m.real + 1j * abs(m.imag)
+                w = _sqrt_cut_pos_scalar(m * m + h * h)
+                dw = m * dm / w
         nu = self.xi * w / (self.xi - w)
         dnu = dw * self.xi * self.xi / (self.xi - w) ** 2
         return self.sgn * nu * nu, self.sgn * 2.0 * nu * dnu
+
+    def _steps_with_derivative(self, w, dw):
+        """The steps and their chain rule on the arrays w and dw, in place:
+        per step m = x w / (x - w), dm = dw x x / (x - w)^2, the fold of m,
+        w = sqrt_cut(m m + h h) and dw = m dm / w, with no product written
+        over one of its factors (see `_g`).  t holds x - w, then the new w,
+        and trades places with w."""
+        t, s = np.empty_like(w), np.empty_like(w)
+        for x, h in self.steps:
+            if x is not None:
+                np.subtract(x, w, out=t)
+                np.multiply(x, w, out=w)
+                np.divide(w, t, out=w)
+                np.multiply(dw, x, out=dw)
+                np.multiply(dw, x, out=dw)
+                np.square(t, out=s)
+                np.divide(dw, s, out=dw)
+            np.absolute(w.imag, out=w.imag)
+            np.multiply(w, w, out=t)
+            np.add(t, h * h, out=t)
+            _sqrt_cut_pos(t, out=t)
+            np.multiply(w, dw, out=s)
+            np.divide(s, t, out=dw)
+            w, t = t, w
+        return w, dw
 
     def inverse(self, w):
         w = np.asarray(w, dtype=complex)
@@ -363,11 +439,24 @@ class _GeodesicChain:
         else:
             u = np.sqrt(w)
         v = self.xi * u / (self.xi + u)
-        for x, h in reversed(self.steps):
-            v = _sqrt_cut_pos(v * v - h * h)
-            v = v.real + 1j * np.abs(v.imag)
-            if x is not None:
-                v = x * v / (x + v)
+        if w.ndim:
+            t = np.empty_like(v)
+            for x, h in reversed(self.steps):
+                np.multiply(v, v, out=t)
+                np.subtract(t, h * h, out=t)
+                _sqrt_cut_pos(t, out=t)
+                np.absolute(t.imag, out=t.imag)
+                if x is not None:
+                    np.add(x, t, out=v)
+                    np.multiply(x, t, out=t)
+                    np.divide(t, v, out=t)
+                v, t = t, v
+        else:
+            for x, h in reversed(self.steps):
+                v = _sqrt_cut_pos_scalar(v * v - h * h)
+                v = v.real + 1j * abs(v.imag)
+                if x is not None:
+                    v = x * v / (x + v)
         u1 = -v * v
         return (self.p1 - u1 * self.p0) / (1.0 - u1)
 

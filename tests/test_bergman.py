@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -574,6 +575,74 @@ class TestAnnulusPairKernel:
             w = complex(np.exp(rng.uniform(-0.99, 0.99) * math.log(2.0)))
             assert kern.pair(z, z) == pytest.approx(kern.diagonal(z), rel=1e-13)
             assert kern.pair(w, z) == pytest.approx(kern.pair(z, w).conjugate(), rel=1e-14)
+
+
+def laurent_pair(r, z, w, terms=6):
+    """Independent K(z, w) oracle on A_r: the Laurent series
+    sum_n (z conj(w))^n / ||z^n||^2 with ||z^n||^2 = pi (r^(2n+2) - r^-(2n+2)) / (n + 1)
+    and 4 pi log r for n = -1, each term formed in log space so that r may
+    be near the largest float."""
+    lr = math.log(r)
+    L = cmath.log(z) + cmath.log(complex(w).conjugate())
+    total = cmath.exp(-L) / (4.0 * lr)
+    for n in range(-terms, terms):
+        if n != -1:
+            e = abs(2 * n + 2) * lr
+            total += abs(n + 1) * cmath.exp(n * L - e) / -math.expm1(-2.0 * e)
+    return total / math.pi
+
+
+class TestAnnulusPairRange:
+    """K(z, w) keeps its bits where (z / p)(conj(w) / p) is a normal float,
+    and stays in the floats where it is not, for r up to 1e300."""
+
+    PINS = os.path.join(os.path.dirname(__file__), "data", "annulus_pair_bits.json")
+
+    @staticmethod
+    def _cases(r):
+        """Eight (z, w) pairs in A_r: moduli spread over (1/r, r), four near
+        the circles."""
+        rng = np.random.default_rng(int(r))
+        lr = math.log(r)
+        mods = np.exp(lr * np.concatenate((rng.uniform(-0.95, 0.95, 4),
+                                           [0.999, -0.999, 0.9999, -0.9999])))
+        zs = mods * np.exp(2j * math.pi * rng.uniform(size=8))
+        ws = np.exp(lr * rng.uniform(-0.95, 0.95, 8)) * np.exp(2j * math.pi * rng.uniform(size=8))
+        return list(zip(zs.tolist(), ws.tolist()))
+
+    def test_pinned_bits(self):
+        import json
+
+        def hx(v):
+            v = complex(v)
+            return [v.real.hex(), v.imag.hex()]
+
+        with open(self.PINS) as fh:
+            pins = json.load(fh)
+        for r in (2.0, 5.0, 100.0):
+            kern, cases = AnnulusKernel(r), self._cases(r)
+            assert [hx(kern.pair(z, w)) for z, w in cases] == pins[repr(r)]["points"], r
+            batch = kern.pair(np.array([z for z, _ in cases]), cases[0][1])
+            assert [hx(v) for v in batch] == pins[repr(r)]["batch"], r
+
+    @pytest.mark.parametrize("r, z, w", [
+        (1e200, 1.0, 1.0), (1e200, 1j, 1.0), (1e200, 1e100, 1e-50), (1e200, 1e-150, 3 + 4j),
+        (1e300, 1e150, 1.0), (1e300, 1e-250, 1e249), (1e300, 1e250, 1e-260)])
+    def test_huge_r_matches_the_laurent_series(self, r, z, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = AnnulusKernel(r).pair(z, w)
+        want = laurent_pair(r, z, w)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_huge_r_diagonal_and_batch(self):
+        kern = AnnulusKernel(1e200)
+        assert kern.pair(1.0, 1.0) == pytest.approx(kern.diagonal(1.0), rel=1e-13)
+        zs = np.array([1.0, 1j, 0.5 + 0.5j, 1e100, 1e-150])
+        batch = kern.pair(zs, 1.0)
+        points = np.array([kern.pair(complex(z), 1.0) for z in zs])
+        assert np.all(np.isfinite(batch))
+        assert np.all(np.abs(batch - points) <= 1e-12 * np.abs(points))
 
 
 def test_no_scipy_module_is_imported():
