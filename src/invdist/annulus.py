@@ -62,9 +62,26 @@ def theta_product(x, p: float):
 
 
 def _check_in(r, z):
+    """DomainViolation unless 1/r < |z| < r: the one membership check of
+    the annulus routes."""
     a = abs(z)
     if not (1.0 / r < a < r):
         raise DomainViolation(f"point {z} outside the annulus 1/{r} < |z| < {r}")
+
+
+def _pointwise(r: float, z, f):
+    """f at a point or at an array of points of A_r, f(z, xp) written once
+    for both: xp is math at a point, which must lie inside (DomainViolation
+    otherwise), and numpy on an array, whose points outside give inf.  In
+    their place f sees (1 + r) / 2, within a factor 2 of the outer circle,
+    where every f here is well conditioned on every A_r."""
+    if np.isscalar(z) or isinstance(z, complex):
+        _check_in(r, z)
+        return f(complex(z), math)
+    z = np.asarray(z, dtype=complex)
+    a = np.abs(z)
+    inside = (a > 1.0 / r) & (a < r)
+    return np.where(inside, f(np.where(inside, z, 0.5 * (1.0 + r)), np), np.inf)
 
 
 def deck_distances(r: float, z: complex, w: complex, n_deck: int = 16):
@@ -85,19 +102,16 @@ def annulus_kobayashi_distance(r: float, z: complex, w: complex) -> float:
 def annulus_kobayashi_metric(r: float, z, X=1.0):
     """kappa_{A_r}(z; X) by covering pullback: strip density at the lift.
 
-    Vectorized over arrays of points and directions.
+    Vectorized over arrays of points and directions (see _pointwise).
     """
     L = math.log(r)
-    if np.isscalar(z) or isinstance(z, complex):
-        _check_in(r, z)
+
+    def kappa(z, xp):
         a = abs(z)
-        lam = (math.pi / (4.0 * L)) / math.cos(math.pi * math.log(a) / (2.0 * L))
+        lam = (math.pi / (4.0 * L)) / xp.cos(math.pi * xp.log(a) / (2.0 * L))
         return lam * abs(X) / a
-    a = np.abs(np.asarray(z, dtype=complex))
-    inside = (a > 1.0 / r) & (a < r)
-    a_safe = np.where(inside, a, 1.0)
-    lam = (math.pi / (4.0 * L)) / np.cos(math.pi * np.log(a_safe) / (2.0 * L))
-    return np.where(inside, lam * np.abs(X) / a_safe, np.inf)
+
+    return _pointwise(r, z, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 from . import _np as np
 
-from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, chart
-from .domains import Annulus
-from .errors import DegenerateInput, DomainViolation, NonConvergence, UnsupportedDomain
+from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, _dispatch
+from .errors import DegenerateInput, NonConvergence
 
 __all__ = [
     "bergman_kernel",
@@ -45,6 +44,12 @@ __all__ = [
 
 _TOL = 1e-17     # bound on each dropped term of the kernel series; S >= 1 on the diagonal
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+_EPS = sys.float_info.epsilon
+_HESS_TOL = 1e-8     # largest relative rounding estimate log_diag_hessian accepts
+# below this r, K and H stay floats: |z| > 1 / r, and on the diagonal t > 4e-16
+# unless it is 0, so the csc^2 term bounds (k / 2)^2 S and (log S)'' by
+# ~5 / t^2 < 3e31, and K, H by 3e31 r^2
+_R_FLOATS = 1e137
 
 
 @dataclass
@@ -72,8 +77,9 @@ class AnnulusKernel:
         self._k = math.pi / (2.0 * math.log(self.r))
 
     def _series(self, t, y: float, order: int = 0):
-        """S(t), or (S, S', S'') for order 2 with the series differentiated
-        termwise, at t with 0 <= Im t <= y: Im t >= 0 keeps |exp(ikt)| <= 1,
+        """S(t), or for order 2 (S, S', S'') with the series differentiated
+        termwise and the sums of their terms' magnitudes, which bound their
+        rounding; at t with 0 <= Im t <= y: Im t >= 0 keeps |exp(ikt)| <= 1,
         so the csc^2 term cannot overflow."""
         k, n = self._k, 1
         while (n * (1.0 + (n * k) ** 2) * math.exp(-n * k * (2.0 * math.pi - y))
@@ -91,8 +97,10 @@ class AnnulusKernel:
         if order == 0:
             return s
         cot = 1j * (v + 1.0) / e
-        return (s, -k * c * cot - np.sin(kt) @ (b * nk),
-                k * k * c * (1.5 * c - 1.0) - cos @ (b * nk * nk))
+        c1, c2 = -k * c * cot, k * k * c * (1.5 * c - 1.0)
+        b1, b2 = b * nk, b * nk * nk        # all b < 0
+        return ((s, c1 - np.sin(kt) @ b1, c2 - cos @ b2),
+                (abs(c) - b.sum(), abs(c1) - b @ nk, abs(c2) - b1 @ nk))
 
     def _diagonal_t(self, z):
         """|z| and t = 2 log|zeta| moved by a period to the nearer circle,
@@ -103,20 +111,42 @@ class AnnulusKernel:
         return a, 2.0 * np.log(np.minimum(r / np.maximum(a, 1.0), np.minimum(a, 1.0) * r))
 
     def diagonal(self, z):
-        """K(z) for a scalar or array z."""
+        """K(z) for a scalar or array z; DegenerateInput where K is beyond the
+        largest float (near the inner circle of A_r for r past ~1e137)."""
         a, t = self._diagonal_t(z)
-        out = (0.5 * self._k) ** 2 * self._series(t, 0.0).real / (math.pi * a) / a
+        out = self._quotient((0.5 * self._k) ** 2 * self._series(t, 0.0).real, math.pi * a, a,
+                             f"the Bergman kernel at {z}")
         return out if np.ndim(out) else float(out)
+
+    def _quotient(self, x, b, a, what: str):
+        """x / b / a on the diagonal, and DegenerateInput where it passes the
+        largest float, which only an r past _R_FLOATS allows (the check and
+        numpy's silenced overflow are skipped below it)."""
+        if self.r <= _R_FLOATS:
+            return x / b / a
+        with np.errstate(over="ignore"):
+            out = x / b / a
+        if not np.isfinite(out).all():
+            raise DegenerateInput(f"{what} is beyond the largest float")
+        return out
 
     def pair(self, z, w: complex):
         """K(z, w) for a scalar or array z and a scalar w; the series is cut
-        for the batch's largest |arg(z conj(w))|."""
+        for the batch's largest |arg(z conj(w))|.  DegenerateInput where the
+        denominator pi z conj(w) or K leaves the normal floats (K is then
+        beyond the largest float, or would come out of a rounded product)."""
         z = np.asarray(z, dtype=complex)
         w = complex(w)
         t = self._pair_t(z, w)
         t = t * np.copysign(1.0, t.imag)  # Im t >= 0, as S is even
         s = self._series(t, float(np.max(t.imag, initial=0.0)))
-        out = (0.5 * self._k) ** 2 * s / (math.pi * z * w.conjugate())
+        with np.errstate(all="ignore"):     # what leaves the floats is refused below
+            den = math.pi * z * w.conjugate()
+            out = (0.5 * self._k) ** 2 * s / den
+        size = np.abs(den)
+        if not np.all(np.isfinite(out) & (size >= _FLOAT_MIN) & (size <= _FLOAT_MAX)):
+            raise DegenerateInput("the annulus kernel K(z, w) or its denominator "
+                                  "pi z conj(w) leaves the floats")
         return out if out.shape else complex(out)
 
     def _pair_t(self, z, w: complex):
@@ -140,23 +170,26 @@ class AnnulusKernel:
 
     def log_diag_hessian(self, z):
         """d^2/dz dzbar of log K at z: log|z|^2 is harmonic and t = 2 log|zeta|,
-        so it is (log S)''(t) / |z|^2 = (S'' / S - (S' / S)^2) / |z|^2."""
+        so it is H = (log S)''(t) / |z|^2 = (S'' / S - (S' / S)^2) / |z|^2.
+
+        On thick annuli the terms of each sum and the two terms of H cancel
+        away from the circles.  NonConvergence where the rounding of the
+        series sums, carried through that difference, is above _HESS_TOL of
+        it (at the core circle from r ~ 2e5; on A_100 it stays below 2e-14),
+        and DegenerateInput where H is beyond the largest float (near the
+        inner circle of A_r for r past ~1e137)."""
         a, t = self._diagonal_t(z)
-        s, s1, s2 = self._series(t, 0.0, 2)
-        g = s1 / s
-        out = (s2 / s - g * g).real / a / a
+        (s, s1, s2), (m0, m1, m2) = self._series(t, 0.0, 2)
+        g, h = s1 / s, s2 / s
+        d = (h - g * g).real
+        out = self._quotient(d, a, a, f"the Bergman metric's log K Hessian at {z}")
+        # each sum's rounding, eps times its terms' magnitudes, carried through d
+        ag = abs(g)
+        err = _EPS * (m2 + 2.0 * ag * m1 + (abs(h) + 2.0 * ag * ag) * m0) / abs(s)
+        if not (d * _HESS_TOL > err).all():
+            raise NonConvergence("the Bergman metric's (log S)'' = S''/S - (S'/S)^2 cancels "
+                                 "past the digits of its terms (a thick annulus)")
         return out if np.ndim(out) else float(out)
-
-
-_KERNELS: dict = {}
-
-
-def _annulus_kernel(r: float) -> AnnulusKernel:
-    k = _KERNELS.get(r)
-    if k is None:
-        k = AnnulusKernel(r)
-        _KERNELS[r] = k
-    return k
 
 
 # |f'| and q whose squares are normal floats
@@ -169,23 +202,20 @@ def bergman_kernel(domain, z) -> float:
     On a chart, K = |f'|^2 / (pi q^2); where a square would leave the normal
     floats it is formed as (|f'| / q)^2 / pi, and DegenerateInput is raised
     where K itself is beyond the largest float."""
-    m = chart(domain)
-    if m is not None:
-        df, q = _chart_jet(m, z)
-        a = abs(df)
-        if _SQ_LO < a < _SQ_HI and _SQ_LO < q < _SQ_HI:
-            k = a ** 2 / (math.pi * q ** 2)
-        else:
-            t = a / q
-            k = t * (t / math.pi)
-        if k == math.inf:
-            raise DegenerateInput(f"the Bergman kernel at {z} is beyond the largest float")
-        return k
-    if isinstance(domain, Annulus):
-        if not domain.contains(z):
-            raise DomainViolation("point outside the annulus")
-        return _annulus_kernel(domain.r).diagonal(complex(z))
-    raise UnsupportedDomain(f"bergman kernel unsupported on {type(domain).__name__}")
+    return _dispatch(domain, _chart_kernel, "_bergman_kernel", "bergman kernel", z)
+
+
+def _chart_kernel(m, z) -> float:
+    df, q = _chart_jet(m, z)
+    a = abs(df)
+    if _SQ_LO < a < _SQ_HI and _SQ_LO < q < _SQ_HI:
+        k = a ** 2 / (math.pi * q ** 2)
+    else:
+        t = a / q
+        k = t * (t / math.pi)
+    if k == math.inf:
+        raise DegenerateInput(f"the Bergman kernel at {z} is beyond the largest float")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +225,12 @@ def bergman_kernel(domain, z) -> float:
 
 def bergman_metric(domain, z, X=1.0) -> float:
     """beta_D(z; X) = |X| sqrt(d^2 log K / dz dzbar)."""
-    m = chart(domain)
-    if m is not None:
-        df, q = _chart_jet(m, z)
-        return math.sqrt(2.0) * abs(df * X) / q
-    if isinstance(domain, Annulus):
-        if np.isscalar(z) or isinstance(z, complex):
-            if not domain.contains(z):
-                raise DomainViolation("point outside the annulus")
-            h = _annulus_kernel(domain.r).log_diag_hessian(complex(z))
-            return abs(X) * math.sqrt(max(h, 0.0))
-        z = np.asarray(z, dtype=complex)
-        a = np.abs(z)
-        inside = (a > 1.0 / domain.r) & (a < domain.r)
-        z_safe = np.where(inside, z, 1.0)
-        h = _annulus_kernel(domain.r).log_diag_hessian(z_safe)
-        return np.where(inside, np.abs(X) * np.sqrt(np.maximum(h, 0.0)), np.inf)
-    raise UnsupportedDomain(f"bergman metric unsupported on {type(domain).__name__}")
+    return _dispatch(domain, _chart_metric, "_bergman_metric", "bergman metric", z, X)
+
+
+def _chart_metric(m, z, X) -> float:
+    df, q = _chart_jet(m, z)
+    return math.sqrt(2.0) * abs(df * X) / q
 
 
 def bergman_field(domain) -> MetricField:
@@ -363,14 +382,11 @@ def bergman_distance(domain, z, w) -> CertifiedValue:
     shortest_path_length, an estimate whose error is its quadrature gap
     (none at z = w).
     """
-    m = chart(domain)
-    if m is not None:
-        c = _chart_distance(m, z, w)
-        root2 = math.sqrt(2.0)
-        return CertifiedValue(root2 * c.lo, root2 * c.hi, c.method,
-                              root2 * c.error_estimate)
-    if isinstance(domain, Annulus):
-        if not (domain.contains(z) and domain.contains(w)):
-            raise DomainViolation("points must lie inside the annulus")
-        return shortest_path_length(bergman_field(domain), domain.r, z, w)
-    raise UnsupportedDomain(f"bergman distance unsupported on {type(domain).__name__}")
+    return _dispatch(domain, _chart_bergman_distance, "_bergman_distance", "bergman distance",
+                     z, w)
+
+
+def _chart_bergman_distance(m, z, w) -> CertifiedValue:
+    c = _chart_distance(m, z, w)
+    root2 = math.sqrt(2.0)
+    return CertifiedValue(root2 * c.lo, root2 * c.hi, c.method, root2 * c.error_estimate)

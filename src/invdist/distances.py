@@ -19,17 +19,8 @@ from . import _np as np
 
 from . import annulus as _ann
 from .conformal import ConformalMap
-from .domains import (
-    Annulus,
-    Ball,
-    CnDomain,
-    Disc,
-    HalfPlane,
-    JordanDomain,
-    Polydisc,
-    Sector,
-    two_disc_hull,
-)
+from .domains import (Disc, HalfPlane, JordanDomain, Sector, _atanh_stable, poincare_distance,
+                      two_disc_hull)
 from .errors import DegenerateInput, DomainViolation, UnsupportedDomain
 
 __all__ = [
@@ -115,23 +106,9 @@ _SECTOR_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 # ---------------------------------------------------------------------------
-# Poincare distance on the disc
+# hyperbolic distance on the half-plane (the disc's, poincare_distance, is in
+# domains, beside the C^n closed forms that take it)
 # ---------------------------------------------------------------------------
-
-
-def _atanh_stable(rho: float) -> float:
-    if rho >= 1.0:
-        raise DomainViolation("pseudodistance argument reached 1")
-    return 0.5 * (math.log1p(rho) - math.log1p(-rho))
-
-
-def poincare_distance(z: complex, w: complex) -> float:
-    """Hyperbolic distance tanh^{-1} |(z - w) / (1 - conj(z) w)| on the unit disc."""
-    z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise DomainViolation("poincare distance needs |z|, |w| < 1")
-    rho = abs((z - w) / (1.0 - z.conjugate() * w))
-    return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
 
 
 def halfplane_hyperbolic_distance(a: complex, b: complex) -> float:
@@ -171,6 +148,8 @@ def _halfplane_log_distance(la: complex, lb: complex) -> float:
 def chart(domain) -> ConformalMap | None:
     """The conformal chart of a simply connected planar domain: its kind's
     `_chart`, or None on the annulus, a C^n domain or any other object.
+    Every invariant pulls back through it where there is one, and otherwise
+    takes the domain's own method (see `_dispatch`).
 
     Discs, Jordan domains and two-disc hulls map onto the unit disc (Jordan
     domains by their shared Riemann map, normalized at the anchor).  The
@@ -182,6 +161,25 @@ def chart(domain) -> ConformalMap | None:
     not see it); later calls return that same map.
     """
     return getattr(domain, "_chart", None)
+
+
+def _route(domain, name: str, what: str):
+    """The domain's own method for an invariant, found by name as `chart`
+    finds `_chart`; UnsupportedDomain naming `what` when it has none.  Each
+    route checks its points' membership once, itself."""
+    method = getattr(domain, name, None)
+    if method is None:
+        raise UnsupportedDomain(f"{what} unsupported on {type(domain).__name__}")
+    return method
+
+
+def _dispatch(domain, pullback, name: str, what: str, *args):
+    """The one rule by which every invariant reaches a domain:
+    pullback(chart, *args) where the domain has a chart, else its own
+    method `name` (`_caratheodory`, `_lempert`, `_kobayashi`,
+    `_bergman_kernel`, `_bergman_metric`, `_bergman_distance`)."""
+    m = chart(domain)
+    return pullback(m, *args) if m is not None else _route(domain, name, what)(*args)
 
 
 def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
@@ -305,8 +303,7 @@ _ANN_CACHE: dict = {}
 def _annulus_engine(r: float) -> _ann.AnnulusCaratheodory:
     eng = _ANN_CACHE.get(r)
     if eng is None:
-        eng = _ann.AnnulusCaratheodory(r)
-        _ANN_CACHE[r] = eng
+        eng = _ANN_CACHE[r] = _ann.AnnulusCaratheodory(r)
     return eng
 
 
@@ -322,34 +319,15 @@ def annulus_caratheodory(r: float, z: complex, w: complex) -> CertifiedValue:
     return CertifiedValue(lo, hi, "interval", hi - lo)
 
 
-def _annulus_lempert(r: float, z: complex, w: complex) -> CertifiedValue:
-    return CertifiedValue.exact(_ann.annulus_kobayashi_distance(r, z, w), "covering")
-
-
-def _distance(name, annulus_route, domain, z, w) -> CertifiedValue:
-    """c = l on a C^n model or through a chart; on the annulus, where c < l,
-    annulus_route(r, z, w) gives the named distance."""
-    if isinstance(domain, CnDomain):
-        _require_inside(domain, z, w)
-        return CertifiedValue.exact(cn_model_distance(domain, z, w))
-    m = chart(domain)
-    if m is not None:
-        return _chart_distance(m, z, w)
-    _require_inside(domain, z, w)
-    if isinstance(domain, Annulus):
-        return annulus_route(domain.r, z, w)
-    raise UnsupportedDomain(f"{name} unsupported on {type(domain).__name__}")
-
-
 def caratheodory(domain, z, w) -> CertifiedValue:
     """Caratheodory distance c_D(z, w) on the tanh^{-1} scale."""
-    return _distance("caratheodory", annulus_caratheodory, domain, z, w)
+    return _dispatch(domain, _chart_distance, "_caratheodory", "caratheodory", z, w)
 
 
 def lempert(domain, z, w) -> CertifiedValue:
     """Lempert function l_D(z, w); equals the Kobayashi distance on all
     planar catalog variants and on Ball / Polydisc."""
-    return _distance("lempert", _annulus_lempert, domain, z, w)
+    return _dispatch(domain, _chart_distance, "_lempert", "lempert", z, w)
 
 
 def hull_distance(z, d_z, w, d_w) -> float:
@@ -386,50 +364,15 @@ def hull_distance(z, d_z, w, d_w) -> float:
 
 def kobayashi_metric(domain, z, X=1.0) -> float:
     """Infinitesimal Kobayashi metric kappa_D(z; X)."""
-    if isinstance(domain, CnDomain):
-        return _cn_kobayashi_metric(domain, z, X)
-    m = chart(domain)
-    if m is not None:
-        df, q = _chart_jet(m, z)
-        return abs(df) * abs(X) / q
-    if isinstance(domain, Annulus):
-        _require_inside(domain, z)
-        return _ann.annulus_kobayashi_metric(domain.r, complex(z), X)
-    raise UnsupportedDomain(f"kobayashi metric unsupported on {type(domain).__name__}")
+    return _dispatch(domain, _chart_kobayashi, "_kobayashi", "kobayashi metric", z, X)
 
 
-def _cn_kobayashi_metric(domain, z, X):
-    z = domain._point(z)
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (domain.dim,):
-        raise DegenerateInput(f"a direction on this domain is a vector of {domain.dim} "
-                              f"coordinates, got shape {X.shape}")
-    if isinstance(domain, Ball):
-        u = (z - domain._center) / domain.radius
-        V = X / domain.radius
-        nu2 = float(np.vdot(u, u).real)
-        if nu2 >= 1.0:
-            raise DomainViolation("point outside the ball")
-        ip = complex(np.vdot(u, V))  # <V, u>
-        nv2 = float(np.vdot(V, V).real)
-        val = (nv2 * (1.0 - nu2) + abs(ip) ** 2) / (1.0 - nu2) ** 2
-        return math.sqrt(val)
-    if isinstance(domain, Polydisc):
-        best = 0.0
-        for zi, Xi, ci, ri in zip(z, X, domain.center, domain.radii):
-            ui = (zi - ci) / ri
-            if abs(ui) >= 1.0:
-                raise DomainViolation("point outside the polydisc")
-            best = max(best, abs(Xi) / ri / (1.0 - abs(ui) ** 2))
-        return best
-    raise UnsupportedDomain("kobayashi metric on C^n supports Ball and Polydisc")
+def _chart_kobayashi(m: ConformalMap, z, X) -> float:
+    df, q = _chart_jet(m, z)
+    return abs(df) * abs(X) / q
 
 
 def kobayashi_field(domain) -> MetricField:
-    if isinstance(domain, Annulus):
-        return MetricField("kobayashi",
-                           lambda z, X=1.0: _ann.annulus_kobayashi_metric(domain.r, z, X),
-                           domain)
     return MetricField("kobayashi", lambda z, X=1.0: kobayashi_metric(domain, z, X), domain)
 
 
@@ -440,22 +383,4 @@ def kobayashi_field(domain) -> MetricField:
 
 def cn_model_distance(domain, z, w) -> float:
     """Kobayashi (= Caratheodory) distance on Ball and Polydisc, closed form."""
-    if not isinstance(domain, (Ball, Polydisc)):
-        raise UnsupportedDomain("cn_model_distance supports Ball and Polydisc")
-    z = domain._point(z)
-    w = domain._point(w)
-    if isinstance(domain, Ball):
-        u = (z - domain._center) / domain.radius
-        v = (w - domain._center) / domain.radius
-        nu = float(np.vdot(u, u).real)
-        nv = float(np.vdot(v, v).real)
-        if nu >= 1.0 or nv >= 1.0:
-            raise DomainViolation("points must lie in the open ball")
-        ip = complex(np.vdot(v, u))  # <u, v>
-        rho2 = 1.0 - (1.0 - nu) * (1.0 - nv) / abs(1.0 - ip) ** 2
-        rho = math.sqrt(max(rho2, 0.0))
-        return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
-    best = 0.0
-    for zi, wi, ci, ri in zip(z, w, domain.center, domain.radii):
-        best = max(best, poincare_distance((zi - ci) / ri, (wi - ci) / ri))
-    return best
+    return _route(domain, "_model_distance", "cn_model_distance")(z, w)

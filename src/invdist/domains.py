@@ -18,6 +18,7 @@ from . import _np as np
 
 from .errors import (
     DegenerateInput,
+    DomainViolation,
     InvalidDomain,
     NonConvergence,
     SchemaError,
@@ -62,12 +63,22 @@ class PlanarDomain:
 
     Each kind is one class that holds all it needs: its geometry
     (`boundary_distance`, `contains`); `_chart`, its conformal chart (see
-    `distances.chart`; a kind without one, the annulus, has none);
+    `distances.chart`; the annulus, which has none, sets it to None);
     `to_json()`, its JSON description, which `domain_from_json` reads
     back; and, where the samplers draw from it, `_proposal()`: a draw(rng)
     giving one candidate point per call, and whether a candidate must pass
     `contains` before its boundary distance is taken (see
     `bounds.sample_interior`).
+
+    The invariants (`caratheodory`, `lempert`, `kobayashi_metric`,
+    `kobayashi_field`, `cn_model_distance`, `bergman_kernel`,
+    `bergman_metric`, `bergman_distance`) pull back through `_chart` where
+    a kind has one: the disc, half-plane, sector, slit plane, two-disc
+    hull and Jordan domain.  A kind without a chart answers through methods
+    of its own, found by name (see `distances._dispatch`): the annulus has
+    `_caratheodory`, `_lempert`, `_kobayashi`, `_bergman_kernel`,
+    `_bergman_metric` and `_bergman_distance`.  An invariant a kind has no
+    route for raises UnsupportedDomain.
     """
 
     dim = 1
@@ -221,6 +232,50 @@ class Annulus(PlanarDomain):
 
     def to_json(self):
         return {"kind": "annulus", "r": self.r}
+
+    # the routes of the invariants on A_r, which has no chart: the theta
+    # products, the covering strip and the Weierstrass kernel series.  Each
+    # imports its module on the call, by absolute name: a relative import
+    # resolves the package through importlib on every call (~4 us cold)
+
+    _chart = None
+
+    def _caratheodory(self, z, w):
+        import invdist.distances as ds
+
+        return ds.annulus_caratheodory(self.r, z, w)
+
+    def _lempert(self, z, w):
+        import invdist.annulus as ann
+        import invdist.distances as ds
+
+        return ds.CertifiedValue.exact(ann.annulus_kobayashi_distance(self.r, z, w), "covering")
+
+    def _kobayashi(self, z, X):
+        import invdist.annulus as ann
+
+        return ann.annulus_kobayashi_metric(self.r, z, X)
+
+    def _bergman_kernel(self, z):
+        import invdist.annulus as ann
+        import invdist.bergman as bg
+
+        return ann._pointwise(self.r, z, lambda z, xp: bg.AnnulusKernel(self.r).diagonal(z))
+
+    def _bergman_metric(self, z, X):
+        import invdist.annulus as ann
+        import invdist.bergman as bg
+
+        kernel = bg.AnnulusKernel(self.r)
+        return ann._pointwise(self.r, z, lambda z, xp: abs(X) * xp.sqrt(kernel.log_diag_hessian(z)))
+
+    def _bergman_distance(self, z, w):
+        import invdist.annulus as ann
+        import invdist.bergman as bg
+
+        ann._check_in(self.r, z)
+        ann._check_in(self.r, w)
+        return bg.shortest_path_length(bg.bergman_field(self), self.r, z, w)
 
     def _proposal(self):
         r = self.r
@@ -830,14 +885,45 @@ def lens_domain(rho: float) -> JordanDomain:
 
 
 # ---------------------------------------------------------------------------
+# Poincare distance on the disc: the disc charts' target and the C^n closed
+# forms take it
+# ---------------------------------------------------------------------------
+
+
+def _atanh_stable(rho: float) -> float:
+    if rho >= 1.0:
+        raise DomainViolation("pseudodistance argument reached 1")
+    return 0.5 * (math.log1p(rho) - math.log1p(-rho))
+
+
+def poincare_distance(z: complex, w: complex) -> float:
+    """Hyperbolic distance tanh^{-1} |(z - w) / (1 - conj(z) w)| on the unit disc."""
+    z, w = complex(z), complex(w)
+    if abs(z) >= 1.0 or abs(w) >= 1.0:
+        raise DomainViolation("poincare distance needs |z|, |w| < 1")
+    rho = abs((z - w) / (1.0 - z.conjugate() * w))
+    return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
 # C^n variants
 # ---------------------------------------------------------------------------
 
 
 class CnDomain:
     """Base class for domains in C^n (points are complex numpy vectors).
-    Its kinds have no chart, and answer `to_json()` and `_proposal()` as
-    the planar ones do (see PlanarDomain)."""
+    Its kinds have no chart (`_chart` is None), and answer `to_json()` and
+    `_proposal()` as the planar ones do (see PlanarDomain).
+
+    The invariants reach a kind through methods of its own (see
+    PlanarDomain): here `_caratheodory` = `_lempert`, the exact closed form
+    for two points that pass `contains`, and `_point`, the shape check of
+    points and directions; on Ball and Polydisc, that closed form
+    `_model_distance` and the Kobayashi metric `_kobayashi`.  Neither has a
+    Bergman route.
+    """
+
+    _chart = None
 
     @property
     def dim(self):
@@ -849,14 +935,23 @@ class CnDomain:
     def contains(self, z):
         return self.boundary_distance(z, signed=True) > 0.0
 
-    def _point(self, z):
+    def _point(self, z, what: str = "point"):
         """z as a complex vector; DegenerateInput unless it has one
-        coordinate per dimension, since numpy would broadcast any other."""
+        coordinate per dimension, since numpy would broadcast any other.
+        A direction (what="direction") is checked the same way."""
         z = np.asarray(z, dtype=complex)
         if z.shape != (self.dim,):
-            raise DegenerateInput(f"a point of this domain is a vector of {self.dim} "
+            raise DegenerateInput(f"a {what} on this domain is a vector of {self.dim} "
                                   f"coordinates, got shape {z.shape}")
         return z
+
+    def _caratheodory(self, z, w):
+        import invdist.distances as ds  # absolute, as the annulus routes import
+
+        ds._require_inside(self, z, w)
+        return ds.CertifiedValue.exact(ds.cn_model_distance(self, z, w))
+
+    _lempert = _caratheodory
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -890,6 +985,29 @@ class Ball(CnDomain):
         re, im = x.real, x.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
         return _clamp0(self.radius - norm, signed)
+
+    def _model_distance(self, z, w):
+        u = (self._point(z) - self._center) / self.radius
+        v = (self._point(w) - self._center) / self.radius
+        nu = float(np.vdot(u, u).real)
+        nv = float(np.vdot(v, v).real)
+        if nu >= 1.0 or nv >= 1.0:
+            raise DomainViolation("points must lie in the open ball")
+        ip = complex(np.vdot(v, u))  # <u, v>
+        rho2 = 1.0 - (1.0 - nu) * (1.0 - nv) / abs(1.0 - ip) ** 2
+        rho = math.sqrt(max(rho2, 0.0))
+        return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
+
+    def _kobayashi(self, z, X):
+        u = (self._point(z) - self._center) / self.radius
+        V = self._point(X, "direction") / self.radius
+        nu2 = float(np.vdot(u, u).real)
+        if nu2 >= 1.0:
+            raise DomainViolation("point outside the ball")
+        ip = complex(np.vdot(u, V))  # <V, u>
+        nv2 = float(np.vdot(V, V).real)
+        val = (nv2 * (1.0 - nu2) + abs(ip) ** 2) / (1.0 - nu2) ** 2
+        return math.sqrt(val)
 
     def to_json(self):
         if any(c != 0 for c in self.center):
@@ -931,6 +1049,22 @@ class Polydisc(CnDomain):
     def boundary_distance(self, z, signed=False):
         margins = self._radii - np.abs(self._point(z) - self._center)
         return _clamp0(float(np.minimum.reduce(margins)), signed)
+
+    def _model_distance(self, z, w):
+        best = 0.0
+        for zi, wi, ci, ri in zip(self._point(z), self._point(w), self.center, self.radii):
+            best = max(best, poincare_distance((zi - ci) / ri, (wi - ci) / ri))
+        return best
+
+    def _kobayashi(self, z, X):
+        best = 0.0
+        z, X = self._point(z), self._point(X, "direction")
+        for zi, Xi, ci, ri in zip(z, X, self.center, self.radii):
+            ui = (zi - ci) / ri
+            if abs(ui) >= 1.0:
+                raise DomainViolation("point outside the polydisc")
+            best = max(best, abs(Xi) / ri / (1.0 - abs(ui) ** 2))
+        return best
 
     def to_json(self):
         if any(c != 0 for c in self.center):

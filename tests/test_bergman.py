@@ -658,3 +658,66 @@ def test_no_scipy_module_is_imported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+class TestAnnulusKernelRefusals:
+    """The annulus kernel and metric refuse where their floats give out,
+    and keep their bits where they do not."""
+
+    PINS = os.path.join(os.path.dirname(__file__), "data", "annulus_metric_bits.json")
+
+    @staticmethod
+    def _cases(r):
+        """Thirteen points of A_r: ten spread over (1/r, r), the core circle
+        and both circles' neighbourhoods."""
+        rng = np.random.default_rng(int(100 * r))
+        lr = math.log(r)
+        mods = np.exp(lr * np.concatenate((rng.uniform(-0.99, 0.99, 10), [0.0, 0.9999, -0.9999])))
+        return (mods * np.exp(2j * math.pi * rng.uniform(size=mods.size))).tolist()
+
+    def test_metric_bits_are_pinned(self):
+        import json
+
+        with open(self.PINS) as fh:
+            pins = json.load(fh)
+        for r in (1.05, 2.0, 5.0, 100.0):
+            dom, zs = Annulus(r), self._cases(r)
+            assert [float(bergman_metric(dom, z)).hex() for z in zs] == pins[repr(r)]["points"], r
+            batch = bergman_metric(dom, np.array(zs), 0.5)
+            assert [float(v).hex() for v in batch] == pins[repr(r)]["batch"], r
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r, z", [(1e20, 1e-10), (1e100, 1e-50), (1e6, 1.0)])
+    def test_metric_refuses_where_its_terms_cancel(self, r, z):
+        # the two terms of (log S)'' agree past their digits: at r = 1e20 the
+        # parent returned 0.0 where the Laurent series gives 13.57
+        with pytest.raises(NonConvergence, match="cancels"):
+            bergman_metric(Annulus(r), z)
+        with pytest.raises(NonConvergence):
+            bergman_metric(Annulus(r), np.array([z, 0.5 * r]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_metric_refuses_past_the_largest_float(self):
+        # H and K ~ 1 / |z|^2 near the inner circle of A_1e300 are beyond
+        # the floats (the parent returned inf for both)
+        for fn in (bergman_metric, bergman_kernel):
+            with pytest.raises(DegenerateInput):
+                fn(Annulus(1e300), 1e-299)
+        # a thick annulus still answers near its circles; the reference is
+        # the Laurent series of K (n = -60 .. 59), differentiated at 60 digits
+        got = bergman_metric(Annulus(1e20), 0.5e20)
+        assert got == pytest.approx(1.9092175183903764e-20, rel=1e-13, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, w", [(1e-299, 1.5e-299), (1e299, 1.5e299),
+                                      (np.array([1.0, 1e-299]), 1.5e-299)])
+    def test_pair_refuses_where_it_leaves_the_floats(self, z, w):
+        # pi z conj(w) underflows (the parent returned inf + nan i) or
+        # overflows; K there is beyond the largest float either way
+        with pytest.raises(DegenerateInput):
+            AnnulusKernel(1e300).pair(z, w)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pair_still_answers_in_range(self):
+        kern = AnnulusKernel(1e300)
+        assert kern.pair(1e150, 1.0) == pytest.approx(laurent_pair(1e300, 1e150, 1.0), rel=1e-12)

@@ -784,3 +784,90 @@ class TestNarrowSector:
             for fn, want in ((caratheodory, c_hex), (lempert, c_hex), (bergman_distance, b_hex)):
                 v = fn(dom, z, w)
                 assert (v.lo.hex(), v.hi.hex()) == (want, want)
+
+
+class TestSupportMatrix:
+    """Which of the eight entry points answers on which kind: a finite value
+    (v), UnsupportedDomain (U), or on an array of points, finite values
+    inside and inf outside (a)."""
+
+    @staticmethod
+    def _entries():
+        from invdist.bergman import bergman_distance, bergman_kernel, bergman_metric
+        from invdist.distances import kobayashi_field
+
+        return {   # (domain, z, w, X) -> a float or an array
+            "c": lambda d, z, w, X: caratheodory(d, z, w).value,
+            "l": lambda d, z, w, X: lempert(d, z, w).value,
+            "k": lambda d, z, w, X: kobayashi_metric(d, z, X),
+            "f": lambda d, z, w, X: kobayashi_field(d)(z, X),
+            "m": lambda d, z, w, X: cn_model_distance(d, z, w),
+            "K": lambda d, z, w, X: bergman_kernel(d, z),
+            "B": lambda d, z, w, X: bergman_metric(d, z, X),
+            "b": lambda d, z, w, X: bergman_distance(d, z, w).value,
+        }
+
+    # document, z, w, direction X; then c l k f m K B b as above ("-": not called)
+    MATRIX = [
+        ('{"kind":"disc"}', 0.1 + 0.2j, -0.3j, 1.0, "v v v v U v v v"),
+        ('{"kind":"halfplane","normal":"0+1i"}', 1j, 1 + 2j, 1.0, "v v v v U v v v"),
+        ('{"kind":"sector","theta":0.4}', 1.0, 2 + 0.3j, 1.0, "v v v v U v v v"),
+        ('{"kind":"slitplane"}', -1.0, 1 + 1j, 1.0, "v v v v U v v v"),
+        ('{"kind":"annulus","r":2.0}', 1.0, 1.2 + 0.3j, 1.0, "v v v v U v v v"),
+        ('{"kind":"hull","z":"0+0i","d_z":1.0,"w":"2.5+0i","d_w":0.7}', 0.5, 2 + 0.2j, 1.0,
+         "v v v v U v v v"),
+        ('{"kind":"jordan","curve":"ellipse","a":2.0,"b":1.0}', 0.0, 1 + 0.3j, 1.0,
+         "v v v v U v v v"),
+        ('{"kind":"ball","dim":2,"radius":1.0}', [0j, 0j], [0.5, 0j], [1.0, 0.5j],
+         "v v v v v U U U"),
+        ('{"kind":"polydisc","radii":[1.0,2.0]}', [0j, 0j], [0.5, 1 + 0.5j], [1.0, 0.5j],
+         "v v v v v U U U"),
+        # the annulus on arrays of points, 3 and 0.25 outside A_2
+        ('{"kind":"annulus","r":2.0}', [3.0, 1.0], None, 1.0, "- - a a - a a -"),
+        ('{"kind":"annulus","r":2.0}', [3.0, 1.0, 0.25, 0.6j], None, [1.0, 2.0, 1.0, 0.5j],
+         "- - a a - a a -"),
+    ]
+
+    def test_every_kind_has_a_row(self):
+        from invdist.domains import _SCHEMAS, domain_from_json
+
+        kinds = {domain_from_json(doc).to_json()["kind"] for doc, *_ in self.MATRIX}
+        assert kinds == set(_SCHEMAS)
+
+    @pytest.mark.parametrize("doc, z, w, X, row", MATRIX, ids=[f"{m[0]}-{m[4]}" for m in MATRIX])
+    def test_support_matrix(self, doc, z, w, X, row):
+        from invdist.domains import domain_from_json
+
+        dom = domain_from_json(doc)
+        if isinstance(z, list):
+            z, X = np.array(z), np.asarray(X)
+            w = None if w is None else np.array(w)
+        for (name, entry), want in zip(self._entries().items(), row.split()):
+            if want == "U":
+                with pytest.raises(UnsupportedDomain):
+                    entry(dom, z, w, X)
+            elif want == "v":
+                got = entry(dom, z, w, X)
+                assert isinstance(got, float) and math.isfinite(got), name
+            elif want == "a":
+                got = entry(dom, z, w, X)
+                inside = np.array([dom.contains(p) for p in z.tolist()])
+                assert got.shape == z.shape, name
+                assert np.all(np.isfinite(got[inside])) and np.all(np.isinf(got[~inside])), name
+                for p, x, v in zip(z[inside].tolist(), np.broadcast_to(X, z.shape)[inside].tolist(),
+                                   got[inside].tolist()):
+                    # an array point is its scalar, up to numpy's array rounding
+                    assert v == pytest.approx(entry(dom, p, None, x), rel=1e-13), name
+
+    @pytest.mark.parametrize("obj", [object(), "disc", None])
+    def test_an_object_without_chart_or_route_is_unsupported(self, obj):
+        # before, caratheodory and lempert raised a bare AttributeError here
+        for name, entry in self._entries().items():
+            with pytest.raises(UnsupportedDomain):
+                entry(obj, 0j, 0.5 + 0j, 1.0)
+
+    def test_annulus_scalars_outside_still_raise(self):
+        for name, entry in self._entries().items():
+            if name != "m":
+                with pytest.raises(DomainViolation):
+                    entry(Annulus(2.0), 3.0, 1.0, 1.0)
