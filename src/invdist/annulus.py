@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import _np as np
 
 from .conformal import AnnulusCover
+from .domains import _require_modulus
 from .errors import DomainViolation, NonConvergence
 
 __all__ = [
@@ -158,6 +159,7 @@ class AnnulusCaratheodory:
     r: float
 
     def __post_init__(self):
+        _require_modulus(self.r)
         self.q = 1.0 / (self.r * self.r)
         self.p = self.q * self.q
         self.series_mode = True

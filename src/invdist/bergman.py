@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import _np as np
 
 from .distances import CertifiedValue, MetricField, _chart_distance, _chart_jet, _dispatch
+from .domains import _require_modulus
 from .errors import DegenerateInput, NonConvergence
 
 __all__ = [
@@ -50,6 +51,9 @@ _HESS_TOL = 1e-8     # largest relative rounding estimate log_diag_hessian accep
 # unless it is 0, so the csc^2 term bounds (k / 2)^2 S and (log S)'' by
 # ~5 / t^2 < 3e31, and K, H by 3e31 r^2
 _R_FLOATS = 1e137
+# below this t = 2 log(|z| r) or 2 log(r / |z|), the rounding of the product
+# or the quotient is over 2^-32 of t, so t is formed from their exact values
+_T_EXACT = 2.0 ** -20
 
 
 @dataclass
@@ -74,6 +78,7 @@ class AnnulusKernel:
     r: float
 
     def __post_init__(self):
+        _require_modulus(self.r)
         self._k = math.pi / (2.0 * math.log(self.r))
 
     def _series(self, t, y: float, order: int = 0):
@@ -106,9 +111,24 @@ class AnnulusKernel:
         """|z| and t = 2 log|zeta| moved by a period to the nearer circle,
         with the sign that makes t >= 0 (S is even): 2 log(r / |z|) for
         |z| >= 1 and 2 log(|z| r) inside the core circle.  Each is one
-        rounding from |z|, and the clips keep the other side finite."""
+        rounding from |z|, and the clips keep the other side finite.  Below
+        _T_EXACT that rounding is much of t (an ulp inside the inner circle
+        of A_3, |z| r rounds to 1 and t to 0), so there t comes from
+        `_t_near_circle`."""
         a, r = np.abs(z), self.r
-        return a, 2.0 * np.log(np.minimum(r / np.maximum(a, 1.0), np.minimum(a, 1.0) * r))
+        t = 2.0 * np.log(np.minimum(r / np.maximum(a, 1.0), np.minimum(a, 1.0) * r))
+        near = t < _T_EXACT
+        if near.any() if near.shape else near:      # a point skips numpy's reduction
+            t = np.where(near, np.vectorize(self._t_near_circle, otypes=[float])(a), t)
+        return a, t
+
+    def _t_near_circle(self, a: float) -> float:
+        """t = 2 log1p(x) at |z| = a, with x = a r - 1 inside the core circle
+        and r / a - 1 outside it, each rounded once from its exact value."""
+        from fractions import Fraction
+
+        a, r = Fraction(float(a)), Fraction(self.r)
+        return 2.0 * math.log1p(float(a * r - 1 if a < 1 else r / a - 1))
 
     def diagonal(self, z):
         """K(z) for a scalar or array z; DegenerateInput where K is beyond the

@@ -17,7 +17,8 @@ from typing import Callable
 
 from . import _np as np
 
-from .domains import Disc, HalfPlane, JordanDomain, Sector, SlitPlane, UnitDisc
+from .domains import (Disc, HalfPlane, JordanDomain, Sector, SlitPlane, UnitDisc,
+                      _require_modulus)
 from .errors import BranchViolation, DegenerateInput, NonConvergence
 
 __all__ = [
@@ -94,6 +95,10 @@ class ConformalMap:
 
     def __call__(self, z):
         return self.evaluate(z)
+
+    def evaluate_with_derivative(self, z):
+        """(f(z), f'(z)), the chart jet that every pullback takes."""
+        return self.evaluate(z), self.derivative(z)
 
     def then(self, other: "ConformalMap") -> "ConformalMap":
         """Composition: first self, then other."""
@@ -268,17 +273,22 @@ class _GeodesicChain:
     ride along with z0 behind the boundary tail, and `carried` holds their
     images, bitwise those of `forward(carry)`.
 
-    Each pass has two kernels, chosen by the shape of its input.  A point
-    (a scalar or a 0-d array) runs one Python loop over the steps.  Its
-    quotient x w / (x - w) is numpy scalar arithmetic, as the step
-    parameters are numpy floats and numpy's complex division rounds apart
-    from Python's; the fold and the square are Python complex arithmetic,
-    and the root is one numpy scalar square root (`_sqrt_cut_pos_scalar`).
-    An array (the build's tail, and a batch) runs each step as numpy
-    operations written in place, in the same order as on a point.  The
-    kernels round apart in the last bits, since numpy's array loops may
-    fuse the multiply-adds of a complex product and its scalar arithmetic
-    does not; an array row does not depend on its batch."""
+    Each pass has two kernels.  The point loop is one Python loop over the
+    steps for a single point (a scalar or a 0-d array).  Its quotient
+    x w / (x - w) is numpy scalar arithmetic, as the step parameters are
+    numpy floats and numpy's complex division rounds apart from Python's;
+    the fold and the square are Python complex arithmetic, and the root is
+    one numpy scalar square root (`_sqrt_cut_pos_scalar`).  The array step
+    runs each step as numpy operations written in place, in the same order
+    as on a point, on the build's tail and on a batch.  The two kernels
+    round apart in the last bits, since numpy's array loops may fuse the
+    multiply-adds of a complex product and its scalar arithmetic does not;
+    an array row does not depend on its batch.
+
+    `forward` runs the point loop on a point and the array step on an array.
+    `forward_with_derivative` runs the point loop, row by row on an array
+    (no caller differentiates a batch on a hot path), and `inverse` runs the
+    array step, on a point as a batch of one."""
 
     def __init__(self, pts: np.ndarray, z0: complex, carry=()):
         self.p0 = complex(pts[0])
@@ -386,79 +396,50 @@ class _GeodesicChain:
 
     def forward_with_derivative(self, z):
         z = np.asarray(z, dtype=complex)
+        if z.ndim:
+            return _row_by_row(self.forward_with_derivative, z)
         w = self._base(z)
         u = (z - self.p1) / (z - self.p0)
         du = (self.p1 - self.p0) / (z - self.p0) ** 2
         dw = 1j * du / (2.0 * np.sqrt(u))
-        if z.ndim:
-            w, dw = self._steps_with_derivative(w, dw)
-        else:
-            for x, h in self.steps:
-                if x is None:
-                    m, dm = w, dw
-                else:
-                    m = complex(x * w / (x - w))
-                    # dm, and so dw, stay numpy scalars: their divisions are numpy's
-                    dm = dw * x * x / (x - w) ** 2
-                m = m.real + 1j * abs(m.imag)
-                w = _sqrt_cut_pos_scalar(m * m + h * h)
-                dw = m * dm / w
+        for x, h in self.steps:
+            if x is None:
+                m, dm = w, dw
+            else:
+                m = complex(x * w / (x - w))
+                # dm, and so dw, stay numpy scalars: their divisions are numpy's
+                dm = dw * x * x / (x - w) ** 2
+            m = m.real + 1j * abs(m.imag)
+            w = _sqrt_cut_pos_scalar(m * m + h * h)
+            dw = m * dm / w
         nu = self.xi * w / (self.xi - w)
         dnu = dw * self.xi * self.xi / (self.xi - w) ** 2
         return self.sgn * nu * nu, self.sgn * 2.0 * nu * dnu
 
-    def _steps_with_derivative(self, w, dw):
-        """The steps and their chain rule on the arrays w and dw, in place:
-        per step m = x w / (x - w), dm = dw x x / (x - w)^2, the fold of m,
-        w = sqrt_cut(m m + h h) and dw = m dm / w, with no product written
-        over one of its factors (see `_g`).  t holds x - w, then the new w,
-        and trades places with w."""
-        t, s = np.empty_like(w), np.empty_like(w)
-        for x, h in self.steps:
-            if x is not None:
-                np.subtract(x, w, out=t)
-                np.multiply(x, w, out=w)
-                np.divide(w, t, out=w)
-                np.multiply(dw, x, out=dw)
-                np.multiply(dw, x, out=dw)
-                np.square(t, out=s)
-                np.divide(dw, s, out=dw)
-            np.absolute(w.imag, out=w.imag)
-            np.multiply(w, w, out=t)
-            np.add(t, h * h, out=t)
-            _sqrt_cut_pos(t, out=t)
-            np.multiply(w, dw, out=s)
-            np.divide(s, t, out=dw)
-            w, t = t, w
-        return w, dw
-
     def inverse(self, w):
-        w = np.asarray(w, dtype=complex)
-        if self.sgn < 0:
-            u = -np.sqrt(-w)
-        else:
-            u = np.sqrt(w)
+        """The inverse pass on the complex array w (not a 0-d one)."""
+        u = -np.sqrt(-w) if self.sgn < 0 else np.sqrt(w)
         v = self.xi * u / (self.xi + u)
-        if w.ndim:
-            t = np.empty_like(v)
-            for x, h in reversed(self.steps):
-                np.multiply(v, v, out=t)
-                np.subtract(t, h * h, out=t)
-                _sqrt_cut_pos(t, out=t)
-                np.absolute(t.imag, out=t.imag)
-                if x is not None:
-                    np.add(x, t, out=v)
-                    np.multiply(x, t, out=t)
-                    np.divide(t, v, out=t)
-                v, t = t, v
-        else:
-            for x, h in reversed(self.steps):
-                v = _sqrt_cut_pos_scalar(v * v - h * h)
-                v = v.real + 1j * abs(v.imag)
-                if x is not None:
-                    v = x * v / (x + v)
+        t = np.empty_like(v)
+        for x, h in reversed(self.steps):
+            np.multiply(v, v, out=t)
+            np.subtract(t, h * h, out=t)
+            _sqrt_cut_pos(t, out=t)
+            np.absolute(t.imag, out=t.imag)
+            if x is not None:
+                np.add(x, t, out=v)
+                np.multiply(x, t, out=t)
+                np.divide(t, v, out=t)
+            v, t = t, v
         u1 = -v * v
         return (self.p1 - u1 * self.p0) / (1.0 - u1)
+
+
+def _row_by_row(point_call, z):
+    """The pair that point_call gives on each point of the complex array z,
+    as two arrays of z's shape; each row is bitwise the point call."""
+    pairs = np.array([point_call(p) for p in z.ravel()], dtype=complex).reshape(-1, 2)
+    return pairs[:, 0].reshape(z.shape), pairs[:, 1].reshape(z.shape)
 
 
 # boundary points of a Riemann map built without a parameter grid
@@ -470,13 +451,21 @@ class ZipperMap:
     phi'(z0) > 0, built by the geodesic algorithm on the boundary points of
     the parameter grid params (default domain.params(_ZIPPER_N)).
 
+    It is the domain's chart as it stands: like a ConformalMap it has
+    evaluate, derivative, evaluate_with_derivative and inverse, and carries
+    source (the domain), target (the unit disc), accuracy (the sup-norm
+    error estimate on an interior test grid) and normalization (z0 and
+    phi'(z0)).
+
     The build carries the Cauchy circle of phi'(z0) and the accuracy test
     grid through the chain's own pass; the half-resolution map that the
     accuracy compares against does the same, and the round trip is one
     inverse pass over the grid."""
 
+    target = _UNIT_DISC
+
     def __init__(self, domain: JordanDomain, z0: complex, params=None):
-        self.domain = domain
+        self.source = domain
         self.z0 = complex(z0)
         if params is None:
             params = domain.params(_ZIPPER_N)
@@ -490,12 +479,13 @@ class ZipperMap:
         diff = float(np.max(np.abs(vals - coarse)))
         rt = float(np.max(np.abs(self.inverse(vals) - grid)))
         self.accuracy = max(diff, rt, 1e-15)
+        self.normalization = {"z0": self.z0, "deriv_z0": self.deriv_z0}
 
     def _build(self, params, rho, grid):
         """(chain, rot, |phi'(z0)|, phi(grid)) from one chain pass over the
         boundary points of params; phi'(z0) is a Cauchy integral mean over
         the circle of radius rho about z0."""
-        pts = np.asarray(self.domain.point(params), dtype=complex)
+        pts = np.asarray(self.source.point(params), dtype=complex)
         ts = np.arange(64) / 64.0   # the Cauchy circle: 64 equispaced nodes
         circle = self.z0 + rho * np.exp(2j * math.pi * ts)
         chain = _GeodesicChain(pts, self.z0, np.concatenate((circle, grid)))
@@ -518,8 +508,12 @@ class ZipperMap:
         return complex(out) if scalar else out
 
     def evaluate_with_derivative(self, z):
-        """(phi(z), phi'(z)) from one pass through the zipper steps; the
-        values are bitwise those of `evaluate` and `derivative`."""
+        """(phi(z), phi'(z)) from one pass through the zipper steps.  The
+        derivative is bitwise that of `derivative`; the value is bitwise
+        that of `evaluate` for a point only, as an array's values come from
+        the point loop row by row and `evaluate` takes the array step."""
+        if np.ndim(z):
+            return _row_by_row(self.evaluate_with_derivative, np.asarray(z, dtype=complex))
         scalar = np.isscalar(z)
         w, dw = self.chain.forward_with_derivative(np.asarray(z, dtype=complex))
         zeta = self._zeta
@@ -532,20 +526,21 @@ class ZipperMap:
         return self.evaluate_with_derivative(z)[1]
 
     def inverse(self, d):
-        scalar = np.isscalar(d)
-        d2 = np.asarray(d, dtype=complex) / self.rot
+        """phi^-1(d); a point runs as a batch of one."""
+        d = np.asarray(d, dtype=complex)
+        d2 = d.ravel() / self.rot
         zeta = self._zeta
         w = (zeta - d2 * zeta.conjugate()) / (1.0 - d2)
-        out = self.chain.inverse(w)
-        return complex(out) if scalar else out
+        out = self.chain.inverse(w).reshape(d.shape)
+        return out if d.ndim else complex(out)
 
     def _test_grid(self):
-        pts = np.asarray(self.domain.point(np.arange(64) / 64.0), dtype=complex)
+        pts = np.asarray(self.source.point(np.arange(64) / 64.0), dtype=complex)
         grid = [self.z0 + s * (pts - self.z0) for s in (0.35, 0.7)]
         return np.concatenate(grid)
 
 
-def riemann_map(domain: JordanDomain, z0: complex, params=None) -> ConformalMap:
+def riemann_map(domain: JordanDomain, z0: complex, params=None) -> ZipperMap:
     """Riemann map of a Jordan domain onto the unit disc, normalized by
     phi(z0) = 0 and phi'(z0) > 0, on the boundary parameter grid params
     (default: 512 uniform parameters, or the domain's own grid).
@@ -561,13 +556,8 @@ def riemann_map(domain: JordanDomain, z0: complex, params=None) -> ConformalMap:
         return cached
     if not domain.contains(z0):
         raise DegenerateInput("normalization point must lie inside the domain")
-    zm = ZipperMap(domain, z0, params=params)
-    cm = ConformalMap(zm.evaluate, zm.derivative, zm.inverse, domain, _UNIT_DISC,
-                      accuracy=zm.accuracy,
-                      normalization={"z0": complex(z0), "deriv_z0": zm.deriv_z0})
-    cm.engine = zm
-    domain._map_cache[key] = cm
-    return cm
+    m = domain._map_cache[key] = ZipperMap(domain, z0, params=params)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +577,7 @@ class AnnulusCover:
     r: float
 
     def __post_init__(self):
-        if not self.r > 1.0:
-            raise DegenerateInput("annulus modulus must satisfy r > 1")
+        _require_modulus(self.r)
 
     @property
     def half_width(self):

@@ -18,7 +18,7 @@ from typing import Callable
 from . import _np as np
 
 from . import annulus as _ann
-from .conformal import ConformalMap
+from .conformal import ConformalMap, ZipperMap
 from .domains import (Disc, HalfPlane, JordanDomain, Sector, _atanh_stable, poincare_distance,
                       two_disc_hull)
 from .errors import DegenerateInput, DomainViolation, UnsupportedDomain
@@ -145,14 +145,15 @@ def _halfplane_log_distance(la: complex, lb: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chart(domain) -> ConformalMap | None:
+def chart(domain) -> ConformalMap | ZipperMap | None:
     """The conformal chart of a simply connected planar domain: its kind's
     `_chart`, or None on the annulus, a C^n domain or any other object.
     Every invariant pulls back through it where there is one, and otherwise
     takes the domain's own method (see `_dispatch`).
 
     Discs, Jordan domains and two-disc hulls map onto the unit disc (Jordan
-    domains by their shared Riemann map, normalized at the anchor).  The
+    domains by their shared Riemann map, normalized at the anchor, which is
+    a ZipperMap with the same methods and attributes as a ConformalMap).  The
     half-plane, sector and slit plane map onto the upper half-plane, whose
     distance stays accurate for points at hugely different scales.
 
@@ -240,8 +241,8 @@ def _image_distance(m: ConformalMap, z, w, fz: complex, fw: complex) -> Certifie
 
 def _chart_jet(m: ConformalMap, z) -> tuple:
     """(f'(z), q) of chart m, with q = 1 - |f|^2 on the disc and 2 Im f on
-    the half-plane, so that kappa = |f'| |X| / q.  A Riemann map gives f and
-    f' from one zipper pass.
+    the half-plane, so that kappa = |f'| |X| / q.  f and f' come from one
+    `evaluate_with_derivative` call, one zipper pass on a Riemann map.
 
     On a sector, f = i z^p; where |f| leaves [_JET_LO, _JET_HI / p] (every
     image that `_image_distance` sends to the log form, and the bands where
@@ -260,11 +261,7 @@ def _chart_jet(m: ConformalMap, z) -> tuple:
         else:
             df, q = p / abs(z), 2.0 * math.cos(p * cmath.phase(z))
     else:
-        engine = getattr(m, "engine", None)
-        if engine is not None:
-            fz, df = engine.evaluate_with_derivative(complex(z))
-        else:
-            fz, df = complex(m.evaluate(z)), complex(m.derivative(z))
+        fz, df = map(complex, m.evaluate_with_derivative(z))
         q = 2.0 * fz.imag if isinstance(m.target, HalfPlane) else 1.0 - abs(fz) ** 2
     if not q > 0:
         raise DomainViolation(f"image of {z} left the chart's target; the map is too coarse here")

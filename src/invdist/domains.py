@@ -216,15 +216,22 @@ class SlitPlane(PlanarDomain):
                                    np.exp(1j * rng.uniform(0.02, 2 * math.pi - 0.02))), False
 
 
+def _require_modulus(r: float) -> None:
+    """DegenerateInput unless the annulus modulus r is a float in (1, inf):
+    every series on A_r runs over the nome 1 / r^2, and at r = inf none
+    ends."""
+    if not 1.0 < r < math.inf:
+        raise DegenerateInput("annulus modulus must satisfy 1 < r < inf")
+
+
 @dataclass(frozen=True)
 class Annulus(PlanarDomain):
-    """Concentric annulus {1/r < |z| < r}, r > 1."""
+    """Concentric annulus {1/r < |z| < r}, 1 < r < inf."""
 
     r: float
 
     def __post_init__(self):
-        if not self.r > 1.0:
-            raise DegenerateInput("annulus modulus must satisfy r > 1")
+        _require_modulus(self.r)
 
     def boundary_distance(self, z, signed=False):
         a = abs(z)

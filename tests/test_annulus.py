@@ -313,3 +313,15 @@ class TestBatchedMobiusValues:
         broken.series_mode = False
         with pytest.raises(NonConvergence):
             broken.mobius_values(z, 1.0 + 0j)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 1.0, 0.5, -math.inf])
+def test_every_annulus_object_refuses_a_modulus_outside_one_to_inf(r):
+    # constructing only: at r = inf no series on A_r ends
+    from invdist.bergman import AnnulusKernel
+    from invdist.conformal import AnnulusCover
+    from invdist.errors import DegenerateInput
+
+    for build in (Annulus, AnnulusCover, AnnulusCaratheodory, AnnulusKernel):
+        with pytest.raises(DegenerateInput, match="1 < r < inf"):
+            build(r)

@@ -718,6 +718,28 @@ class TestAnnulusKernelRefusals:
             AnnulusKernel(1e300).pair(z, w)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [1.05, 3.0, 7.0, 10.0])
+    def test_kernel_and_metric_an_ulp_inside_each_circle(self, r):
+        # an ulp inside the inner circle of A_1.05 and A_3, |z| r rounds to 1;
+        # the parent's t was 0 there, K came out -inf and beta refused.  The
+        # reference is the series at t = 2 log(|z| r) or 2 log(r / |z|), that
+        # t formed in 60-digit decimal
+        import decimal
+
+        kern, dom = AnnulusKernel(r), Annulus(r)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for z in (math.nextafter(1.0 / r, 1.0), math.nextafter(r, 0.0)):
+                a, big = decimal.Decimal(z), decimal.Decimal(r)
+                t = 2 * (a * big if z < 1.0 else big / a).ln()
+                want = (0.5 * kern._k) ** 2 * kern._series(float(t), 0.0).real / (math.pi * z) / z
+                got = bergman_kernel(dom, z)
+                assert abs(got - want) <= 1e-12 * want, z
+                assert bergman_kernel(dom, np.array([z, 1.0]))[0] == got
+                beta = bergman_metric(dom, z)
+                assert math.isfinite(beta) and beta > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pair_still_answers_in_range(self):
         kern = AnnulusKernel(1e300)
         assert kern.pair(1e150, 1.0) == pytest.approx(laurent_pair(1e300, 1e150, 1.0), rel=1e-12)

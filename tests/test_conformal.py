@@ -305,7 +305,7 @@ class TestOnePassBuild:
 
         dom = _catalog_maps()[name]
         z0 = dom.anchor()
-        zm = riemann_map(dom, z0).engine
+        zm = riemann_map(dom, z0)
         pts = np.asarray(dom.point(zm.params), dtype=complex)
         carry = np.concatenate((zm._test_grid(), z0 + 0.05 * np.exp(0.3j * np.arange(7))))
         chain = _GeodesicChain(pts, z0, carry)
@@ -318,7 +318,7 @@ class TestOnePassBuild:
     @pytest.mark.parametrize("name", sorted(BUILD_PINS))
     def test_build_is_pinned(self, name):
         dom = _catalog_maps()[name]
-        zm = riemann_map(dom, dom.anchor()).engine
+        zm = riemann_map(dom, dom.anchor())
         got = (zm.accuracy.hex(), zm.deriv_z0.hex(), _hex(zm.rot), zm.chain.xi.hex(),
                _hex(zm.chain.z0_img))
         assert got == BUILD_PINS[name]

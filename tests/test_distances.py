@@ -487,12 +487,31 @@ class TestJordanOnePass:
                     checked += 1
         assert checked >= 30
 
-    def test_evaluate_with_derivative_matches_both_calls_on_arrays(self, ellipse):
-        zm = riemann_map(ellipse, ellipse.anchor()).engine
-        zs = np.array([0.3 + 0.2j, -1.5 + 0.1j, 1.9999 + 0j])
-        val, der = zm.evaluate_with_derivative(zs)
-        assert np.array_equal(val, zm.evaluate(zs))
-        assert np.array_equal(der, zm.derivative(zs))
+    def test_chart_of_a_jordan_domain_is_its_riemann_map(self):
+        import copy
+        import pickle
+
+        from invdist.distances import chart
+        from invdist.domains import UnitDisc, domain_to_json, ellipse_domain
+
+        ellipse = ellipse_domain(2.0, 1.0)
+        m = chart(ellipse)
+        assert m is riemann_map(ellipse, ellipse.anchor())
+        assert list(ellipse._map_cache.values()) == [m]
+        assert m.source is ellipse and m.target == UnitDisc()
+        assert 0.0 < m.accuracy < 1e-5
+        assert m.normalization == {"z0": ellipse.anchor(), "deriv_z0": m.deriv_z0}
+        assert not hasattr(m, "engine")
+        # the jet and the distance both come from that map; the domain still
+        # pickles and copies as its JSON description, leaving the map behind
+        assert kobayashi_metric(ellipse, 0.3 + 0.2j) > 0.0
+        want = caratheodory(ellipse, 0j, 0.3 + 0.2j)
+        for twin in (pickle.loads(pickle.dumps(ellipse)), copy.copy(ellipse),
+                     copy.deepcopy(ellipse)):
+            assert domain_to_json(twin) == domain_to_json(ellipse)
+            assert twin._map_cache == {}
+            assert caratheodory(twin, 0j, 0.3 + 0.2j) == want
+            assert chart(twin) is not m
 
     def test_traversals_per_warm_value(self, monkeypatch):
         from invdist.bergman import bergman_kernel, bergman_metric

@@ -7,7 +7,9 @@ in-place array step for builds and batches.  They cover the scalar
 `inverse` of 25 seeded points per map (nine of them 1e-4, 1e-5 and 1e-6 from
 the boundary), the same points as one array, two builds per map and
 `hull_distance` on several hulls; every value must come out with the same
-bits.  `PYTHONPATH=src python tests/test_zipper_bits.py` prints the file the
+bits.  The `*/inverse/*` labels were recorded again when a point's inverse
+began to run as a batch of one, and `*/array/evaluate_with_derivative` when
+an array's jet began to run the point loop row by row.  `PYTHONPATH=src python tests/test_zipper_bits.py` prints the file the
 current code gives.
 """
 
@@ -76,7 +78,7 @@ def recorded_outcomes(points) -> dict:
     out = {}
     for name, dom in _maps().items():
         pts = points[name]
-        zm = riemann_map(dom, dom.anchor()).engine
+        zm = riemann_map(dom, dom.anchor())
         imgs = []
         for i, z in enumerate(pts):
             val = zm.evaluate(z)
@@ -93,7 +95,7 @@ def recorded_outcomes(points) -> dict:
                                                          for a, b in zip(val, der)]
         out[f"{name}/array/inverse"] = [_hex(v) for v in zm.inverse(np.array(imgs))]
         out[f"{name}/build/anchor"] = [zm.accuracy.hex(), zm.deriv_z0.hex()]
-        other = riemann_map(dom, pts[0]).engine
+        other = riemann_map(dom, pts[0])
         out[f"{name}/build/point0"] = [other.accuracy.hex(), other.deriv_z0.hex(),
                                        _hex(other.evaluate(pts[1]))]
     for z, dz, w, dw in HULLS:
@@ -129,7 +131,7 @@ def test_array_rows_do_not_depend_on_their_batch(name):
     """Row i of an array call is bitwise the one-element array call on row i."""
     points, _ = _pinned()
     dom = _maps()[name]
-    zm = riemann_map(dom, dom.anchor()).engine
+    zm = riemann_map(dom, dom.anchor())
     arr = np.array(points[name])
     fwd = zm.chain.forward(arr)
     val, der = zm.chain.forward_with_derivative(arr)
@@ -142,12 +144,28 @@ def test_array_rows_do_not_depend_on_their_batch(name):
         assert zm.chain.inverse(fwd[i:i + 1]).tobytes() == inv[i:i + 1].tobytes()
 
 
+@pytest.mark.parametrize("name", ["ellipse", "wobbly", "lens", "hull"])
+def test_array_jet_rows_are_point_calls(name):
+    """Row i of `evaluate_with_derivative` on an array is bitwise the point
+    call on row i, and a point's `inverse` is bitwise row 0 of the
+    one-element array call."""
+    points, _ = _pinned()
+    dom = _maps()[name]
+    zm = riemann_map(dom, dom.anchor())
+    val, der = zm.evaluate_with_derivative(np.array(points[name]))
+    for i, z in enumerate(points[name]):
+        assert [_hex(v) for v in zm.evaluate_with_derivative(z)] == [_hex(val[i]), _hex(der[i])]
+        assert _hex(zm.derivative(z)) == _hex(der[i])
+        w = zm.evaluate(z)
+        assert _hex(zm.inverse(w)) == _hex(zm.inverse(np.array([w]))[0])
+
+
 def test_point_forms_agree():
     """A point as a Python complex, a numpy scalar and a 0-d array maps to
     the same bits."""
     points, _ = _pinned()
     for name, dom in _maps().items():
-        zm = riemann_map(dom, dom.anchor()).engine
+        zm = riemann_map(dom, dom.anchor())
         for z in points[name][::4]:
             want = _hex(zm.evaluate(z))
             for form in (np.complex128(z), np.asarray(z)):
@@ -159,7 +177,7 @@ def test_point_forms_agree():
 def test_a_point_takes_the_scalar_loop(monkeypatch):
     """A Python-complex evaluate runs no array step, and still one forward."""
     dom = ellipse_domain(2.0, 1.0)
-    zm = riemann_map(dom, dom.anchor()).engine
+    zm = riemann_map(dom, dom.anchor())
     counts = {"_g": 0, "forward": 0}
     g, forward = _GeodesicChain._g, _GeodesicChain.forward
 
