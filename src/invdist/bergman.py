@@ -119,16 +119,20 @@ class AnnulusKernel:
         t = 2.0 * np.log(np.minimum(r / np.maximum(a, 1.0), np.minimum(a, 1.0) * r))
         near = t < _T_EXACT
         if near.any() if near.shape else near:      # a point skips numpy's reduction
-            t = np.where(near, np.vectorize(self._t_near_circle, otypes=[float])(a), t)
+            t = np.where(near, np.vectorize(self._t_near_circle, otypes=[float])(a, a, a >= 1.0), t)
         return a, t
 
-    def _t_near_circle(self, a: float) -> float:
-        """t = 2 log1p(x) at |z| = a, with x = a r - 1 inside the core circle
-        and r / a - 1 outside it, each rounded once from its exact value."""
+    def _t_near_circle(self, a: float, b: float, outer: bool) -> float:
+        """log(r / a) + log(r / b) near the outer circle, log(a r) + log(b r)
+        near the inner one, at |z| = a and |w| = b: each log is log1p(x) of
+        x = r / a - 1 or a r - 1 rounded once from its exact value, which
+        keeps its digits an ulp from a circle, where a r or r / a rounds to
+        1.  At b = a it is the diagonal's t."""
         from fractions import Fraction
 
-        a, r = Fraction(float(a)), Fraction(self.r)
-        return 2.0 * math.log1p(float(a * r - 1 if a < 1 else r / a - 1))
+        a, b, r = Fraction(float(a)), Fraction(float(b)), Fraction(self.r)
+        x, y = (r / a, r / b) if outer else (a * r, b * r)
+        return math.log1p(float(x - 1)) + math.log1p(float(y - 1))
 
     def diagonal(self, z):
         """K(z) for a scalar or array z; DegenerateInput where K is beyond the
@@ -157,11 +161,10 @@ class AnnulusKernel:
         beyond the largest float, or would come out of a rounded product)."""
         z = np.asarray(z, dtype=complex)
         w = complex(w)
-        t = self._pair_t(z, w)
+        t, den = self._pair_t(z, w)
         t = t * np.copysign(1.0, t.imag)  # Im t >= 0, as S is even
         s = self._series(t, float(np.max(t.imag, initial=0.0)))
         with np.errstate(all="ignore"):     # what leaves the floats is refused below
-            den = math.pi * z * w.conjugate()
             out = (0.5 * self._k) ** 2 * s / den
         size = np.abs(den)
         if not np.all(np.isfinite(out) & (size >= _FLOAT_MIN) & (size <= _FLOAT_MAX)):
@@ -170,23 +173,39 @@ class AnnulusKernel:
         return out if out.shape else complex(out)
 
     def _pair_t(self, z, w: complex):
-        """log(zeta conj(w)), moved by a period to the nearer circle as on
-        the diagonal: log((z / p)(conj(w) / p)) with p = r^(+-1).  For r past
-        about 1e154 that product can leave the normal floats; there t is
+        """t = log(zeta conj(w)) and the denominator pi z conj(w).
+
+        t is moved by a period to the nearer circle as on the diagonal:
+        log((z / p)(conj(w) / p)) with p = r^(+-1).  For r past about 1e154
+        that product can leave the normal floats; there t is
         log|z| + log|w| - 2 log p plus i times the angle of the product of
         the unit vectors z / |z| and conj(w) / |w|, and elsewhere it keeps
-        the one-rounding product."""
+        the one-rounding product.  Where |Re t| < _T_EXACT that rounding is
+        much of Re t, so there Re t comes from `_t_near_circle`, Im t is
+        arg z - arg w and the denominator is pi |z| |w| exp(i Im t): z = w
+        gives a real t and a real denominator, and so a real K."""
+        a = np.abs(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            p = self.r ** np.copysign(1.0, np.abs(z) * abs(w) - 1.0)
+            p = self.r ** np.copysign(1.0, a * abs(w) - 1.0)
             zw = (z / p) * (w.conjugate() / p)
             size = np.abs(zw)
+            den = math.pi * z * w.conjugate()
         normal = (size >= _FLOAT_MIN) & (size <= _FLOAT_MAX)
-        if np.all(normal):
-            return np.log(zw)
-        a = np.abs(z)
-        unit = (z / a) * (w.conjugate() / abs(w))
-        far = (np.log(a) + (math.log(abs(w)) - 2.0 * np.log(p))) + 1j * np.angle(unit)
-        return np.where(normal, np.log(np.where(normal, zw, 1.0)), far)
+        t = np.log(np.where(normal, zw, 1.0))
+        if not np.all(normal):
+            unit = (z / a) * (w.conjugate() / abs(w))
+            far = (np.log(a) + (math.log(abs(w)) - 2.0 * np.log(p))) + 1j * np.angle(unit)
+            t = np.where(normal, t, far)
+        near = np.abs(t.real) < _T_EXACT
+        if near.any() if near.shape else near:      # a point skips numpy's reduction
+            # numpy's modulus and argument on both points, so that z = w
+            # gives the diagonal's |z| and u = 1; Re t = log(|z| |w| / p^2)
+            u = np.exp(1j * (np.angle(z) - np.angle(w)))
+            h = np.vectorize(self._t_near_circle, otypes=[float])(a, np.abs(w), p > 1.0)
+            t = np.where(near, np.where(p > 1.0, -h, h) + 1j * np.angle(u), t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                den = np.where(near, math.pi * (a * np.abs(w)) * u, den)
+        return t, den
 
     def log_diag_hessian(self, z):
         """d^2/dz dzbar of log K at z: log|z|^2 is harmonic and t = 2 log|zeta|,

@@ -77,12 +77,34 @@ def _sqrt_cut_pos_scalar(s) -> complex:
     return 1j * complex(np.sqrt(-(complex(s) + 0j)))
 
 
+class _Chart:
+    """The two questions every pullback asks of a chart f: source -> target,
+    answered by the target, the unit disc or the upper half-plane (its
+    `_target_distance` and `_target_q`): c = l is the hyperbolic distance
+    of f(z) and f(w), and the metrics pull back by |f'|.  ConformalMap and
+    ZipperMap share it; the sector's chart answers itself where its images
+    leave the floats (`_SectorChart`)."""
+
+    def image_distance(self, z, w, fz: complex, fw: complex) -> float:
+        """The target's hyperbolic distance of the images fz = f(z) and
+        fw = f(w) of z and w."""
+        return self.target._target_distance(fz, fw)
+
+    def jet(self, z) -> tuple:
+        """(f'(z), q), with 1 / q the target's Kobayashi density at f(z), so
+        that kappa = |f'| |X| / q; f and f' come from one
+        `evaluate_with_derivative` call, one zipper pass on a Riemann map."""
+        fz, df = self.evaluate_with_derivative(z)
+        return complex(df), self.target._target_q(complex(fz))
+
+
 @dataclass
-class ConformalMap:
+class ConformalMap(_Chart):
     """Evaluatable conformal map with derivative and inverse.
 
     accuracy is an estimated sup-norm error on an interior test grid
-    (0 for the closed-form maps).
+    (0 for the closed-form maps), and method the tag of an exact value
+    pulled back through the map.
     """
 
     evaluate: Callable
@@ -92,29 +114,11 @@ class ConformalMap:
     target: object
     accuracy: float = 0.0
     normalization: dict = field(default_factory=dict)
-
-    def __call__(self, z):
-        return self.evaluate(z)
+    method: str = "conformal_pullback"
 
     def evaluate_with_derivative(self, z):
         """(f(z), f'(z)), the chart jet that every pullback takes."""
         return self.evaluate(z), self.derivative(z)
-
-    def then(self, other: "ConformalMap") -> "ConformalMap":
-        """Composition: first self, then other."""
-        f, g = self, other
-
-        def ev(z):
-            return g.evaluate(f.evaluate(z))
-
-        def dv(z):
-            return g.derivative(f.evaluate(z)) * f.derivative(z)
-
-        def inv(w):
-            return f.inverse(g.inverse(w))
-
-        return ConformalMap(ev, dv, inv, f.source, g.target,
-                            accuracy=f.accuracy + g.accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,70 @@ def sector_map(theta: float) -> ConformalMap:
     return ConformalMap(ev, dv, inv, Sector(theta), HalfPlane(1.0 + 0j))
 
 
+# _TINY is the smallest normal float: a smaller image has lost bits to
+# underflow.  The Bergman kernel squares a chart's jet (f', 2 Im f); on a
+# sector with power p, |f'| = p |f| / |z|, so the squares stay normal floats
+# while _JET_LO = 2^-500 <= |f| <= _JET_HI / p = 2^500 / p.
+_TINY, _JET_LO, _JET_HI = 2.0 ** -1022, 2.0 ** -500, 2.0 ** 500
+
+
+class _SectorChart(ConformalMap):
+    """The chart of Sector(theta): `sector_map`'s power z^p, p = pi / (2
+    theta), onto the right half-plane, then the quarter turn i f onto the
+    upper half-plane.
+
+    On a narrow sector an image can leave the floats, and the chart answers
+    itself there.  Where an image is not a normal float (NaN fails the test
+    too), the distance comes from the logs of the images, p log z
+    (`_halfplane_log_distance`).  Where |f| leaves [_JET_LO, _JET_HI / p]
+    (every image sent to the log form, and the bands where the Bergman
+    kernel's squares would leave the floats), the jet is
+    (p / |z|, 2 cos(p arg z)), f' and q divided by |f|: kappa =
+    p |X| / (2 |z| cos(p arg z)).  An array evaluate silences numpy's
+    warnings about the overflow, which those answers make noise."""
+
+    def __init__(self, theta: float):
+        power = sector_map(theta)
+        self.p = math.pi / (2.0 * theta)
+
+        def ev(z):
+            if _is_scalar(z):
+                return 1j * power.evaluate(z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return 1j * power.evaluate(z)
+
+        super().__init__(ev, lambda z: 1j * power.derivative(z),
+                         lambda w: power.inverse(w / 1j), power.source, _UPPER_HALF_PLANE)
+
+    def image_distance(self, z, w, fz: complex, fw: complex) -> float:
+        if _TINY <= abs(fz) < math.inf and _TINY <= abs(fw) < math.inf:
+            return self.target._target_distance(fz, fw)
+        return _halfplane_log_distance(self.p * cmath.log(z), self.p * cmath.log(w))
+
+    def jet(self, z) -> tuple:
+        fz = complex(self.evaluate(z))
+        if _JET_LO <= abs(fz) <= _JET_HI / self.p:
+            return complex(self.derivative(z)), self.target._target_q(fz)
+        return self.p / abs(z), 2.0 * math.cos(self.p * cmath.phase(z))
+
+
+def _halfplane_log_distance(la: complex, lb: complex) -> float:
+    """The hyperbolic distance of i exp(la) and i exp(lb) on the upper
+    half-plane, |Im la|, |Im lb| < pi / 2, without forming either point.
+
+    With A = (la - conj lb) / 2, B = (la - lb) / 2 and s = |Re A| = |Re B|,
+    halfplane_hyperbolic_distance reduces to
+        log(|cosh A| + |sinh B|) - (log cos Im la + log cos Im lb) / 2,
+    and |cosh A| + |sinh B| = (e^s / 2) (|1 + e^(-2 sA)| + |1 - e^(-2 sB)|)
+    with the sign of Re A folded in, so no term overflows."""
+    a, b = 0.5 * (la - lb.conjugate()), 0.5 * (la - lb)
+    sign = 1.0 if a.real >= 0.0 else -1.0
+    s = sign * a.real
+    both = abs(1.0 + cmath.exp(-2.0 * sign * a)) + abs(1.0 - cmath.exp(-2.0 * sign * b))
+    return (s + math.log(0.5 * both)
+            - 0.5 * (math.log(math.cos(la.imag)) + math.log(math.cos(lb.imag))))
+
+
 def slit_sqrt_map() -> ConformalMap:
     """Slit plane C minus [0, inf) onto the upper half-plane by the square
     root with cut on the nonnegative real ray."""
@@ -239,7 +307,7 @@ def disc_scale_map(center: complex, radius: float) -> ConformalMap:
     def inv(w):
         return c + r * w
 
-    return ConformalMap(ev, dv, inv, Disc(c, r), _UNIT_DISC)
+    return ConformalMap(ev, dv, inv, Disc(c, r), _UNIT_DISC, method="closed_form")
 
 
 def half_plane_map(normal: complex) -> ConformalMap:
@@ -446,16 +514,18 @@ def _row_by_row(point_call, z):
 _ZIPPER_N = 512
 
 
-class ZipperMap:
+class ZipperMap(_Chart):
     """Riemann map of a Jordan domain onto the unit disc, phi(z0) = 0,
     phi'(z0) > 0, built by the geodesic algorithm on the boundary points of
     the parameter grid params (default domain.params(_ZIPPER_N)).
 
     It is the domain's chart as it stands: like a ConformalMap it has
-    evaluate, derivative, evaluate_with_derivative and inverse, and carries
+    evaluate, derivative, evaluate_with_derivative and inverse, answers
+    `image_distance` and `jet` through its target (`_Chart`), and carries
     source (the domain), target (the unit disc), accuracy (the sup-norm
     error estimate on an interior test grid) and normalization (z0 and
-    phi'(z0)).
+    phi'(z0)).  It stays an object of its own, hashed and compared by
+    identity.
 
     The build carries the Cauchy circle of phi'(z0) and the accuracy test
     grid through the chain's own pass; the half-resolution map that the

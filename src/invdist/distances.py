@@ -9,18 +9,16 @@ estimates are more natural.
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from . import _np as np
 
 from . import annulus as _ann
-from .conformal import ConformalMap, ZipperMap
-from .domains import (Disc, HalfPlane, JordanDomain, Sector, _atanh_stable, poincare_distance,
-                      two_disc_hull)
+from .conformal import ConformalMap, ZipperMap, _GeodesicChain
+from .domains import (Disc, JordanDomain, _atanh_stable, halfplane_hyperbolic_distance,
+                      poincare_distance, two_disc_hull)
 from .errors import DegenerateInput, DomainViolation, UnsupportedDomain
 
 __all__ = [
@@ -93,53 +91,6 @@ class MetricField:
         return self.eval(z, X)
 
 
-# the smallest normal float: a smaller image has lost bits to underflow
-_TINY = sys.float_info.min
-
-# the Bergman kernel squares a chart's jet (f', 2 Im f); on a sector with
-# power p, |f'| = p |f| / |z|, so the squares stay normal floats while
-# 2^-500 <= |f| <= 2^500 / p
-_JET_LO, _JET_HI = 2.0 ** -500, 2.0 ** 500
-
-# numpy's floating-point warnings silenced on a sector chart's array pass
-_SECTOR_QUIET = {"over": "ignore", "invalid": "ignore"}
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic distance on the half-plane (the disc's, poincare_distance, is in
-# domains, beside the C^n closed forms that take it)
-# ---------------------------------------------------------------------------
-
-
-def halfplane_hyperbolic_distance(a: complex, b: complex) -> float:
-    """Hyperbolic distance on the upper half-plane, stable for points at
-    hugely different scales: log((|a - conj b| + |a - b|) / 2) evaluated in
-    the log domain against (1/2) log(Im a Im b)."""
-    a, b = complex(a), complex(b)
-    if a.imag <= 0 or b.imag <= 0:
-        raise DomainViolation("half-plane distance needs Im > 0")
-    s = abs(a - b.conjugate()) + abs(a - b)
-    return math.log(s / 2.0) - 0.5 * (math.log(a.imag) + math.log(b.imag))
-
-
-def _halfplane_log_distance(la: complex, lb: complex) -> float:
-    """The hyperbolic distance of i exp(la) and i exp(lb) on the upper
-    half-plane, |Im la|, |Im lb| < pi / 2, without forming either point.
-
-    With A = (la - conj lb) / 2, B = (la - lb) / 2 and s = |Re A| = |Re B|,
-    halfplane_hyperbolic_distance reduces to
-        log(|cosh A| + |sinh B|) - (log cos Im la + log cos Im lb) / 2,
-    and |cosh A| + |sinh B| = (e^s / 2) (|1 + e^(-2 sA)| + |1 - e^(-2 sB)|)
-    with the sign of Re A folded in, so no term overflows."""
-    a = 0.5 * (la - lb.conjugate())
-    b = 0.5 * (la - lb)
-    sign = 1.0 if a.real >= 0.0 else -1.0
-    s = sign * a.real
-    both = abs(1.0 + cmath.exp(-2.0 * sign * a)) + abs(1.0 - cmath.exp(-2.0 * sign * b))
-    return (s + math.log(0.5 * both)
-            - 0.5 * (math.log(math.cos(la.imag)) + math.log(math.cos(lb.imag))))
-
-
 # ---------------------------------------------------------------------------
 # simply connected planar domains: one conformal chart each
 # ---------------------------------------------------------------------------
@@ -155,7 +106,10 @@ def chart(domain) -> ConformalMap | ZipperMap | None:
     domains by their shared Riemann map, normalized at the anchor, which is
     a ZipperMap with the same methods and attributes as a ConformalMap).  The
     half-plane, sector and slit plane map onto the upper half-plane, whose
-    distance stays accurate for points at hugely different scales.
+    distance stays accurate for points at hugely different scales.  The
+    chart's target answers each pullback (`image_distance` and `jet`, see
+    `conformal._Chart`), except where the sector's chart answers itself,
+    with the log form of its images beyond the floats.
 
     A closed-form chart is built on first use and kept on the domain object
     (as `_chart`, outside its fields, so equality, hash, repr and JSON do
@@ -187,7 +141,7 @@ def _chart_distance(m: ConformalMap, z, w) -> CertifiedValue:
     """c = l through chart m: the hyperbolic distance of the two images, with
     the map's error bound when the chart is numeric."""
     _require_inside(m.source, z, w)
-    return _image_distance(m, z, w, complex(m.evaluate(z)), complex(m.evaluate(w)))
+    return _image_value(m, z, w, complex(m.evaluate(z)), complex(m.evaluate(w)))
 
 
 def chart_distances(domain, zs, ws) -> list:
@@ -209,60 +163,29 @@ def chart_distances(domain, zs, ws) -> list:
     if not zs:
         return []
     _require_inside(m.source, *(p for pair in zip(zs, ws) for p in pair))
-    # a narrow sector's power can leave the floats (an inf, then inf * 0 in
-    # the rotation); _image_distance takes the log form there, so the
-    # overflow is expected and numpy's warnings about it are noise
-    with np.errstate(**(_SECTOR_QUIET if isinstance(m.source, Sector) else {})):
-        images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
-    n = len(zs)
-    return [_image_distance(m, z, w, complex(fz), complex(fw))
-            for z, w, fz, fw in zip(zs, ws, images[:n], images[n:])]
+    images = np.asarray(m.evaluate(np.array(zs + ws)), dtype=complex)
+    return [_image_value(m, z, w, complex(fz), complex(fw))
+            for z, w, fz, fw in zip(zs, ws, images[:len(zs)], images[len(zs):])]
 
 
-def _image_distance(m: ConformalMap, z, w, fz: complex, fw: complex) -> CertifiedValue:
-    """The hyperbolic distance of the images fz, fw of z, w, widened by the
-    map's error when the chart is numeric.  When a narrow sector's power
-    map puts an image out of the normal floats (NaN fails the test too), the
-    distance comes from the logs of the images, p log z, instead."""
-    if isinstance(m.target, HalfPlane):
-        if isinstance(m.source, Sector) and not (_TINY <= abs(fz) < math.inf
-                                                 and _TINY <= abs(fw) < math.inf):
-            p = math.pi / (2.0 * m.source.theta)
-            d = _halfplane_log_distance(p * cmath.log(z), p * cmath.log(w))
-        else:
-            d = halfplane_hyperbolic_distance(fz, fw)
-    else:
-        d = poincare_distance(fz, fw)
+def _image_value(m: ConformalMap, z, w, fz: complex, fw: complex) -> CertifiedValue:
+    """The chart's distance of the images fz, fw of z, w, tagged with its
+    `method` when the chart is exact and widened by the map's error when it
+    is numeric."""
+    d = m.image_distance(z, w, fz, fw)
     if m.accuracy == 0.0:
-        return CertifiedValue.exact(d, "closed_form" if isinstance(m.source, Disc)
-                                    else "conformal_pullback")
+        return CertifiedValue.exact(d, m.method)
     return CertifiedValue.estimate(d, _map_error_to_distance(m, fz, fw), "conformal_pullback")
 
 
 def _chart_jet(m: ConformalMap, z) -> tuple:
-    """(f'(z), q) of chart m, with q = 1 - |f|^2 on the disc and 2 Im f on
-    the half-plane, so that kappa = |f'| |X| / q.  f and f' come from one
-    `evaluate_with_derivative` call, one zipper pass on a Riemann map.
-
-    On a sector, f = i z^p; where |f| leaves [_JET_LO, _JET_HI / p] (every
-    image that `_image_distance` sends to the log form, and the bands where
-    the kernel's squares would overflow) the jet is (p / |z|, 2 cos(p arg z)),
-    f' and q divided by |f|: kappa = p |X| / (2 |z| cos(p arg z)).
+    """(f'(z), q) of chart m, so that kappa = |f'| |X| / q (see `jet`).
 
     Raises DomainViolation when q <= 0: the map's error put f(z) outside the
     target, where the pulled-back metrics would come out negative or infinite.
     """
     _require_inside(m.source, z)
-    if isinstance(m.source, Sector):
-        p = math.pi / (2.0 * m.source.theta)
-        fz = complex(m.evaluate(z))
-        if _JET_LO <= abs(fz) <= _JET_HI / p:
-            df, q = complex(m.derivative(z)), 2.0 * fz.imag
-        else:
-            df, q = p / abs(z), 2.0 * math.cos(p * cmath.phase(z))
-    else:
-        fz, df = map(complex, m.evaluate_with_derivative(z))
-        q = 2.0 * fz.imag if isinstance(m.target, HalfPlane) else 1.0 - abs(fz) ** 2
+    df, q = m.jet(z)
     if not q > 0:
         raise DomainViolation(f"image of {z} left the chart's target; the map is too coarse here")
     return df, q
@@ -337,14 +260,10 @@ def hull_distance(z, d_z, w, d_w) -> float:
     hyperbolic distance is invariant under the final disc rotation, and the
     second center rides through the chain's build pass.
     """
-    from .conformal import _GeodesicChain
-
     length = abs(w - z)
     hull = two_disc_hull(0j, d_z, complex(length, 0.0), d_w)
     if isinstance(hull, Disc):
-        m = chart(hull)
-        return poincare_distance(complex(m.evaluate(0j)),
-                                 complex(m.evaluate(complex(length, 0.0))))
+        return _chart_distance(chart(hull), 0j, complex(length, 0.0)).value
     curve, _ = hull.parametrize()
     pts = np.asarray(curve(hull.param_grid(384)), dtype=complex)
     chain = _GeodesicChain(pts, 0j, [complex(length, 0.0)])

@@ -54,6 +54,38 @@ def _clamp0(d: float, signed: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
+# hyperbolic distances of the two targets of the charts: the unit disc (the
+# C^n closed forms take it too) and the upper half-plane
+# ---------------------------------------------------------------------------
+
+
+def _atanh_stable(rho: float) -> float:
+    if rho >= 1.0:
+        raise DomainViolation("pseudodistance argument reached 1")
+    return 0.5 * (math.log1p(rho) - math.log1p(-rho))
+
+
+def poincare_distance(z: complex, w: complex) -> float:
+    """Hyperbolic distance tanh^{-1} |(z - w) / (1 - conj(z) w)| on the unit disc."""
+    z, w = complex(z), complex(w)
+    if abs(z) >= 1.0 or abs(w) >= 1.0:
+        raise DomainViolation("poincare distance needs |z|, |w| < 1")
+    rho = abs((z - w) / (1.0 - z.conjugate() * w))
+    return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
+
+
+def halfplane_hyperbolic_distance(a: complex, b: complex) -> float:
+    """Hyperbolic distance on the upper half-plane, stable for points at
+    hugely different scales: log((|a - conj b| + |a - b|) / 2) evaluated in
+    the log domain against (1/2) log(Im a Im b)."""
+    a, b = complex(a), complex(b)
+    if a.imag <= 0 or b.imag <= 0:
+        raise DomainViolation("half-plane distance needs Im > 0")
+    s = abs(a - b.conjugate()) + abs(a - b)
+    return math.log(s / 2.0) - 0.5 * (math.log(a.imag) + math.log(b.imag))
+
+
+# ---------------------------------------------------------------------------
 # planar variants
 # ---------------------------------------------------------------------------
 
@@ -74,11 +106,15 @@ class PlanarDomain:
     `kobayashi_field`, `cn_model_distance`, `bergman_kernel`,
     `bergman_metric`, `bergman_distance`) pull back through `_chart` where
     a kind has one: the disc, half-plane, sector, slit plane, two-disc
-    hull and Jordan domain.  A kind without a chart answers through methods
-    of its own, found by name (see `distances._dispatch`): the annulus has
-    `_caratheodory`, `_lempert`, `_kobayashi`, `_bergman_kernel`,
-    `_bergman_metric` and `_bergman_distance`.  An invariant a kind has no
-    route for raises UnsupportedDomain.
+    hull and Jordan domain.  There the chart's target, the unit disc or
+    the upper half-plane, answers in its own coordinates: its
+    `_target_distance` of two images and its `_target_q` at one, which
+    `conformal._Chart` asks (the sector's chart answers itself where its
+    images leave the floats).  A kind without a chart answers through
+    methods of its own, found by name (see `distances._dispatch`): the
+    annulus has `_caratheodory`, `_lempert`, `_kobayashi`,
+    `_bergman_kernel`, `_bergman_metric` and `_bergman_distance`.  An
+    invariant a kind has no route for raises UnsupportedDomain.
     """
 
     dim = 1
@@ -116,6 +152,13 @@ class Disc(PlanarDomain):
 
         return disc_scale_map(self.center, self.radius)
 
+    # the unit disc's answers as a chart's target (every chart onto a disc
+    # maps onto the unit disc, so they read its coordinates): the distance
+    # of two images, and q = 1 - |f|^2, so that its Kobayashi density at an
+    # image f is 1 / q
+    _target_distance = staticmethod(poincare_distance)
+    _target_q = staticmethod(lambda f: 1.0 - abs(f) ** 2)
+
     def to_json(self):
         if self.center == 0 and self.radius == 1.0:
             return {"kind": "disc"}
@@ -149,6 +192,13 @@ class HalfPlane(PlanarDomain):
 
         return half_plane_map(self.normal)
 
+    # the upper half-plane's answers as a chart's target (every chart onto a
+    # half-plane maps onto HalfPlane(1j), so they read its coordinates): the
+    # distance of two images, accurate at hugely different scales, and
+    # q = 2 Im f, so that its Kobayashi density at an image f is 1 / q
+    _target_distance = staticmethod(halfplane_hyperbolic_distance)
+    _target_q = staticmethod(lambda f: 2.0 * f.imag)
+
     def to_json(self):
         return {"kind": "halfplane", "normal": _fmt_complex(self.normal)}
 
@@ -176,9 +226,9 @@ class Sector(PlanarDomain):
 
     @cached_property
     def _chart(self):
-        from .conformal import half_plane_map, sector_map
+        from .conformal import _SectorChart
 
-        return sector_map(self.theta).then(half_plane_map(1.0 + 0j))
+        return _SectorChart(self.theta)
 
     def to_json(self):
         return {"kind": "sector", "theta": self.theta}
@@ -889,27 +939,6 @@ def lens_domain(rho: float) -> JordanDomain:
     return JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
                         corner_params=(0.0, b1),
                         json_doc={"kind": "jordan", "curve": "lens", "rho": float(rho)})
-
-
-# ---------------------------------------------------------------------------
-# Poincare distance on the disc: the disc charts' target and the C^n closed
-# forms take it
-# ---------------------------------------------------------------------------
-
-
-def _atanh_stable(rho: float) -> float:
-    if rho >= 1.0:
-        raise DomainViolation("pseudodistance argument reached 1")
-    return 0.5 * (math.log1p(rho) - math.log1p(-rho))
-
-
-def poincare_distance(z: complex, w: complex) -> float:
-    """Hyperbolic distance tanh^{-1} |(z - w) / (1 - conj(z) w)| on the unit disc."""
-    z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise DomainViolation("poincare distance needs |z|, |w| < 1")
-    rho = abs((z - w) / (1.0 - z.conjugate() * w))
-    return _atanh_stable(min(rho, math.nextafter(1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

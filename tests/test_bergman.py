@@ -740,6 +740,34 @@ class TestAnnulusKernelRefusals:
                 assert math.isfinite(beta) and beta > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [1.05, 3.0, 7.0])
+    def test_pair_on_the_diagonal_an_ulp_inside_each_circle(self, r):
+        # the one-rounding product z conj(w) / p^2 is much of Re t there; the
+        # pair forms Re t from the exact moduli and Im t from the arguments
+        kern = AnnulusKernel(r)
+        for a in (math.nextafter(1.0 / r, 1.0), math.nextafter(r, 0.0)):
+            for z in (complex(a, 0.0), a * cmath.exp(0.7j)):
+                got, want = kern.pair(z, z), kern.diagonal(z)
+                assert got.imag == 0.0, z
+                assert abs(got.real - want) <= 1e-12 * want, z
+                batch = kern.pair(np.array([z, 1.0 + 0j]), z)
+                assert batch[0] == got
+            # off the diagonal: the series at t = log(a^2 / p^2) + 0.3i, its
+            # real part formed in 60-digit decimal
+            import decimal
+
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                p2 = decimal.Decimal(r) ** (2 if a > 1.0 else -2)
+                re = float((decimal.Decimal(a) ** 2 / p2).ln())
+            w = a * cmath.exp(-0.3j)
+            want = ((0.5 * kern._k) ** 2 * kern._series(complex(re, 0.3), 0.3)
+                    / (math.pi * a * w.conjugate()))
+            got = kern.pair(complex(a, 0.0), w)
+            assert abs(got - want) <= 1e-12 * abs(want), a
+            assert kern.pair(w, complex(a, 0.0)) == pytest.approx(got.conjugate(), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pair_still_answers_in_range(self):
         kern = AnnulusKernel(1e300)
         assert kern.pair(1e150, 1.0) == pytest.approx(laurent_pair(1e300, 1e150, 1.0), rel=1e-12)

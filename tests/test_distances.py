@@ -22,6 +22,7 @@ from invdist.domains import (
     Annulus,
     Ball,
     Disc,
+    PlanarDomain,
     Polydisc,
     Sector,
     SlitPlane,
@@ -643,6 +644,62 @@ class TestOneChart:
         assert chart(Ball((0j, 0j), 1.0)) is None
 
 
+class _RaisedHalfPlane(PlanarDomain):
+    """{Im z > 1}, a planar domain defined here only: its chart z -> z - i
+    onto the upper half-plane is all that it tells the pullback."""
+
+    def boundary_distance(self, z, signed=False):
+        d = z.imag - 1.0
+        return d if signed else max(d, 0.0)
+
+    @property
+    def _chart(self):
+        from invdist.conformal import ConformalMap
+        from invdist.domains import HalfPlane
+
+        return ConformalMap(lambda z: z - 1j, lambda z: 1.0 + 0j, lambda w: w + 1j,
+                            self, HalfPlane(1j))
+
+
+class TestChartSeam:
+    """A chart maps onto the unit disc or the upper half-plane, and that
+    target answers the pullback."""
+
+    def test_every_chart_maps_onto_a_target(self):
+        from invdist.distances import chart
+        from invdist.domains import HalfPlane, ellipse_domain, two_disc_hull
+
+        cases = [(Disc(0.25 - 0.5j, 1.5), 0.3 - 0.2j, -0.9 - 1.1j, "closed_form"),
+                 (HalfPlane(0.6 + 0.8j), 0.3 + 0.9j, 2.0 - 0.4j, "conformal_pullback"),
+                 (Sector(0.7), 1.0 + 0j, 0.4 + 0.2j, "conformal_pullback"),
+                 (Sector(1e-4), 0.5 + 0j, 2.0 + 0j, "conformal_pullback"),
+                 (SlitPlane(), -1.0 + 0j, 0.5 + 0.5j, "conformal_pullback"),
+                 (ellipse_domain(2.0, 1.0), 0j, 1.2 + 0.3j, None),
+                 (two_disc_hull(0j, 1.0, 2.5 + 0j, 0.7), 0.5 + 0j, 2.0 + 0.2j, None)]
+        for dom, z, w, method in cases:
+            m = chart(dom)
+            assert m.target in (UnitDisc(), HalfPlane(1j)), dom
+            if method is not None:
+                assert m.accuracy == 0.0 and m.method == method
+                assert caratheodory(dom, z, w).method == m.method
+            else:
+                assert m.accuracy > 0.0
+
+    def test_a_new_domain_needs_only_its_chart(self):
+        from invdist.bergman import bergman_kernel, bergman_metric
+        from invdist.domains import HalfPlane
+
+        dom, upper = _RaisedHalfPlane(), HalfPlane(1j)
+        for z, w in ((1.5j, 0.3 + 4.0j), (-2.0 + 1.001j, 7.0 + 30.0j)):
+            assert caratheodory(dom, z, w) == caratheodory(upper, z - 1j, w - 1j)
+            assert kobayashi_metric(dom, z, 0.3 - 2.0j) == \
+                kobayashi_metric(upper, z - 1j, 0.3 - 2.0j)
+            assert bergman_kernel(dom, z) == bergman_kernel(upper, z - 1j)
+            assert bergman_metric(dom, z) == bergman_metric(upper, z - 1j)
+        with pytest.raises(DomainViolation):
+            caratheodory(dom, 0.5j, 2.0j)
+
+
 class TestChartDistances:
     """The batched chart distance agrees with the scalar one on every chart
     domain: within roundoff on the closed forms, within the value's error on
@@ -746,7 +803,7 @@ class TestNarrowSector:
                 assert v.value == pytest.approx(scale * want, rel=1e-12)
 
     def test_log_form_matches_the_power_map(self):
-        from invdist.distances import _halfplane_log_distance
+        from invdist.conformal import _halfplane_log_distance
 
         rng = np.random.default_rng(8)
         for _ in range(300):
