@@ -112,7 +112,7 @@ _LAZY = {
     **dict.fromkeys(("BoundReport", "bound_ccvx_lower", "bound_convex_lower", "bound_prop1_R",
                      "boundary_slope_regression", "envelope_residual_pla",
                      "experiment_ratio_c_over_l", "experiment_sector_ratio",
-                     "experiment_slit_coefficient", "fit_min_constant", "run_suite",
+                     "experiment_slit_coefficient", "run_suite",
                      "sandwich_gen", "verify_prop5_product"), "bounds"),
 }
 

@@ -20,6 +20,7 @@ from .errors import (
     BranchViolation,
     DegenerateInput,
     DomainViolation,
+    InsufficientSamples,
     NoFiniteConstant,
     NonConvergence,
     SchemaError,
@@ -168,7 +169,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (SchemaError, DegenerateInput, DomainViolation, BranchViolation) as exc:
+    except (SchemaError, DegenerateInput, DomainViolation, BranchViolation,
+            InsufficientSamples) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except UnsupportedDomain as exc:

@@ -194,7 +194,10 @@ def sector_map(theta: float) -> ConformalMap:
 
     def dv(z):
         _check(z)
-        return p * z ** (p - 1.0)
+        try:
+            return p * z ** (p - 1.0)
+        except OverflowError:      # as in ev
+            return complex(math.inf, 0.0)
 
     def inv(w):
         return w ** (1.0 / p)
@@ -221,20 +224,24 @@ class _SectorChart(ConformalMap):
     (every image sent to the log form, and the bands where the Bergman
     kernel's squares would leave the floats), the jet is
     (p / |z|, 2 cos(p arg z)), f' and q divided by |f|: kappa =
-    p |X| / (2 |z| cos(p arg z)).  An array evaluate silences numpy's
-    warnings about the overflow, which those answers make noise."""
+    p |X| / (2 |z| cos(p arg z)).  An array evaluate or derivative
+    silences numpy's warnings about the overflow, which those answers make
+    noise; past the floats a point's f or f' is i times infinity, as
+    `sector_map` gives it."""
 
     def __init__(self, theta: float):
         power = sector_map(theta)
         self.p = math.pi / (2.0 * theta)
 
-        def ev(z):
-            if _is_scalar(z):
-                return 1j * power.evaluate(z)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return 1j * power.evaluate(z)
+        def turned(f):
+            def g(z):
+                if _is_scalar(z):
+                    return 1j * f(z)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return 1j * f(z)
+            return g
 
-        super().__init__(ev, lambda z: 1j * power.derivative(z),
+        super().__init__(turned(power.evaluate), turned(power.derivative),
                          lambda w: power.inverse(w / 1j), power.source, _UPPER_HALF_PLANE)
 
     def image_distance(self, z, w, fz: complex, fw: complex) -> float:

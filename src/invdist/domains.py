@@ -621,22 +621,13 @@ class JordanDomain(PlanarDomain):
             out = -out
         return out if out.shape else complex(out)
 
-    def params(self, n, cluster_at=None, min_gap=None):
-        """Parameter grid of ~n points, optionally graded near cluster_at:
-        offsets from min_gap (default 0.25 / n) growing by 1.18 per point."""
+    def params(self, n):
+        """The Riemann map's boundary grid: n uniform parameters, or a hull's
+        own `param_grid(n)` (its `param_grid_override`)."""
         override = getattr(self, "param_grid_override", None)
-        if override is not None and cluster_at is None:
+        if override is not None:
             return override(n)
-        base = np.linspace(0.0, 1.0, n, endpoint=False)
-        if cluster_at is None:
-            return base
-        gap = min_gap if min_gap is not None else 0.25 / n
-        offs = [gap]
-        while offs[-1] < 0.75 / 2:
-            offs.append(offs[-1] * 1.18)
-        offs = np.array(offs[:-1])
-        extra = np.concatenate([cluster_at + offs, cluster_at - offs, [cluster_at]]) % 1.0
-        return np.unique(np.concatenate([base, extra]))
+        return np.linspace(0.0, 1.0, n, endpoint=False)
 
     def contains(self, z):
         """Winding number of the sampled polyline (512, 1024, ... points,

@@ -30,11 +30,12 @@ class InvalidDomain(InvdistError, ValueError):
 
 
 class NoFiniteConstant(InvdistError, RuntimeError):
-    """Constant fitting found violations even at the search ceiling."""
+    """A fitted constant is not finite: some sample admits no finite one."""
 
 
 class InsufficientSamples(InvdistError, ValueError):
-    """A regression or fit was asked to run on too few samples."""
+    """Too few samples: a regression or fit given too few, or a domain too
+    small for a sampler to find points at the required boundary depth."""
 
 
 class SchemaError(InvdistError, ValueError):

@@ -17,7 +17,9 @@ from invdist.domains import (
     Sector,
     SlitPlane,
     ellipse_domain,
+    lens_domain,
     two_disc_hull,
+    wobbly_domain,
 )
 from invdist.errors import (
     DegenerateInput,
@@ -188,6 +190,13 @@ class TestSampler:
         with pytest.raises(UnsupportedDomain):
             bd.sample_interior(object(), 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dom, d_floor", [(Disc(0j, 1e-3), 2e-2),
+                                              (ellipse_domain(1e-4, 1e-4), 1e-3)])
+    def test_domain_thinner_than_the_floor(self, dom, d_floor):
+        # no candidate clears d_floor: the sampler gives up after 1000 per point
+        with pytest.raises(InsufficientSamples, match="8000 candidates"):
+            bd.sample_interior(dom, 8, np.random.default_rng(0), d_floor=d_floor)
+
     @pytest.mark.parametrize("kind", ["hull", "jordan", "sector"])
     def test_rounds_match_testing_each_draw(self, kind):
         # reference: test each candidate as it is drawn; the points and the
@@ -208,51 +217,41 @@ class TestSampler:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class TestFitMinConstant:
+def _closed_form_constant(grid):
+    """max(1, X, 1 / X) over the rows, X = sep^2 / (d_z d_w sinh^2 d)."""
+    xs = [sep * sep / (dz * dw * math.sinh(d) ** 2) for sep, dz, dw, d in grid]
+    return max(1.0, *xs, *(1.0 / x for x in xs))
+
+
+PROP6_DOMAINS = {"disc": Disc(0j, 1.0), "ellipse": ellipse_domain(2.0, 1.0),
+                 "lens": lens_domain(0.75), "wobbly": wobbly_domain(7)}
+
+
+class TestSandwichConstant:
     def test_disc_slice_prop6_constant(self):
+        # z = 0, w = t on the unit disc: tanh c_D = t, so X = 1 + t
         ts = np.linspace(0.1, 0.999, 200)
+        c = bd._sandwich_constant([(t, 1.0, 1.0 - t, math.atanh(t)) for t in ts])
+        assert c == pytest.approx(1.999, rel=1e-12)
 
-        def margins(c):
-            out = []
-            for t in ts:
-                lo, _ = bd.sandwich_gen(t, 1.0, 1.0 - t, c)
-                out.append(t - lo)  # tanh c_D(0, t) = t
-            return np.asarray(out)
-
-        c, _ = bd.fit_min_constant(margins, c_lo=1.0)
-        assert c <= 2.0 + 1e-3
-        assert c >= 1.9
-
-    def test_envelope_constant_disc(self):
-        ws = np.linspace(0.0, 0.999999, 400)
-        resid = 0.5 * np.log1p(ws)
-
-        def margins(c):
-            return c - resid
-
-        c, _ = bd.fit_min_constant(margins)
-        assert c == pytest.approx(0.5 * math.log(2.0), abs=1e-6)
-
-    def test_comp_constant_is_4_root2(self, rng):
-        pairs = []
-        for _ in range(50):
-            z = complex(0.9 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
-            w = complex(0.9 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
-            if abs(z - w) < 1e-3:
-                continue
-            k = poincare_distance(z, w)
-            b = math.sqrt(2.0) * k
-            pairs.append((k, b))
-
-        def margins(c):
-            return np.asarray([c * k - 4.0 * b for k, b in pairs])
-
-        c, _ = bd.fit_min_constant(margins)
-        assert c == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-6)
+    @pytest.mark.parametrize("seed", [5, 42])
+    @pytest.mark.parametrize("name", sorted(PROP6_DOMAINS))
+    def test_prop6_constant_clears_its_grid(self, name, seed):
+        domain = PROP6_DOMAINS[name]
+        rep = bd.run_suite("prop6", samples=40, seed=seed, domain=domain)
+        grid = bd._prop6_grid(domain, 40, np.random.default_rng(seed))
+        c = rep.constants["c"]
+        assert c == pytest.approx(_closed_form_constant(grid), rel=1e-12)
+        for sep, dz, dw, d in grid:
+            lo, hi = bd.sandwich_gen(sep, dz, dw, c)
+            assert min(math.tanh(d) - lo, hi - math.tanh(d)) >= -1e-15
+        assert rep.worst_margin >= -1e-15
+        assert rep.passed
 
     def test_no_finite_constant(self):
+        # d = 0 at a positive separation: X = inf
         with pytest.raises(NoFiniteConstant):
-            bd.fit_min_constant(lambda c: np.asarray([-1.0]))
+            bd._sandwich_constant([(0.1, 1.0, 1.0, 0.5), (0.1, 1.0, 1.0, 0.0)])
 
 
 class TestExperiments:
@@ -384,7 +383,6 @@ class TestSuites:
     def test_prop6_disc(self):
         rep = bd.run_suite("prop6", samples=80, seed=5)
         assert rep.passed
-        assert rep.constants["disc_l_minus_c"] <= 1e-12
         assert rep.constants["c"] <= 4.1
 
     def test_comp_suite(self):
@@ -410,6 +408,10 @@ class TestSuites:
         with pytest.raises(DegenerateInput):
             bd.run_suite("prop7", samples=7)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DegenerateInput, match="seed"):
+            bd.run_suite("prop2", samples=5, seed=-1)
+
     def test_domain_outside_the_suite_contract(self):
         with pytest.raises(UnsupportedDomain):
             bd.run_suite("eq-le", samples=4, domain=Disc(0j, 1.0))
@@ -419,12 +421,12 @@ class TestSuites:
 
 # default reports of the planar Jordan suites, recorded with one
 # `contains` / `boundary_distance` call per point: the array calls the suites
-# make must reproduce every byte
+# make must reproduce every byte (prop6's with its closed-form constant)
 PINNED_REPORTS = [
     ("prop6", 8, True,
      '{"schema":1,"suite":"prop6","samples":68,"violations":0,'
-     '"worst_margin":-9.9999997171806854e-10,"constants":{"c":8.1364700433926913,'
-     '"c_fresh":8.1364700433926913,"disc_l_minus_c":0},"seed":42,"passed":true}'),
+     '"worst_margin":1.1102230246251565e-16,"constants":{"c":8.1377940774831838,'
+     '"c_fresh":8.1377940774831838},"seed":42,"passed":true}'),
     ("eq-le", 6, True,
      '{"schema":1,"suite":"eq-le","samples":6,"violations":0,'
      '"worst_margin":-0.42542151059866273,"constants":{"c":1.7428584915078802},'
@@ -441,8 +443,8 @@ PINNED_REPORTS = [
      '"ellipse_bergman":0.5018526706140688},"seed":42,"passed":true}'),
     ("prop6", 40, False,
      '{"schema":1,"suite":"prop6","samples":84,"violations":0,'
-     '"worst_margin":-9.999894245993346e-10,"constants":{"c":3.9983869716980855,'
-     '"c_fresh":3.9983869716980855,"disc_l_minus_c":0},"seed":42,"passed":true}'),
+     '"worst_margin":1.1102230246251565e-16,"constants":{"c":3.9986000713165577,'
+     '"c_fresh":3.9986000713121186},"seed":42,"passed":true}'),
 ]
 
 

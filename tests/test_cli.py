@@ -281,6 +281,24 @@ class TestVerify:
         assert f"at least {floor} samples" in err
         assert out == ""
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "prop2", "--samples", "5",
+                             "--seed", "-1")
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("suite, samples, domain", [
+        ("prop6", "8", '{"kind":"disc","radius":0.001}'),
+        ("eq-le", "6", '{"kind":"jordan","curve":"ellipse","a":0.0001,"b":0.0001}'),
+    ])
+    def test_domain_too_small_for_the_depth_floor_exit_2(self, capsys, suite, samples, domain):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", samples,
+                             "--domain", domain)
+        assert code == 2
+        assert "too small" in err
+        assert out == ""
+
     @pytest.mark.parametrize("suite, domain", [
         ("eq-le", '{"kind":"disc"}'),
         ("prop4", '{"kind":"sector","theta":0.7}'),
@@ -361,7 +379,7 @@ class TestImportFootprint:
         "bounds": ["BoundReport", "bound_ccvx_lower", "bound_convex_lower", "bound_prop1_R",
                    "boundary_slope_regression", "envelope_residual_pla",
                    "experiment_ratio_c_over_l", "experiment_sector_ratio",
-                   "experiment_slit_coefficient", "fit_min_constant", "run_suite",
+                   "experiment_slit_coefficient", "run_suite",
                    "sandwich_gen", "verify_prop5_product"],
         "conformal": ["AnnulusCover", "ConformalMap", "cayley_map", "disc_scale_map",
                       "mobius_disc_automorphism", "riemann_map", "sector_map", "slit_sqrt_map"],

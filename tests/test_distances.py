@@ -848,6 +848,20 @@ class TestNarrowSector:
         for cv, (z, w) in zip(batch, ((0.5, 0.6), (2.0, 1e-3), (1.0, 5.0))):
             assert cv.value == pytest.approx(math.pi / 4e-4 * abs(math.log(w / z)), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_derivative_beyond_the_floats(self):
+        from invdist.conformal import sector_map
+        from invdist.distances import chart
+
+        # at z = 3 on Sector(1e-4), z^p and z^(p - 1) leave the floats
+        power, m = sector_map(1e-4), chart(Sector(1e-4))
+        assert power.derivative(3.0 + 0j) == power.evaluate(3.0 + 0j) == complex(math.inf, 0.0)
+        assert repr(m.derivative(3.0 + 0j)) == repr(m.evaluate(3.0 + 0j)) == "(nan+infj)"
+        assert repr(m.evaluate_with_derivative(3.0 + 0j)) == "((nan+infj), (nan+infj))"
+        d = m.derivative(np.array([3.0 + 0j, 1.0 + 0j]))
+        assert not np.isfinite(d[0])
+        assert d[1] == 1j * math.pi / 2e-4
+
     def test_wide_sector_values_pinned(self):
         from invdist.bergman import bergman_distance
 
