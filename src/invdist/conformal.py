@@ -186,7 +186,8 @@ def sector_map(theta: float) -> ConformalMap:
     def ev(z):
         _check(z)
         if not _is_scalar(z):
-            return np.asarray(z, dtype=complex) ** p
+            with np.errstate(over="ignore"):    # past the floats: infinite
+                return np.asarray(z, dtype=complex) ** p
         try:
             return z ** p
         except OverflowError:      # python's complex power raises past the floats
@@ -194,6 +195,9 @@ def sector_map(theta: float) -> ConformalMap:
 
     def dv(z):
         _check(z)
+        if not _is_scalar(z):
+            with np.errstate(over="ignore", invalid="ignore"):    # as in ev
+                return p * z ** (p - 1.0)
         try:
             return p * z ** (p - 1.0)
         except OverflowError:      # as in ev

@@ -340,9 +340,58 @@ class Annulus(PlanarDomain):
                                    np.exp(2j * math.pi * rng.uniform(0, 1))), False
 
 
+def _require_hull(z, d_z, w, d_w) -> None:
+    """DegenerateInput unless both disc centres are finite and both radii
+    lie in (0, inf)."""
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise DegenerateInput("hull disc centres must be finite")
+    if not (0.0 < d_z < math.inf and 0.0 < d_w < math.inf):
+        raise DegenerateInput("hull disc radii must lie in (0, inf)")
+
+
+def _arcs_and_segments(pieces):
+    """A closed boundary made of the pieces in turn, each run through in the
+    same share of [0, 1) as of the boundary's length: arcs
+    ("arc", center, radius, start, sweep), of length radius * sweep, and
+    segments ("segment", a, b, length).
+
+    Returns (curve, dcurve, shares, bounds): the curve and its derivative
+    in t (taken mod 1, a point or an array; NaN at a NaN t), each piece's
+    share of the length, and the parameters 0, ..., 1 where the pieces
+    start and end.
+    """
+    lengths = [p[2] * p[4] if p[0] == "arc" else p[3] for p in pieces]
+    total = sum(lengths)
+    shares = [length / total for length in lengths]
+    bounds = [0.0]
+    for share in shares:
+        bounds.append(bounds[-1] + share)
+    bounds[-1] = 1.0
+    spans = list(zip(pieces, bounds[:-1], bounds[1:]))
+    last = len(spans) - 1
+
+    def evaluate(t, deriv):
+        t = np.asarray(t, dtype=float) % 1.0
+        out = np.full(t.shape, complex(math.nan, math.nan))   # a NaN t is on no piece
+        for k, (piece, a, b) in enumerate(spans):
+            m = t < b if k == 0 else t >= a if k == last else (t >= a) & (t < b)
+            if piece[0] == "arc":
+                _, c, r, start, sweep = piece
+                e = np.exp(1j * (start + (t[m] - a) / (b - a) * sweep))
+                out[m] = 1j * r * e * sweep / (b - a) if deriv else c + r * e
+            else:
+                _, p, q, _ = piece
+                out[m] = (q - p) / (b - a) if deriv else p + (t[m] - a) / (b - a) * (q - p)
+        return out if out.shape else complex(out)
+
+    return (lambda t: evaluate(t, False)), (lambda t: evaluate(t, True)), shares, bounds
+
+
 @dataclass(frozen=True)
 class TwoDiscHull(PlanarDomain):
-    """Convex hull of two discs D(z, r_z) and D(w, r_w); neither contains the other."""
+    """Convex hull of two discs D(z, r_z) and D(w, r_w); neither contains
+    the other.  Its boundary is four pieces: the arc around z, the lower
+    tangent segment, the arc around w and the upper tangent segment."""
 
     z: complex
     r_z: float
@@ -350,8 +399,7 @@ class TwoDiscHull(PlanarDomain):
     r_w: float
 
     def __post_init__(self):
-        if self.r_z <= 0 or self.r_w <= 0:
-            raise DegenerateInput("hull disc radii must be positive")
+        _require_hull(self.z, self.r_z, self.w, self.r_w)
         if abs(self.z - self.w) <= abs(self.r_z - self.r_w):
             raise DegenerateInput("one disc contains the other; hull degenerates to a disc")
 
@@ -365,17 +413,22 @@ class TwoDiscHull(PlanarDomain):
         return delta, length, mu, alpha, axis
 
     def _pieces(self):
-        delta, length, mu, alpha, axis = self._geometry
+        """The boundary's pieces, positively oriented from the z end of the
+        upper segment, for `_arcs_and_segments`."""
+        _, length, _, alpha, axis = self._geometry
         n_plus = cmath.exp(1j * (axis + alpha))
         n_minus = cmath.exp(1j * (axis - alpha))
-        seg_plus = (self.z + self.r_z * n_plus, self.w + self.r_w * n_plus)
-        seg_minus = (self.z + self.r_z * n_minus, self.w + self.r_w * n_minus)
-        return n_plus, n_minus, seg_plus, seg_minus
+        seg_len = math.sqrt(length * length - (self.r_z - self.r_w) ** 2)
+        return [("arc", self.z, self.r_z, axis + alpha, TWO_PI - 2 * alpha),
+                ("segment", self.z + self.r_z * n_minus, self.w + self.r_w * n_minus, seg_len),
+                ("arc", self.w, self.r_w, axis - alpha, 2 * alpha),
+                ("segment", self.w + self.r_w * n_plus, self.z + self.r_z * n_plus, seg_len)]
 
     def boundary_distance(self, z, signed=False):
         _, length, mu, _, axis = self._geometry
-        _, _, seg_plus, seg_minus = self._pieces()
-        cands = [_segment_distance(z, *seg_plus), _segment_distance(z, *seg_minus)]
+        (_, lo_z, lo_w, _), (_, up_w, up_z, _) = self._pieces()[1::2]
+        # each from its z end: the distance's rounding depends on the direction
+        cands = [_segment_distance(z, up_z, up_w), _segment_distance(z, lo_z, lo_w)]
         u = z - self.z
         if u != 0 and math.cos(cmath.phase(u) - axis) <= mu:
             cands.append(abs(self.r_z - abs(u)))
@@ -397,69 +450,20 @@ class TwoDiscHull(PlanarDomain):
         gap = math.hypot(s - t * length, p) - ((1.0 - t) * self.r_z + t * self.r_w)
         return gap < 0.0
 
-    def _breakpoints(self):
-        """The boundary's four pieces (the arc around z, the lower segment,
-        the arc around w, the upper segment) as shares of its length, and
-        the parameters 0, b1, b2, b3, 1 where they start and end."""
-        _, length, _, alpha, _ = self._geometry
-        seg_len = math.sqrt(length * length - (self.r_z - self.r_w) ** 2)
-        arc_z = self.r_z * (TWO_PI - 2 * alpha)
-        arc_w = self.r_w * (2 * alpha)
-        total = arc_z + seg_len + arc_w + seg_len
-        b1 = arc_z / total
-        b2 = b1 + seg_len / total
-        b3 = b2 + arc_w / total
-        return ([arc_z / total, seg_len / total, arc_w / total, seg_len / total],
-                [0.0, b1, b2, b3, 1.0])
-
     def parametrize(self):
-        """Positively oriented piecewise arc/segment boundary, arclength-proportional."""
-        _, _, _, alpha, axis = self._geometry
-        n_plus, n_minus, seg_plus, seg_minus = self._pieces()
-        _, (_, b1, b2, b3, _) = self._breakpoints()
-
-        cz, cw, rz, rw = self.z, self.w, self.r_z, self.r_w
-
-        def curve(t):
-            t = np.asarray(t, dtype=float) % 1.0
-            out = np.empty(t.shape, dtype=complex)
-            m1 = t < b1
-            ang = (axis + alpha) + (t[m1] / b1) * (TWO_PI - 2 * alpha)
-            out[m1] = cz + rz * np.exp(1j * ang)
-            m2 = (t >= b1) & (t < b2)
-            s = (t[m2] - b1) / (b2 - b1)
-            out[m2] = seg_minus[0] + s * (seg_minus[1] - seg_minus[0])
-            m3 = (t >= b2) & (t < b3)
-            ang = (axis - alpha) + ((t[m3] - b2) / (b3 - b2)) * (2 * alpha)
-            out[m3] = cw + rw * np.exp(1j * ang)
-            m4 = t >= b3
-            s = (t[m4] - b3) / (1.0 - b3)
-            out[m4] = seg_plus[1] + s * (seg_plus[0] - seg_plus[1])
-            return out if out.shape else complex(out)
-
-        def dcurve(t):
-            t = np.asarray(t, dtype=float) % 1.0
-            out = np.empty(t.shape, dtype=complex)
-            m1 = t < b1
-            ang = (axis + alpha) + (t[m1] / b1) * (TWO_PI - 2 * alpha)
-            out[m1] = 1j * rz * np.exp(1j * ang) * (TWO_PI - 2 * alpha) / b1
-            m2 = (t >= b1) & (t < b2)
-            out[m2] = (seg_minus[1] - seg_minus[0]) / (b2 - b1)
-            m3 = (t >= b2) & (t < b3)
-            ang = (axis - alpha) + ((t[m3] - b2) / (b3 - b2)) * (2 * alpha)
-            out[m3] = 1j * rw * np.exp(1j * ang) * (2 * alpha) / (b3 - b2)
-            m4 = t >= b3
-            out[m4] = (seg_plus[0] - seg_plus[1]) / (1.0 - b3)
-            return out if out.shape else complex(out)
-
+        """The positively oriented boundary (curve, dcurve) of `_pieces`,
+        each piece run through in its share of the length."""
+        curve, dcurve, _, _ = _arcs_and_segments(self._pieces())
         return curve, dcurve
 
     def param_grid(self, n: int = 512) -> np.ndarray:
-        """Boundary parameters with per-piece minimum counts and clustering
-        toward the arc/segment junctions, where the curvature jumps."""
-        weights, bounds = self._breakpoints()
+        """Boundary parameters: each piece gets its share of n, but at least
+        48 per arc and 16 per segment, so the total is not n; the nodes
+        cluster toward the arc/segment junctions, where the curvature
+        jumps."""
+        _, _, shares, bounds = _arcs_and_segments(self._pieces())
         minima = [48, 16, 48, 16]
-        counts = [max(int(round(wt * n)), mn) for wt, mn in zip(weights, minima)]
+        counts = [max(int(round(share * n)), mn) for share, mn in zip(shares, minima)]
         pieces = []
         s = 2.0  # tanh grading strength; clusters both piece ends
         for a, b, c in zip(bounds[:-1], bounds[1:], counts):
@@ -555,8 +559,7 @@ def two_disc_hull(z: complex, d_z: float, w: complex, d_w: float) -> PlanarDomai
 
     Degenerates to the larger disc when one disc contains the other.
     """
-    if d_z <= 0 or d_w <= 0:
-        raise DegenerateInput("hull radii must be positive")
+    _require_hull(z, d_z, w, d_w)
     if abs(z - w) <= abs(d_z - d_w):
         return Disc(z, d_z) if d_z >= d_w else Disc(w, d_w)
     return TwoDiscHull(z, d_z, w, d_w)
@@ -844,9 +847,9 @@ def _segments_cross(p, q, r, s):
 
 
 def ellipse_domain(a: float, b: float) -> JordanDomain:
-    """Origin-centred axis-aligned ellipse with semi-axes a, b."""
-    if a <= 0 or b <= 0:
-        raise DegenerateInput("ellipse semi-axes must be positive")
+    """Origin-centred axis-aligned ellipse with semi-axes a, b in (0, inf)."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DegenerateInput("ellipse semi-axes must lie in (0, inf)")
 
     def curve(t):
         t = np.asarray(t, dtype=float)
@@ -863,7 +866,9 @@ def ellipse_domain(a: float, b: float) -> JordanDomain:
 
 def wobbly_domain(seed: int) -> JordanDomain:
     """Random star-shaped smooth Jordan domain r(t) = 1 + Fourier wobble:
-    modes 1..4, coefficients normal(seed) * 0.12 / k."""
+    modes 1..4, coefficients normal(seed) * 0.12 / k; seed a whole number."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DegenerateInput("wobbly seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     ks = np.arange(1, 5)
     ak = rng.normal(size=4) * 0.12 / ks
@@ -892,8 +897,11 @@ def wobbly_domain(seed: int) -> JordanDomain:
 def lens_domain(rho: float) -> JordanDomain:
     """Intersection of the unit disc with D(1, rho), rho in (0, 2).
 
-    The two boundary arcs meet at corners; the curve is smooth away from
-    them, in particular near the boundary point z = 1.
+    Its boundary is two pieces: the arc of the unit circle inside D(1, rho)
+    and the arc of the rho circle inside the unit disc.  They meet at
+    corners (parameters 0 and the first arc's share of the length); the
+    curve is smooth away from them, in particular near the boundary point
+    z = 1.
     """
     if not 0.0 < rho < 2.0:
         raise DegenerateInput("lens radius must lie in (0, 2)")
@@ -901,34 +909,10 @@ def lens_domain(rho: float) -> JordanDomain:
     y0 = math.sqrt(max(1.0 - x0 * x0, 0.0))
     beta = math.atan2(y0, x0)              # corner angle on the unit circle
     phi_c = math.atan2(y0, x0 - 1.0)       # corner angle on the rho circle
-    len1 = 2.0 * beta
-    len2 = rho * (TWO_PI - 2.0 * phi_c)
-    b1 = len1 / (len1 + len2)
-
-    def curve(t):
-        t = np.asarray(t, dtype=float) % 1.0
-        out = np.empty(t.shape, dtype=complex)
-        m = t < b1
-        ang = -beta + (t[m] / b1) * (2 * beta)
-        out[m] = np.exp(1j * ang)
-        s = (t[~m] - b1) / (1.0 - b1)
-        ang = phi_c + s * (TWO_PI - 2 * phi_c)
-        out[~m] = 1.0 + rho * np.exp(1j * ang)
-        return out if out.shape else complex(out)
-
-    def dcurve(t):
-        t = np.asarray(t, dtype=float) % 1.0
-        out = np.empty(t.shape, dtype=complex)
-        m = t < b1
-        ang = -beta + (t[m] / b1) * (2 * beta)
-        out[m] = 1j * np.exp(1j * ang) * (2 * beta) / b1
-        s = (t[~m] - b1) / (1.0 - b1)
-        ang = phi_c + s * (TWO_PI - 2 * phi_c)
-        out[~m] = 1j * rho * np.exp(1j * ang) * (TWO_PI - 2 * phi_c) / (1.0 - b1)
-        return out if out.shape else complex(out)
-
+    curve, dcurve, _, bounds = _arcs_and_segments(
+        [("arc", 0j, 1.0, -beta, 2 * beta), ("arc", 1.0, rho, phi_c, TWO_PI - 2 * phi_c)])
     return JordanDomain(curve, dcurve, name=f"lens({rho})", check_simple=False,
-                        corner_params=(0.0, b1),
+                        corner_params=bounds[:-1],
                         json_doc={"kind": "jordan", "curve": "lens", "rho": float(rho)})
 
 

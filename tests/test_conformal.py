@@ -162,6 +162,16 @@ class TestClosedMaps:
             fd = (m.evaluate(pts + h) - m.evaluate(pts - h)) / (2 * h)
             assert np.max(np.abs(fd - m.derivative(pts))) < 1e-6
 
+    def test_narrow_sector_arrays_leave_the_floats_quietly(self):
+        """An array image or derivative past the floats is infinite, as a
+        point's is, and numpy does not warn (RuntimeWarnings fail here)."""
+        m = sector_map(1e-4)
+        pts = np.array([3.0 + 0j, 0.5 + 0j])
+        f, df = m.evaluate(pts), m.derivative(pts)
+        assert f[0] == complex(math.inf, 0.0) and np.isinf(df[0].real) and np.isnan(df[0].imag)
+        assert f[1] == df[1] == 0j                  # below the floats: zero
+        assert m.evaluate(3.0 + 0j) == m.derivative(3.0 + 0j) == complex(math.inf, 0.0)
+
 
 class TestRiemannEngine:
     def test_disc_identity(self):

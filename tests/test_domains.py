@@ -24,6 +24,7 @@ from invdist.domains import (
     two_disc_hull,
     wobbly_domain,
 )
+from invdist.distances import hull_distance
 from invdist.errors import (
     DegenerateInput,
     InvalidDomain,
@@ -486,3 +487,31 @@ class TestInvariants:
             Sector(0.0)
         with pytest.raises(DegenerateInput):
             Disc(0j, -1.0)
+
+
+class TestCatalogInputs:
+    """The catalog constructors refuse non-finite and out-of-range numbers
+    with DegenerateInput, before numpy warns (RuntimeWarnings fail here)."""
+
+    @pytest.mark.parametrize("args", [
+        (0j, math.nan, 1 + 0j, 0.5), (0j, 1.0, math.inf + 0j, 0.5), (0j, 1.0, 3 + 0j, math.inf),
+        (0j, -math.inf, 3 + 0j, 1.0), (complex(math.nan, 0.0), 1.0, 3 + 0j, 1.0),
+        (0j, 1.0, complex(3.0, math.inf), 1.0)])
+    def test_hull(self, args):
+        for make in (two_disc_hull, TwoDiscHull, hull_distance):
+            with pytest.raises(DegenerateInput):
+                make(*args)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                                      (1.0, -math.inf), (0.0, 1.0)])
+    def test_ellipse(self, a, b):
+        with pytest.raises(DegenerateInput):
+            ellipse_domain(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.int64(-2)])
+    def test_wobbly(self, seed):
+        with pytest.raises(DegenerateInput, match="seed"):
+            wobbly_domain(seed)
+
+    def test_wobbly_takes_numpy_integers(self):
+        assert domain_to_json(wobbly_domain(np.int64(3))) == domain_to_json(wobbly_domain(3))
