@@ -77,6 +77,32 @@ def _sqrt_cut_pos_scalar(s) -> complex:
     return 1j * complex(np.sqrt(-(complex(s) + 0j)))
 
 
+def _over_zero(v: float) -> float:
+    """v / +0.0 in IEEE arithmetic, where Python's division raises."""
+    return math.copysign(math.inf, v) if v != 0.0 and v == v else math.nan
+
+
+def _np_quotient(a: complex, b: complex) -> complex:
+    """a / b with the bits of complex(np.complex128(a) / np.complex128(b)),
+    in Python floats: numpy's complex division, Smith's method scaled by
+    the reciprocal of the denominator (Python's own complex division rounds
+    apart from it).  Where numpy divides by zero (b = +-0 +- 0i, or a NaN
+    real part over a zero imaginary one), this gives its inf or nan and
+    raises nothing."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        if br == 0.0:
+            return complex(_over_zero(ar), _over_zero(ai))
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    if bi == 0.0:      # br is NaN
+        return complex(math.nan, math.nan)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
 class _Chart:
     """The two questions every pullback asks of a chart f: source -> target,
     answered by the target, the unit disc or the upper half-plane (its
@@ -304,9 +330,8 @@ def slit_sqrt_map() -> ConformalMap:
 
 
 def disc_scale_map(center: complex, radius: float) -> ConformalMap:
-    """Disc D(center, radius) onto the unit disc by the affine normalization."""
-    if radius <= 0:
-        raise DegenerateInput("radius must be positive")
+    """Disc D(center, radius) onto the unit disc by the affine normalization;
+    a centre or radius that `Disc` refuses raises DegenerateInput."""
     c, r = complex(center), float(radius)
 
     def ev(z):
@@ -353,11 +378,16 @@ class _GeodesicChain:
     images, bitwise those of `forward(carry)`.
 
     Each pass has two kernels.  The point loop is one Python loop over the
-    steps for a single point (a scalar or a 0-d array).  Its quotient
-    x w / (x - w) is numpy scalar arithmetic, as the step parameters are
-    numpy floats and numpy's complex division rounds apart from Python's;
-    the fold and the square are Python complex arithmetic, and the root is
-    one numpy scalar square root (`_sqrt_cut_pos_scalar`).  The array step
+    steps for a single point (a scalar or a 0-d array).  The step
+    parameters are Python floats, and the value loop (`forward`, and the
+    build's tracking of the base point) runs in Python floats throughout:
+    its quotient x w / (x - w) is numpy's complex division written out
+    (`_np_quotient`), as Python's own rounds apart from numpy's; the fold
+    and the square are Python complex arithmetic, and the only numpy call
+    of a step is the scalar square root (`_sqrt_cut_pos_scalar`).  The jet
+    loop of `forward_with_derivative` keeps numpy scalar arithmetic, x
+    taken as a numpy float at each step, so its bits stay those of numpy's
+    own complex operations.  The array step
     runs each step as numpy operations written in place, in the same order
     as on a point, on the build's tail and on a batch.  The two kernels
     round apart in the last bits, since numpy's array loops may fuse the
@@ -381,7 +411,7 @@ class _GeodesicChain:
         t = np.empty_like(q)
 
         for k in range(n - 2):
-            a = q[k]
+            a = complex(q[k])
             if not (a.imag > 0):
                 raise NonConvergence("boundary image left the half-plane; "
                                      "increase the boundary resolution")
@@ -438,7 +468,7 @@ class _GeodesicChain:
         else:
             if abs(x - w) < 1e-300:
                 return None
-            m = x * w / (x - w)
+            m = _np_quotient(x * w, x - w)
         s = m * m + h * h
         if abs(s.imag) < 1e-14 * abs(s.real) and s.real > 0:
             # boundary value: side resolved by the sign of m
@@ -459,11 +489,9 @@ class _GeodesicChain:
             for x, h in self.steps:
                 self._g(w, x, h, t)
             return self._close(w)
-        w = w.real + 1j * abs(w.imag)
+        w = complex(w.real + 1j * abs(w.imag))
         for x, h in self.steps:
-            # numpy's quotient (x is a numpy float); the rest of the step
-            # runs cheaper on a Python complex
-            m = w if x is None else complex(x * w / (x - w))
+            m = w if x is None else _np_quotient(x * w, x - w)
             m = m.real + 1j * abs(m.imag)
             w = _sqrt_cut_pos_scalar(m * m + h * h)
         return self._close(w)
@@ -485,6 +513,7 @@ class _GeodesicChain:
             if x is None:
                 m, dm = w, dw
             else:
+                x = np.float64(x)
                 m = complex(x * w / (x - w))
                 # dm, and so dw, stay numpy scalars: their divisions are numpy's
                 dm = dw * x * x / (x - w) ** 2

@@ -140,8 +140,10 @@ class Disc(PlanarDomain):
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DegenerateInput("disc radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise DegenerateInput("disc centre must be finite")
+        if not 0.0 < self.radius < math.inf:
+            raise DegenerateInput("disc radius must be positive and finite")
 
     def boundary_distance(self, z, signed=False):
         return _clamp0(self.radius - abs(z - self.center), signed)

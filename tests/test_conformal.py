@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from invdist.conformal import (
     riemann_map,
     sector_map,
     slit_sqrt_map,
+    _np_quotient,
     _sqrt_cut_pos,
 )
 from invdist.distances import poincare_distance
@@ -171,6 +173,60 @@ class TestClosedMaps:
         assert f[0] == complex(math.inf, 0.0) and np.isinf(df[0].real) and np.isnan(df[0].imag)
         assert f[1] == df[1] == 0j                  # below the floats: zero
         assert m.evaluate(3.0 + 0j) == m.derivative(3.0 + 0j) == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize("center, radius", [
+        (complex(math.nan, 0.0), 1.0), (complex(math.inf, 0.0), 1.0), (0j, math.inf)])
+    def test_disc_scale_map_refuses_a_disc_outside_the_floats(self, center, radius):
+        with pytest.raises(DegenerateInput):
+            disc_scale_map(center, radius)
+
+
+def _bits(z):
+    """The float.hex of both parts of z, a NaN part read as a NaN."""
+    return tuple("nan" if math.isnan(p) else p.hex() for p in (z.real, z.imag))
+
+
+# every float kind: signed zeros, subnormals, the extreme normals, infinities, NaN
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022), 1.0, -1.0,
+          1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_ANY_FLOATS = st.floats() | st.sampled_from(_EDGES)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestNumpyQuotient:
+    """_np_quotient(a, b) is bitwise numpy's complex128 quotient, and raises
+    nothing where numpy divides by zero."""
+
+    @staticmethod
+    def _check(a, b):
+        with np.errstate(all="ignore"):
+            want = complex(np.complex128(a) / np.complex128(b))
+        assert _bits(_np_quotient(a, b)) == _bits(want)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_FINITE, _FINITE, _FINITE, _FINITE)
+    def test_finite_pairs(self, ar, ai, br, bi):
+        self._check(complex(ar, ai), complex(br, bi))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_ANY_FLOATS, _ANY_FLOATS, _ANY_FLOATS, _ANY_FLOATS)
+    def test_every_float_kind(self, ar, ai, br, bi):
+        self._check(complex(ar, ai), complex(br, bi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_FLOATS, _ANY_FLOATS, _ANY_FLOATS, st.sampled_from([1.0, -1.0]),
+           st.sampled_from([1.0, -1.0]))
+    def test_parts_of_equal_size(self, ar, ai, x, sr, si):
+        self._check(complex(ar, ai), complex(sr * x, si * x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_FLOATS, _ANY_FLOATS, st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))
+    def test_zero_denominators(self, ar, ai, br, bi):
+        self._check(complex(ar, ai), complex(br, bi))
+
+    def test_edge_grid(self):
+        for ar, ai, br, bi in itertools.product(_EDGES, repeat=4):
+            self._check(complex(ar, ai), complex(br, bi))
 
 
 class TestRiemannEngine:

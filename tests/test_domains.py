@@ -502,6 +502,13 @@ class TestCatalogInputs:
             with pytest.raises(DegenerateInput):
                 make(*args)
 
+    @pytest.mark.parametrize("center, radius", [
+        (complex(math.nan, 0.0), 1.0), (complex(math.inf, 0.0), 1.0),
+        (complex(0.0, -math.inf), 1.0), (0j, math.inf)])
+    def test_disc(self, center, radius):
+        with pytest.raises(DegenerateInput):
+            Disc(center, radius)
+
     @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
                                       (1.0, -math.inf), (0.0, 1.0)])
     def test_ellipse(self, a, b):
